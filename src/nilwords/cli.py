@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -77,6 +78,30 @@ def _reject_csv(args: argparse.Namespace, command: str) -> None:
 
 class _UsageError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    """Argument type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argument type for tolerances: finite and greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number greater than 0, got {text!r}"
+        )
+    return value
 
 
 def _parse_scalar(text: str, mode: Mode, what: str) -> Scalar:
@@ -292,14 +317,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="strictness margin for region conditions (float mode only)",
     )
     common.add_argument(
-        "--tol", type=float, default=1e-9,
+        "--tol", type=_positive_float, default=1e-9,
         help="residual tolerance for searches and synthesis",
     )
     common.add_argument(
         "--seed", type=int, default=1729, help="master seed for all randomness"
     )
     common.add_argument(
-        "--pattern-cap", type=int, default=12,
+        "--pattern-cap", type=_positive_int, default=12,
         help="exhaustive kind-pattern cap; also the synthesis step budget",
     )
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -346,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=512, help="samples per boundary curve"
     )
     p.add_argument(
-        "--resolution", type=int, default=512, help="shading grid resolution"
+        "--resolution", type=_positive_int, default=512, help="shading grid resolution"
     )
     p.set_defaults(func=_cmd_plot)
 
@@ -378,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument(
-        "--trials", type=int, default=None,
+        "--trials", type=_positive_int, default=None,
         help="override the suite's default trial count",
     )
     p.set_defaults(func=_cmd_verify)

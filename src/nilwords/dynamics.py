@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .lie_core import GroupElement, evaluate_word
 from .scalar import Mode, Scalar
-from .words import SigmaWord, sigma_to_rword
+from .words import SigmaWord, _check_parameter, sigma_to_rword
 
 __all__ = [
     "UVWPoint",
@@ -74,11 +74,6 @@ class XYPoint:
 
 class UnitMassError(ValueError):
     """The element does not project to generator masses (1, 1)."""
-
-
-def _check_parameter(t: Scalar) -> None:
-    if t < 0 or t > 1:
-        raise ValueError(f"map parameter {t} outside [0, 1]")
 
 
 def extract_uvw(g: GroupElement) -> UVWPoint:

@@ -24,7 +24,6 @@ __all__ = [
     "add",
     "sub",
     "neg",
-    "scale_div",
     "bracket",
     "multiply",
     "inverse",
@@ -89,11 +88,6 @@ def sub(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
 
 def neg(a: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(*(-x for x in a.coords()))
-
-
-def scale_div(a: AlgebraVector, num: int, den: int) -> AlgebraVector:
-    """Multiply by the rational num/den (single rounding per coordinate)."""
-    return AlgebraVector(*((x * num) / den for x in a.coords()))
 
 
 def _values(a: AlgebraVector) -> tuple:

@@ -10,6 +10,7 @@ endpoints are deliberately classified outside rather than adjudicated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -65,8 +66,8 @@ class EpsilonPolicy:
     eps: Scalar
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("margin must be nonnegative")
+        if not math.isfinite(self.eps.value) or self.eps < 0:
+            raise ValueError("margin must be a finite nonnegative number")
         if self.eps.mode is Mode.EXACT and self.eps != 0:
             raise ValueError("exact mode does not admit a nonzero margin")
 

@@ -85,14 +85,25 @@ class Scalar:
 
     @staticmethod
     def parse(text: str, mode: Mode) -> "Scalar":
-        """Parse "p/q" or decimal notation into the requested mode."""
+        """Parse "p/q" or decimal notation into the requested mode.
+
+        Raises ValueError for text that is no finite number in the mode:
+        "nan" and "inf" always, and in float mode also values that overflow
+        a double, such as "1e400".
+        """
         text = text.strip()
         if mode is Mode.EXACT:
             return Scalar(Mode.EXACT, Fraction(text))
         try:
-            return Scalar(Mode.FLOAT, float(text))
+            value = float(text)
         except ValueError:
-            return Scalar(Mode.FLOAT, float(Fraction(text)))
+            try:
+                value = float(Fraction(text))
+            except OverflowError:
+                value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{text!r} is not a finite number")
+        return Scalar(Mode.FLOAT, value)
 
     # arithmetic -------------------------------------------------------
 

@@ -179,6 +179,38 @@ def _fold_xy(
     return x, y
 
 
+def _fold_xy_jacobian(
+    point: Tuple[float, float], kinds: Sequence[StepKind], ts: Sequence[float]
+) -> np.ndarray:
+    """The 2 x n Jacobian of `_fold_xy` with respect to the step parameters.
+
+    Each step acts on the state diagonally, A by diag(r^2, r) and B by
+    diag(r, r^2) with r = 1 - t, so column i is step i's own derivative
+    scaled by the product of the later steps' factors: one forward pass and
+    one backward sweep of suffix products, no matrix products.
+    """
+    x, y = point
+    steps = []
+    for kind, raw in zip(kinds, ts):
+        t = _clamp(raw)
+        r = 1.0 - t
+        if kind is StepKind.A:
+            steps.append((-2.0 * r * x, 1.0 - y, r * r, r))
+            x, y = r * r * x, r * y + t
+        else:
+            steps.append((1.0 - x, -2.0 * r * y, r, r * r))
+            x, y = r * x + t, r * r * y
+    jac = np.empty((2, len(steps)))
+    sx = sy = 1.0
+    for i in range(len(steps) - 1, -1, -1):
+        dx, dy, fx, fy = steps[i]
+        jac[0, i] = dx * sx
+        jac[1, i] = dy * sy
+        sx *= fx
+        sy *= fy
+    return jac
+
+
 def _fold_uvw(
     point: Tuple[float, float, float], kinds: Sequence[StepKind], ts: Sequence[float]
 ) -> Tuple[float, float, float]:
@@ -622,8 +654,10 @@ def _least_squares_reach(
 ) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...], float]]:
     """Escalating bounded least-squares over alternating patterns.
 
-    Returns the first (seed, kinds, ts, residual) meeting the tolerance,
-    trying shorter sequences first; None when the budget ends.
+    Each solve gets the exact Jacobian of the planar fold
+    (`_fold_xy_jacobian`) instead of finite differences.  Returns the first
+    (seed, kinds, ts, residual) meeting the tolerance, trying shorter
+    sequences first; None when the budget ends.
     """
     tx, ty = target_xy
     starts_budget = min(4, cfg.multistarts)
@@ -637,6 +671,9 @@ def _least_squares_reach(
                 def residuals(ts: np.ndarray) -> np.ndarray:
                     x, y = _fold_xy(origin, kinds, ts)
                     return np.array([x - tx, y - ty])
+
+                def jacobian(ts: np.ndarray) -> np.ndarray:
+                    return _fold_xy_jacobian(origin, kinds, ts)
 
                 raw_starts = _start_vectors(
                     length,
@@ -656,6 +693,7 @@ def _least_squares_reach(
                         result = optimize.least_squares(
                             residuals,
                             x0,
+                            jac=jacobian,
                             bounds=(0.0, 1.0),
                             method="trf",
                             xtol=1e-15,

@@ -62,18 +62,9 @@ def _rand_vector(rnd: random.Random, mode: Mode) -> lie_core.AlgebraVector:
     return lie_core.AlgebraVector(*(_rand_scalar(rnd, mode) for _ in range(5)))
 
 
-def _vectors_close(
-    a: lie_core.AlgebraVector, b: lie_core.AlgebraVector, mode: Mode, tol: float
-) -> bool:
-    if mode is Mode.EXACT:
-        return a == b
-    return all(
-        abs(x.to_float() - y.to_float()) <= tol
-        for x, y in zip(a.coords(), b.coords())
-    )
-
-
-def _points_close(a, b, mode: Mode, tol: float) -> bool:
+def _vectors_close(a, b, mode: Mode, tol: float) -> bool:
+    """Coordinatewise closeness of two algebra vectors or points: equality
+    in exact mode, within tol per coordinate in float mode."""
     if mode is Mode.EXACT:
         return a == b
     return all(
@@ -167,17 +158,17 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
         p = eval_uvw(w)
         via_word_a = eval_uvw(word_map_a(w, t))
         via_space_a = map_a_uvw(t, p)
-        if not _points_close(via_word_a, via_space_a, mode, tol):
+        if not _vectors_close(via_word_a, via_space_a, mode, tol):
             failures["word-vs-space-a"] += 1
         via_word_b = eval_uvw(word_map_b(w, t))
         via_space_b = map_b_uvw(t, p)
-        if not _points_close(via_word_b, via_space_b, mode, tol):
+        if not _vectors_close(via_word_b, via_space_b, mode, tol):
             failures["word-vs-space-b"] += 1
-        if not _points_close(
+        if not _vectors_close(
             project(via_space_a), map_a_xy(t, project(p)), mode, tol
         ):
             failures["projection-a"] += 1
-        if not _points_close(
+        if not _vectors_close(
             project(via_space_b), map_b_xy(t, project(p)), mode, tol
         ):
             failures["projection-b"] += 1

@@ -50,6 +50,13 @@ class TestEval:
         assert code == 2
         assert "parse error" in err
 
+    @pytest.mark.parametrize("word", ["X^nan", "X^1 Y^inf", "Y^-1e400"])
+    def test_non_finite_exponent(self, capsys, word):
+        code, out, err = run(capsys, "eval", word)
+        assert code == 2
+        assert out == ""
+        assert "not a finite number" in err
+
     def test_csv_rejected(self, capsys):
         code, _, err = run(capsys, "eval", "X^1 Y^1", "--format", "csv")
         assert code == 2
@@ -110,6 +117,13 @@ class TestMember:
         code, _, err = run(capsys, "member", "abc", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps(self, capsys, eps):
+        code, out, err = run(capsys, "member", "0.36", "0.36", "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
 
 class TestPlot:
     def test_svg(self, capsys, tmp_path):
@@ -132,6 +146,14 @@ class TestPlot:
         lines = path.read_text().splitlines()
         assert lines[0] == "curve_label,x,y"
         assert len(lines) == 1 + 6 * 8
+
+    def test_bad_resolution(self, capsys, tmp_path):
+        path = tmp_path / "region.svg"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", "--out", str(path), "--resolution", "0"])
+        assert excinfo.value.code == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestProfile:
@@ -175,6 +197,13 @@ class TestProfile:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("values", [("nan", "nan"), ("0.38", "inf")])
+    def test_non_finite_target(self, capsys, values):
+        code, out, err = run(capsys, "profile", *values, "2")
+        assert code == 2
+        assert out == ""
+        assert "not a finite number" in err
+
 
 class TestSynth:
     def test_seed_orbit_target(self, capsys):
@@ -212,6 +241,27 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "0.6", "0.2", "--format", "csv")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance(self, capsys, tol):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "0.6", "0.2", "--tol", tol])
+        assert excinfo.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_bad_step_budget(self, capsys, cap):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "0.6", "0.2", "--pattern-cap", cap])
+        assert excinfo.value.code == 2
+        assert "--pattern-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x, y", [("nan", "0.5"), ("0.5", "inf"), ("1e400", "0.2")])
+    def test_non_finite_target(self, capsys, x, y):
+        code, out, err = run(capsys, "synth", x, y)
+        assert code == 2
+        assert out == ""
+        assert "not a finite number" in err
+
 
 class TestVerify:
     def test_algebra_text(self, capsys):
@@ -233,6 +283,15 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["trials"] == 16
         assert payload["checks"]
+
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_bad_trials(self, capsys, trials):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "algebra", "--trials", trials])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--trials" in captured.err
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

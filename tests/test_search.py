@@ -29,6 +29,9 @@ from nilwords.search import (
     seed_uvw,
     seq_to_word,
     synthesize_word,
+    _alternating,
+    _fold_xy,
+    _fold_xy_jacobian,
 )
 from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
@@ -95,6 +98,31 @@ class TestSequences:
         via_word = eval_xy(seq_to_word(seq))
         via_maps = apply_sequence(seq)
         assert xy_distance(via_word, via_maps) < 1e-10
+
+
+class TestFoldJacobian:
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_matches_central_differences(self, length):
+        rnd = random.Random(length)
+        h = 1e-6
+        for origin in ((1.0, 0.0), (0.0, 1.0)):
+            for start in (StepKind.A, StepKind.B):
+                kinds = _alternating(start, length)
+                # interior parameters, so t +- h never reaches the clamp
+                ts = [rnd.uniform(0.05, 0.95) for _ in range(length)]
+                jac = _fold_xy_jacobian(origin, kinds, ts)
+                assert jac.shape == (2, length)
+                for i in range(length):
+                    up, down = list(ts), list(ts)
+                    up[i] += h
+                    down[i] -= h
+                    xu, yu = _fold_xy(origin, kinds, up)
+                    xd, yd = _fold_xy(origin, kinds, down)
+                    assert jac[0, i] == pytest.approx((xu - xd) / (2 * h), abs=1e-7)
+                    assert jac[1, i] == pytest.approx((yu - yd) / (2 * h), abs=1e-7)
+
+    def test_empty_pattern(self):
+        assert _fold_xy_jacobian((1.0, 0.0), (), ()).shape == (2, 0)
 
 
 class TestNearestReachable:
