@@ -56,7 +56,6 @@ def _mode(args: argparse.Namespace) -> Mode:
 def _config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(
         master_seed=args.seed,
-        pattern_cap=args.pattern_cap,
         synthesis_tolerance=args.tol,
         diagonal_tolerance=min(args.tol, 1e-9),
         max_synthesis_steps=args.pattern_cap,
@@ -325,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--pattern-cap", type=_positive_int, default=12,
-        help="exhaustive kind-pattern cap; also the synthesis step budget",
+        help="synthesis step budget: longest map sequence synth tries (default 12)",
     )
     common.add_argument("--out", help="write output to this path instead of stdout")
     fmt = argparse.ArgumentParser(add_help=False)

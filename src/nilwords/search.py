@@ -3,15 +3,18 @@
 A map sequence starts from one of the two seed words (images (1,0) and
 (0,1)) and applies k steps, each an a- or b-map with a parameter in [0,1].
 Searches minimize the distance from the endpoint to a target over the
-pattern of step kinds and the parameter vector.
+kinds of the steps and the parameter vector.
 
-Performance rests on one algebraic fact: consecutive steps of the same
-kind fuse, applying the a-map at t then at u equals one a-step at
-1-(1-t)(1-u), and likewise for b.  Every kind-pattern therefore has exactly
-the same reachable set as its run-collapsed alternating pattern, so the
-search enumerates all 2^k patterns but optimizes only once per collapsed
-form and re-expands the winning parameters (first step of a run carries the
-fused parameter, the rest are 0, which is the identity).
+The search rests on one algebraic fact: consecutive steps of the same kind
+fuse, applying the a-map at t then at u equals one a-step at
+1-(1-t)(1-u), and likewise for b.  A kind sequence therefore reaches
+exactly what its run-collapsed alternating form reaches, so with budget k
+only the alternating forms of length 1..k exist: 2k per seed.  The search
+optimizes each form once, in the order of `_forms` (length, then seed, then
+starting kind), and keeps the first form with the smallest distance, so on
+an exact tie the shortest form wins.  A winner shorter than k is padded to
+k steps with identity steps (t = 0) right after its first A step, or by
+repeating the step of the form (B,).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -39,7 +42,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "SearchReport",
     "ProfileRow",
-    "PatternBudgetError",
     "SynthesisDomainError",
     "SynthesisResult",
     "seed_point",
@@ -67,10 +69,6 @@ class StepKind(Enum):
     B = "B"
 
 
-class PatternBudgetError(ValueError):
-    """Step count exceeds the exhaustive-pattern cap and sampling is off."""
-
-
 class SynthesisDomainError(ValueError):
     """Synthesis target is outside the admissible region."""
 
@@ -95,9 +93,6 @@ class SearchConfig:
     multistarts: int = 8
     max_iterations: int = 500
     xatol: float = 1e-10
-    pattern_cap: int = 12
-    sample_budget: int = 4096
-    allow_sampling: bool = False
     synthesis_tolerance: float = 1e-9
     diagonal_tolerance: float = 1e-9
     max_synthesis_steps: int = 12
@@ -225,35 +220,33 @@ def _fold_uvw(
     return u, v, w
 
 
-# pattern bookkeeping ----------------------------------------------------
+# forms and the multistart optimizer ---------------------------------------
 
 
-def _collapse_runs(kinds: Sequence[StepKind]) -> Tuple[Tuple[StepKind, ...], Tuple[int, ...]]:
-    run_kinds: List[StepKind] = []
-    run_lengths: List[int] = []
-    for kind in kinds:
-        if run_kinds and run_kinds[-1] is kind:
-            run_lengths[-1] += 1
-        else:
-            run_kinds.append(kind)
-            run_lengths.append(1)
-    return tuple(run_kinds), tuple(run_lengths)
+def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
+    other = StepKind.B if start is StepKind.A else StepKind.A
+    return tuple(start if i % 2 == 0 else other for i in range(length))
 
 
-def _expand_ts(run_lengths: Sequence[int], collapsed_ts: Sequence[float]) -> Tuple[float, ...]:
-    ts: List[float] = []
-    for run, t in zip(run_lengths, collapsed_ts):
-        ts.append(t)
-        ts.extend([0.0] * (run - 1))
-    return tuple(ts)
+def _forms(k: int) -> Iterator[Tuple[Seed, Tuple[StepKind, ...]]]:
+    """The (seed, alternating form) pairs with at most k steps, ordered by
+    length, then seed, then starting kind.  Budget 0 has only the empty form."""
+    if k == 0:
+        for seed in (Seed.XY, Seed.YX):
+            yield seed, ()
+    for length in range(1, k + 1):
+        for seed in (Seed.XY, Seed.YX):
+            for start in (StepKind.A, StepKind.B):
+                yield seed, _alternating(start, length)
 
 
-def _kind_bits(kinds: Sequence[StepKind]) -> int:
-    bits = 0
-    for i, kind in enumerate(kinds):
-        if kind is StepKind.B:
-            bits |= 1 << i
-    return bits
+def _origin(seed: Seed) -> Tuple[float, float]:
+    return (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
+
+
+def _length_context(tag: int, seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[int, ...]:
+    """Start-vector context of a nonempty form by its length and first kind."""
+    return tag, 0 if seed is Seed.XY else 1, len(kinds), 0 if kinds[0] is StepKind.A else 1
 
 
 def _start_vectors(dim: int, cfg: SearchConfig, context: Sequence[int]) -> np.ndarray:
@@ -264,58 +257,21 @@ def _start_vectors(dim: int, cfg: SearchConfig, context: Sequence[int]) -> np.nd
     return sampler.random(cfg.multistarts)
 
 
-def _iter_patterns(k: int, cfg: SearchConfig) -> List[Tuple[StepKind, ...]]:
-    if k <= cfg.pattern_cap:
-        return [tuple(p) for p in itertools.product((StepKind.A, StepKind.B), repeat=k)]
-    if not cfg.allow_sampling:
-        raise PatternBudgetError(
-            f"k={k} exceeds pattern cap {cfg.pattern_cap}; "
-            "enable pattern sampling to search beyond the cap"
-        )
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.master_seed, 0xA5, k])
-    )
-    draws = rng.integers(0, 2, size=(cfg.sample_budget, k))
-    seen = set()
-    patterns = []
-    for row in draws:
-        key = tuple(int(b) for b in row)
-        if key not in seen:
-            seen.add(key)
-            patterns.append(tuple(StepKind.B if b else StepKind.A for b in key))
-    return patterns
-
-
-@dataclass
-class _Optimum:
-    distance: float
-    ts: Tuple[float, ...]
-    converged: bool
-    evaluations: int
-
-
-def _optimize_collapsed(
-    seed: Seed,
-    kinds: Tuple[StepKind, ...],
-    objective_of: Callable[[Seed, Tuple[StepKind, ...], Sequence[float]], float],
+def _multistart(
+    objective: Callable[[Sequence[float]], float],
+    dim: int,
     cfg: SearchConfig,
-    context_tag: int,
-) -> _Optimum:
-    """Multistart simplex descent over the parameter cube for one pattern."""
-    dim = len(kinds)
-    evaluations = 0
+    context: Sequence[int],
+) -> Tuple[float, Tuple[float, ...], bool]:
+    """Bounded Nelder-Mead from each seeded start in [0,1]^dim.
 
-    def objective(ts: Sequence[float]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return objective_of(seed, kinds, ts)
-
+    Returns (value, clamped parameters, converged) of the best start; the
+    earlier start wins a tie.  With dim = 0 the objective is evaluated once.
+    """
     if dim == 0:
-        return _Optimum(objective(()), (), True, evaluations)
-    seed_idx = 0 if seed is Seed.XY else 1
-    starts = _start_vectors(dim, cfg, (context_tag, seed_idx, _kind_bits(kinds)))
+        return objective(()), (), True
     best: Optional[Tuple[float, Tuple[float, ...], bool]] = None
-    for start in starts:
+    for start in _start_vectors(dim, cfg, context):
         result = optimize.minimize(
             objective,
             start,
@@ -328,63 +284,107 @@ def _optimize_collapsed(
                 "maxfev": 20 * cfg.max_iterations,
             },
         )
-        candidate = (
-            float(result.fun),
-            tuple(_clamp(float(t)) for t in result.x),
-            bool(result.success),
-        )
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+        if best is None or float(result.fun) < best[0]:
+            best = (
+                float(result.fun),
+                tuple(_clamp(float(t)) for t in result.x),
+                bool(result.success),
+            )
     assert best is not None
-    return _Optimum(best[0], best[1], best[2], evaluations)
+    return best
 
 
-def _run_search(
-    k: int,
-    cfg: SearchConfig,
-    distance_of: Callable[[Seed, Tuple[StepKind, ...], Sequence[float]], float],
-    context_tag: int,
-) -> Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...], float, bool, int]:
-    """Enumerate seed and pattern choices, dedup by collapsed form, return
-    the winner as (seed, kinds, ts, distance, converged, evaluations)."""
-    patterns = _iter_patterns(k, cfg)
-    cache: Dict[Tuple[Seed, Tuple[StepKind, ...]], _Optimum] = {}
-    evaluations = 0
+# the search walk ----------------------------------------------------------
+
+_Distance = Callable[[Seed, Tuple[StepKind, ...], Sequence[float]], float]
+
+
+@dataclass(frozen=True)
+class _Winner:
+    """The best sequence within a budget of k steps, padded to k."""
+
+    seed: Seed
+    kinds: Tuple[StepKind, ...]
+    ts: Tuple[float, ...]
+    distance: float
+    converged: bool
+    evaluations: int
+
+
+def _padded(
+    kinds: Tuple[StepKind, ...], ts: Tuple[float, ...], k: int
+) -> Tuple[Tuple[StepKind, ...], Tuple[float, ...]]:
+    """Pad a form to k steps with identity steps (t = 0) right after its
+    first A step, or after its only step for the form (B,)."""
+    extra = k - len(kinds)
+    if extra == 0:
+        return kinds, ts
+    cut = kinds.index(StepKind.A) + 1 if StepKind.A in kinds else 1
+    kinds = kinds[:cut] + (kinds[cut - 1],) * extra + kinds[cut:]
+    return kinds, ts[:cut] + (0.0,) * extra + ts[cut:]
+
+
+def _walk(k_max: int, distance_of: _Distance, cfg: SearchConfig, tag: int) -> List[_Winner]:
+    """Optimize every form of `_forms(k_max)` once, keeping a running best.
+
+    Returns one winner per budget k (k = 0 alone for k_max = 0, else
+    k = 1..k_max), counting the objective evaluations spent on all forms of
+    at most k steps.  Starts depend only on the form, not on the budget, so
+    each winner is what a walk stopped at its own budget finds.
+    """
+    winners: List[_Winner] = []
     best: Optional[Tuple[float, Seed, Tuple[StepKind, ...], Tuple[float, ...], bool]] = None
-    for seed in (Seed.XY, Seed.YX):
-        for kinds in patterns:
-            run_kinds, run_lengths = _collapse_runs(kinds)
-            key = (seed, run_kinds)
-            if key not in cache:
-                cache[key] = _optimize_collapsed(
-                    seed, run_kinds, distance_of, cfg, context_tag
-                )
-                evaluations += cache[key].evaluations
-            opt = cache[key]
-            expanded = _expand_ts(run_lengths, opt.ts)
-            if best is None or opt.distance < best[0]:
-                best = (opt.distance, seed, kinds, expanded, opt.converged)
-    assert best is not None
-    distance, seed, kinds, ts, converged = best
-    return seed, kinds, ts, distance, converged, evaluations
+    evaluations = 0
+
+    def objective(ts: Sequence[float]) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return distance_of(seed, kinds, ts)
+
+    for length, forms in itertools.groupby(_forms(k_max), key=lambda form: len(form[1])):
+        for seed, kinds in forms:
+            b_positions = sum(1 << i for i, kind in enumerate(kinds) if kind is StepKind.B)
+            context = (tag, 0 if seed is Seed.XY else 1, b_positions)
+            distance, ts, converged = _multistart(objective, length, cfg, context)
+            if best is None or distance < best[0]:
+                best = (distance, seed, kinds, ts, converged)
+        assert best is not None
+        distance, best_seed, best_kinds, ts, converged = best
+        padded_kinds, padded_ts = _padded(best_kinds, ts, length)
+        winners.append(
+            _Winner(best_seed, padded_kinds, padded_ts, distance, converged, evaluations)
+        )
+    return winners
 
 
-def _report_from(
-    seed: Seed,
-    kinds: Tuple[StepKind, ...],
-    ts: Tuple[float, ...],
-    distance: float,
-    converged: bool,
-    evaluations: int,
-    point: XYPoint,
-) -> SearchReport:
-    steps = tuple((kind, Scalar.of_float(t)) for kind, t in zip(kinds, ts))
+def _xy_distance(target: XYPoint) -> _Distance:
+    tx, ty = target.x.to_float(), target.y.to_float()
+
+    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
+        x, y = _fold_xy(_origin(seed), kinds, ts)
+        return math.hypot(x - tx, y - ty)
+
+    return distance_of
+
+
+def _uvw_distance(target: UVWPoint) -> _Distance:
+    tu, tv, tw = (c.to_float() for c in target.coords())
+
+    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
+        u, v, w = _fold_uvw(seed_uvw(seed), kinds, ts)
+        return math.sqrt((u - tu) ** 2 + (v - tv) ** 2 + (w - tw) ** 2)
+
+    return distance_of
+
+
+def _report(winner: _Winner, point) -> SearchReport:
+    steps = tuple((kind, Scalar.of_float(t)) for kind, t in zip(winner.kinds, winner.ts))
     return SearchReport(
-        best_sequence=MapSequence(seed, steps),
+        best_sequence=MapSequence(winner.seed, steps),
         best_point=point,
-        distance=Scalar.of_float(distance),
-        evaluations=evaluations,
-        converged=converged,
+        distance=Scalar.of_float(winner.distance),
+        evaluations=winner.evaluations,
+        converged=winner.converged,
     )
 
 
@@ -393,27 +393,19 @@ def nearest_reachable(
 ) -> SearchReport:
     """Best planar approximation to the target with at most k steps.
 
-    Exhausts both seeds and all 2^k kind-patterns (up to the cap), with a
-    multistart simplex search over each pattern's parameters.  The returned
-    distance is always an upper bound on the true minimum.
+    Searches both seeds and the 2k alternating forms, with a multistart
+    simplex search over each form's parameters.  On an exact distance tie
+    the shortest form wins, then the XY seed, then the form starting with A.
+    A winner shorter than k is padded to k steps with identity steps
+    (t = 0) right after its first A step, or by repeating the step of the
+    form (B,).  The returned distance is always an upper bound on the true
+    minimum.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    tx, ty = target.x.to_float(), target.y.to_float()
-
-    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
-        x, y = _fold_xy(
-            (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0), kinds, ts
-        )
-        return math.hypot(x - tx, y - ty)
-
-    seed, kinds, ts, distance, converged, evaluations = _run_search(
-        k, cfg, distance_of, context_tag=0
-    )
-    x, y = _fold_xy((1.0, 0.0) if seed is Seed.XY else (0.0, 1.0), kinds, ts)
-    return _report_from(
-        seed, kinds, ts, distance, converged, evaluations, XYPoint.of_floats(x, y)
-    )
+    winner = _walk(k, _xy_distance(target), cfg, tag=0)[-1]
+    x, y = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
+    return _report(winner, XYPoint.of_floats(x, y))
 
 
 def nearest_reachable_uvw(
@@ -427,25 +419,23 @@ def nearest_reachable_uvw(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    tu, tv, tw = (c.to_float() for c in target.coords())
+    winner = _walk(k, _uvw_distance(target), cfg, tag=1)[-1]
+    u, v, w = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
+    return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
-    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
-        u, v, w = _fold_uvw(seed_uvw(seed), kinds, ts)
-        return math.sqrt((u - tu) ** 2 + (v - tv) ** 2 + (w - tw) ** 2)
 
-    seed, kinds, ts, distance, converged, evaluations = _run_search(
-        k, cfg, distance_of, context_tag=1
-    )
-    u, v, w = _fold_uvw(seed_uvw(seed), kinds, ts)
-    point = UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w))
-    steps = tuple((kind, Scalar.of_float(t)) for kind, t in zip(kinds, ts))
-    return SearchReport(
-        best_sequence=MapSequence(seed, steps),
-        best_point=point,
-        distance=Scalar.of_float(distance),
-        evaluations=evaluations,
-        converged=converged,
-    )
+def _profile(k_max: int, distance_of: _Distance, cfg: SearchConfig, tag: int) -> List[ProfileRow]:
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    return [
+        ProfileRow(
+            k=k,
+            distance=winner.distance,
+            pattern="".join(kind.value for kind in winner.kinds),
+            t_values=winner.ts,
+        )
+        for k, winner in enumerate(_walk(k_max, distance_of, cfg, tag), start=1)
+    ]
 
 
 def coarse_length_profile(
@@ -453,32 +443,10 @@ def coarse_length_profile(
 ) -> List[ProfileRow]:
     """Distance to the target as a function of the step budget k = 1..k_max.
 
-    Nonincreasing by construction: whenever a larger budget fails to beat a
-    smaller one, the shorter winner is kept, padded with identity steps.
+    One walk over the forms serves every k, and row k equals
+    `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    rows: List[ProfileRow] = []
-    previous: Optional[ProfileRow] = None
-    for k in range(1, k_max + 1):
-        report = nearest_reachable(target, k, cfg)
-        distance = report.distance.to_float()
-        row = ProfileRow(
-            k=k,
-            distance=distance,
-            pattern=report.best_sequence.pattern(),
-            t_values=tuple(t.to_float() for _, t in report.best_sequence.steps),
-        )
-        if previous is not None and previous.distance < distance:
-            row = ProfileRow(
-                k=k,
-                distance=previous.distance,
-                pattern=previous.pattern + "A" * (k - previous.k),
-                t_values=previous.t_values + (0.0,) * (k - previous.k),
-            )
-        rows.append(row)
-        previous = row
-    return rows
+    return _profile(k_max, _xy_distance(target), cfg, tag=0)
 
 
 def coarse_length_profile_uvw(
@@ -486,32 +454,10 @@ def coarse_length_profile_uvw(
 ) -> List[ProfileRow]:
     """Profile against the full three-coordinate objective.
 
-    Same running-minimum walk as the planar profile; used for experiments
-    targeting a group element rather than its planar shadow.
+    Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
+    experiments targeting a group element rather than its planar shadow.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    rows: List[ProfileRow] = []
-    previous: Optional[ProfileRow] = None
-    for k in range(1, k_max + 1):
-        report = nearest_reachable_uvw(target, k, cfg)
-        distance = report.distance.to_float()
-        row = ProfileRow(
-            k=k,
-            distance=distance,
-            pattern=report.best_sequence.pattern(),
-            t_values=tuple(t.to_float() for _, t in report.best_sequence.steps),
-        )
-        if previous is not None and previous.distance < distance:
-            row = ProfileRow(
-                k=k,
-                distance=previous.distance,
-                pattern=previous.pattern + "A" * (k - previous.k),
-                t_values=previous.t_values + (0.0,) * (k - previous.k),
-            )
-        rows.append(row)
-        previous = row
-    return rows
+    return _profile(k_max, _uvw_distance(target), cfg, tag=1)
 
 
 def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
@@ -560,57 +506,27 @@ def _diagonal_landings(kind: StepKind, x0: float, y0: float) -> List[Tuple[float
     return landings
 
 
-def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
-    other = StepKind.B if start is StepKind.A else StepKind.A
-    return tuple(start if i % 2 == 0 else other for i in range(length))
-
-
 def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     """How far above 1/3 the diagonal points reachable in <= k steps stay.
 
     The final step is solved exactly (a quadratic decides which parameters
     land on the diagonal), the earlier steps are optimized numerically, and
-    only alternating patterns are searched since runs of one kind fuse.
+    only alternating forms are searched since runs of one kind fuse.
     Returns min(d) - 1/3, which is positive for every finite k.
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")
     best = math.inf
-    for seed in (Seed.XY, Seed.YX):
-        origin = (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
-        seed_idx = 0 if seed is Seed.XY else 1
-        for length in range(1, k + 1):
-            for start in (StepKind.A, StepKind.B):
-                kinds = _alternating(start, length)
-                prefix, last = kinds[:-1], kinds[-1]
+    for seed, kinds in _forms(k):
+        prefix, last = kinds[:-1], kinds[-1]
 
-                def landing(ts: Sequence[float]) -> float:
-                    x0, y0 = _fold_xy(origin, prefix, ts)
-                    options = [d for _, d in _diagonal_landings(last, x0, y0)]
-                    return min(options) if options else 2.0
+        def landing(ts: Sequence[float]) -> float:
+            x0, y0 = _fold_xy(_origin(seed), prefix, ts)
+            options = [d for _, d in _diagonal_landings(last, x0, y0)]
+            return min(options) if options else 2.0
 
-                if not prefix:
-                    best = min(best, landing(()))
-                    continue
-                starts = _start_vectors(
-                    len(prefix),
-                    cfg,
-                    (2, seed_idx, length, 0 if start is StepKind.A else 1),
-                )
-                for x0 in starts:
-                    result = optimize.minimize(
-                        landing,
-                        x0,
-                        method="Nelder-Mead",
-                        bounds=[(0.0, 1.0)] * len(prefix),
-                        options={
-                            "xatol": cfg.xatol,
-                            "fatol": 1e-16,
-                            "maxiter": cfg.max_iterations,
-                            "maxfev": 20 * cfg.max_iterations,
-                        },
-                    )
-                    best = min(best, float(result.fun))
+        context = _length_context(2, seed, kinds)
+        best = min(best, _multistart(landing, len(prefix), cfg, context)[0])
     return Scalar.of_float(best - 1 / 3)
 
 
@@ -652,7 +568,7 @@ def _least_squares_reach(
     context_tag: int,
     tolerance: float,
 ) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...], float]]:
-    """Escalating bounded least-squares over alternating patterns.
+    """Escalating bounded least-squares over the alternating forms.
 
     Each solve gets the exact Jacobian of the planar fold
     (`_fold_xy_jacobian`) instead of finite differences.  Returns the first
@@ -661,49 +577,40 @@ def _least_squares_reach(
     """
     tx, ty = target_xy
     starts_budget = min(4, cfg.multistarts)
-    for length in range(1, cfg.max_synthesis_steps + 1):
-        for seed in (Seed.XY, Seed.YX):
-            origin = (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
-            seed_idx = 0 if seed is Seed.XY else 1
-            for start_kind in (StepKind.A, StepKind.B):
-                kinds = _alternating(start_kind, length)
+    for seed, kinds in _forms(cfg.max_synthesis_steps):
+        if not kinds:  # a budget of 0 steps has nothing to solve
+            return None
+        origin = _origin(seed)
 
-                def residuals(ts: np.ndarray) -> np.ndarray:
-                    x, y = _fold_xy(origin, kinds, ts)
-                    return np.array([x - tx, y - ty])
+        def residuals(ts: np.ndarray) -> np.ndarray:
+            x, y = _fold_xy(origin, kinds, ts)
+            return np.array([x - tx, y - ty])
 
-                def jacobian(ts: np.ndarray) -> np.ndarray:
-                    return _fold_xy_jacobian(origin, kinds, ts)
+        def jacobian(ts: np.ndarray) -> np.ndarray:
+            return _fold_xy_jacobian(origin, kinds, ts)
 
-                raw_starts = _start_vectors(
-                    length,
-                    cfg,
-                    (
-                        context_tag,
-                        seed_idx,
-                        length,
-                        0 if start_kind is StepKind.A else 1,
-                    ),
-                )[:starts_budget]
-                start_list = [np.full(length, 0.5)] + [np.asarray(s) for s in raw_starts]
-                for x0 in start_list:
-                    # Bound-hugging iterates make the TRF internals divide
-                    # by zero harmlessly; results are checked explicitly.
-                    with np.errstate(all="ignore"):
-                        result = optimize.least_squares(
-                            residuals,
-                            x0,
-                            jac=jacobian,
-                            bounds=(0.0, 1.0),
-                            method="trf",
-                            xtol=1e-15,
-                            ftol=1e-15,
-                            gtol=None,
-                        )
-                    res = float(np.hypot(*result.fun))
-                    if res <= tolerance:
-                        ts = tuple(_clamp(float(t)) for t in result.x)
-                        return seed, kinds, ts, res
+        raw_starts = _start_vectors(
+            len(kinds), cfg, _length_context(context_tag, seed, kinds)
+        )[:starts_budget]
+        start_list = [np.full(len(kinds), 0.5)] + [np.asarray(s) for s in raw_starts]
+        for x0 in start_list:
+            # Bound-hugging iterates make the TRF internals divide by zero
+            # harmlessly; results are checked explicitly.
+            with np.errstate(all="ignore"):
+                result = optimize.least_squares(
+                    residuals,
+                    x0,
+                    jac=jacobian,
+                    bounds=(0.0, 1.0),
+                    method="trf",
+                    xtol=1e-15,
+                    ftol=1e-15,
+                    gtol=None,
+                )
+            res = float(np.hypot(*result.fun))
+            if res <= tolerance:
+                ts = tuple(_clamp(float(t)) for t in result.x)
+                return seed, kinds, ts, res
     return None
 
 

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: output shapes, formats, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from nilwords.cli import main
+from nilwords.verify import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -313,3 +317,86 @@ class TestParser:
             "--seed", "7", "--pattern-cap", "8",
         )
         assert code == 0
+
+
+# Arbitrary command lines: every one ends in a documented exit code.  Flags
+# that set the amount of work (`--trials`, `--resolution`, `--count`,
+# `--pattern-cap`) draw only small values, and the largest integer in the
+# token pool is 2, so `profile` runs with k_max <= 2.
+TOKENS = ("0.5", "1", "0", "2", "-1", "X^1 Y^1", "X^2", "nan", "inf", "1e400",
+          "1/0", "junk", "")
+# Each flag mostly draws a value it accepts, sometimes one from the pool.
+FLAG_VALUES = {
+    "--arith": ("exact", "float"),
+    "--eps": ("0", "0.01"),
+    "--tol": ("1e-9", "1e-6"),
+    "--seed": ("1", "7"),
+    "--format": ("text", "json", "csv", "svg"),
+    "--objective": ("xy", "uvw"),
+}
+COMMAND_FLAGS = {
+    "eval": ("--arith", "--eps", "--tol", "--seed", "--format"),
+    "member": ("--arith", "--eps", "--tol", "--seed", "--format"),
+    "plot": ("--arith", "--eps", "--format"),
+    "profile": ("--arith", "--eps", "--tol", "--seed", "--format", "--objective"),
+    "synth": ("--arith", "--eps", "--tol", "--seed", "--format"),
+    "verify": ("--arith", "--seed", "--format"),
+    "junk": ("--arith", "--seed"),
+}
+COORDINATES = ("0.5", "0.25", "0.6", "0.2", "1", "0")
+OPERANDS = {
+    "eval": (("X^1 Y^1", "X^1/2 Y^1 X^1/2", "X^2"),),
+    "member": (COORDINATES,) * 2,
+    "plot": (),
+    "profile": (COORDINATES,) * 2 + (("1", "2"),),
+    "synth": (COORDINATES,) * 2,
+    "verify": (SUITE_NAMES,),
+    "junk": (TOKENS,),
+}
+WORK_FLAGS = {
+    "verify": ("--trials",),
+    "plot": ("--resolution", "--count"),
+    "synth": ("--pattern-cap",),
+}
+
+
+def _value(draw, accepted):
+    if draw(st.integers(0, 3)) < 3:
+        return draw(st.sampled_from(accepted))
+    return draw(st.sampled_from(TOKENS))
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(OPERANDS)))
+    operands = OPERANDS[command]
+    if command == "profile" and draw(st.booleans()):
+        operands = (COORDINATES,) + operands  # U V W K_MAX for --objective uvw
+    argv = [command] + [_value(draw, accepted) for accepted in operands]
+    extra = draw(st.sampled_from((0, 0, 0, 1, -1)))  # one operand too many or few
+    if extra > 0:
+        argv.append(draw(st.sampled_from(TOKENS)))
+    elif extra < 0 and operands:
+        argv.pop()
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True))
+    for flag in flags:
+        argv += [flag, _value(draw, FLAG_VALUES[flag])]
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(sorted(FLAG_VALUES))))  # flag without a value
+    # Work-setting flags come last, so a repeated flag cannot override them.
+    for flag in WORK_FLAGS.get(command, ()):
+        argv += [flag, _value(draw, ("1", "2"))]
+    return argv
+
+
+@given(argv=command_lines())
+@settings(max_examples=150, deadline=None)
+def test_any_command_line_exits_with_a_documented_code(argv, tmp_path_factory):
+    out = tmp_path_factory.getbasetemp() / "argv-out"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3), argv

@@ -12,7 +12,6 @@ from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
 from nilwords.search import (
     DEFAULT_CONFIG,
     MapSequence,
-    PatternBudgetError,
     SearchConfig,
     Seed,
     StepKind,
@@ -32,6 +31,8 @@ from nilwords.search import (
     _alternating,
     _fold_xy,
     _fold_xy_jacobian,
+    _forms,
+    _padded,
 )
 from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
@@ -125,6 +126,34 @@ class TestFoldJacobian:
         assert _fold_xy_jacobian((1.0, 0.0), (), ()).shape == (2, 0)
 
 
+class TestForms:
+    def test_order(self):
+        A, B = StepKind.A, StepKind.B
+        assert list(_forms(2)) == [
+            (Seed.XY, (A,)),
+            (Seed.XY, (B,)),
+            (Seed.YX, (A,)),
+            (Seed.YX, (B,)),
+            (Seed.XY, (A, B)),
+            (Seed.XY, (B, A)),
+            (Seed.YX, (A, B)),
+            (Seed.YX, (B, A)),
+        ]
+
+    def test_zero_budget_has_only_the_empty_form(self):
+        assert list(_forms(0)) == [(Seed.XY, ()), (Seed.YX, ())]
+
+    def test_padding(self):
+        A, B = StepKind.A, StepKind.B
+        assert _padded((A, B), (0.5, 0.25), 4) == ((A, A, A, B), (0.5, 0.0, 0.0, 0.25))
+        assert _padded((B, A, B), (0.1, 0.2, 0.3), 5) == (
+            (B, A, A, A, B),
+            (0.1, 0.2, 0.0, 0.0, 0.3),
+        )
+        assert _padded((B,), (0.7,), 3) == ((B, B, B), (0.7, 0.0, 0.0))
+        assert _padded((A, B), (0.5, 0.25), 2) == ((A, B), (0.5, 0.25))
+
+
 class TestNearestReachable:
     def test_zero_steps(self):
         report = nearest_reachable(target(1.0, 0.0), 0, FAST)
@@ -161,15 +190,17 @@ class TestNearestReachable:
             report.distance.to_float(), abs=1e-12
         )
 
-    def test_pattern_cap(self):
-        capped = SearchConfig(pattern_cap=2, multistarts=2)
-        with pytest.raises(PatternBudgetError):
-            nearest_reachable(target(0.4, 0.4), 3, capped)
-        sampled = SearchConfig(
-            pattern_cap=2, multistarts=2, allow_sampling=True, sample_budget=16
-        )
-        report = nearest_reachable(target(0.4, 0.4), 3, sampled)
-        assert len(report.best_sequence.steps) == 3
+    def test_large_budget(self):
+        # Only 2k alternating forms per seed exist at budget k, so a budget
+        # of 40 steps costs 160 short optimizer runs, not 2^40 patterns.
+        quick = SearchConfig(multistarts=1, max_iterations=1)
+        report = nearest_reachable(target(0.4, 0.4), 40, quick)
+        assert len(report.best_sequence.steps) == 40
+        rows = coarse_length_profile(target(0.4, 0.4), 40, quick)
+        assert len(rows) == 40 and rows[-1].k == 40
+        assert len(rows[-1].pattern) == 40
+        distances = [row.distance for row in rows]
+        assert all(a >= b for a, b in zip(distances, distances[1:]))
 
     def test_negative_budget(self):
         with pytest.raises(ValueError):
@@ -227,6 +258,47 @@ class TestProfiles:
         float(distance)
         assert set(pattern) <= {"A", "B"}
         assert len(ts.split(";")) == 2
+
+
+class TestSharedWalk:
+    """Profiles and single searches run the same walk over the forms."""
+
+    @staticmethod
+    def row_of(report):
+        seq = report.best_sequence
+        return report.distance.to_float(), seq.pattern(), tuple(t.to_float() for _, t in seq.steps)
+
+    def test_planar_profile_rows_are_single_searches(self):
+        goal = target(0.38, 0.36)
+        rows = coarse_length_profile(goal, 4, FAST)
+        assert [row.k for row in rows] == [1, 2, 3, 4]
+        for row in rows:
+            single = self.row_of(nearest_reachable(goal, row.k, FAST))
+            assert (row.distance, row.pattern, row.t_values) == single
+
+    def test_uvw_profile_rows_are_single_searches(self):
+        goal = eval_uvw(balanced_word(2, Mode.FLOAT))
+        rows = coarse_length_profile_uvw(goal, 4, FAST)
+        assert [row.k for row in rows] == [1, 2, 3, 4]
+        for row in rows:
+            single = self.row_of(nearest_reachable_uvw(goal, row.k, FAST))
+            assert (row.distance, row.pattern, row.t_values) == single
+
+    def test_exact_tie_goes_to_the_shortest_form(self):
+        # A(1) maps the XY seed (1, 0) exactly onto the YX seed (0, 1), so
+        # XY.A(1).B(t) reaches what YX.B(t) reaches.  At this target the
+        # optimizer finds both at the same distance for k = 2; the
+        # one-step form comes first and is kept, padded to BB.
+        goal = target(0.6229016948897019, 0.7417869892607294)
+        one = nearest_reachable(goal, 1, FAST)
+        two = nearest_reachable(goal, 2, FAST)
+        assert one.best_sequence.seed is Seed.YX
+        assert one.best_sequence.pattern() == "B"
+        assert two.distance == one.distance
+        assert two.best_sequence.seed is Seed.YX
+        assert two.best_sequence.pattern() == "BB"
+        assert two.best_sequence.steps[0] == one.best_sequence.steps[0]
+        assert two.best_sequence.steps[1][1].to_float() == 0.0
 
 
 class TestDiagonalGap:
