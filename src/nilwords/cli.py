@@ -53,26 +53,12 @@ def _mode(args: argparse.Namespace) -> Mode:
     return Mode.EXACT if args.arith == "exact" else Mode.FLOAT
 
 
-def _config(args: argparse.Namespace) -> SearchConfig:
-    return SearchConfig(
-        master_seed=args.seed,
-        synthesis_tolerance=args.tol,
-        diagonal_tolerance=min(args.tol, 1e-9),
-        max_synthesis_steps=args.pattern_cap,
-    )
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _reject_csv(args: argparse.Namespace, command: str) -> None:
-    if args.format == "csv":
-        raise _UsageError(f"{command} has no csv form; use text or json")
 
 
 class _UsageError(Exception):
@@ -110,9 +96,15 @@ def _parse_scalar(text: str, mode: Mode, what: str) -> Scalar:
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
+def _policy(mode: Mode, eps: float) -> EpsilonPolicy:
+    try:
+        return EpsilonPolicy.for_mode(mode, eps)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     mode = _mode(args)
-    _reject_csv(args, "eval")
     word = parse_word(args.word, mode)
     element = evaluate_word(word, mode)
     ell = length(word)
@@ -148,16 +140,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_member(args: argparse.Namespace) -> int:
     mode = _mode(args)
-    _reject_csv(args, "member")
     point = XYPoint(
         _parse_scalar(args.x, mode, "x coordinate"),
         _parse_scalar(args.y, mode, "y coordinate"),
     )
-    try:
-        policy = EpsilonPolicy.for_mode(mode, args.eps)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    verdict = membership(point, policy)
+    verdict = membership(point, _policy(mode, args.eps))
     if args.format == "json":
         payload = {
             "x": point.x.as_json(),
@@ -183,14 +170,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         format=args.format,
         count=args.count,
         resolution=args.resolution,
-        eps=args.eps,
+        eps=_policy(Mode.FLOAT, args.eps).eps.value,
     )
     print(f"wrote {summary.format} to {summary.path}")
     return EXIT_OK
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    cfg = SearchConfig(master_seed=args.seed)
     values = [float(_parse_scalar(v, Mode.FLOAT, "coordinate").value) for v in args.values]
     if args.objective == "xy":
         if len(values) != 2:
@@ -228,8 +215,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     mode = Mode.FLOAT
-    _reject_csv(args, "synth")
-    cfg = _config(args)
+    cfg = SearchConfig(
+        master_seed=args.seed,
+        synthesis_tolerance=args.tol,
+        max_synthesis_steps=args.pattern_cap,
+    )
     target = XYPoint(
         _parse_scalar(args.x, mode, "x coordinate"),
         _parse_scalar(args.y, mode, "y coordinate"),
@@ -278,7 +268,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = _mode(args)
-    _reject_csv(args, "verify")
     result = run_suite(args.suite, mode=mode, trials=args.trials, seed=args.seed)
     if args.format == "json":
         payload = {
@@ -305,34 +294,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_TOLERANCE
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--arith", choices=("exact", "float"), default="float",
+# Each subcommand declares only the flags its handler reads, so argparse
+# rejects any other flag with exit 2.
+_FLAGS = {
+    "--arith": dict(
+        choices=("exact", "float"), default="float",
         help="scalar arithmetic mode (default float)",
-    )
-    common.add_argument(
-        "--eps", type=float, default=0.0,
+    ),
+    "--eps": dict(
+        type=float, default=0.0,
         help="strictness margin for region conditions (float mode only)",
-    )
-    common.add_argument(
-        "--tol", type=_positive_float, default=1e-9,
-        help="residual tolerance for searches and synthesis",
-    )
-    common.add_argument(
-        "--seed", type=int, default=1729, help="master seed for all randomness"
-    )
-    common.add_argument(
-        "--pattern-cap", type=_positive_int, default=12,
+    ),
+    "--tol": dict(
+        type=_positive_float, default=1e-9,
+        help="synthesis residual tolerance (default 1e-9)",
+    ),
+    "--seed": dict(type=int, default=1729, help="master seed for all randomness"),
+    "--pattern-cap": dict(
+        type=_positive_int, default=12,
         help="synthesis step budget: longest map sequence synth tries (default 12)",
-    )
-    common.add_argument("--out", help="write output to this path instead of stdout")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text",
-        help="output format (default text)",
-    )
+    ),
+}
 
+
+def _add_command(sub, name: str, func, summary: str, flags, formats) -> argparse.ArgumentParser:
+    """A subcommand taking `flags`, `--format` (default formats[0]) and `--out`."""
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.add_argument(
+        "--format", choices=formats, default=formats[0],
+        help=f"output format (default {formats[0]})",
+    )
+    p.add_argument("--out", help="write output to this path instead of stdout")
+    p.set_defaults(func=func)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilwords",
         description=(
@@ -342,29 +341,27 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    text_or_json = ("text", "json")
 
-    p = sub.add_parser(
-        "eval", parents=[common, fmt],
-        help="evaluate a word and report element, (u,v,w), (x,y), lengths",
+    p = _add_command(
+        sub, "eval", _cmd_eval,
+        "evaluate a word and report element, (u,v,w), (x,y), lengths",
+        ("--arith",), text_or_json,
     )
     p.add_argument("word", help="word text, e.g. 'X^0.5 Y^1 X^0.5'")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser(
-        "member", parents=[common, fmt],
-        help="classify a planar point against the region inequalities",
+    p = _add_command(
+        sub, "member", _cmd_member,
+        "classify a planar point against the region inequalities",
+        ("--arith", "--eps"), text_or_json,
     )
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser(
-        "plot", parents=[common],
-        help="render the region as SVG, or its boundary curves as CSV",
-    )
-    p.add_argument(
-        "--format", choices=("svg", "csv"), default="svg",
-        help="plot output kind (default svg)",
+    p = _add_command(
+        sub, "plot", _cmd_plot,
+        "render the region as SVG, or its boundary curves as CSV",
+        ("--eps",), ("svg", "csv"),
     )
     p.add_argument(
         "--count", type=int, default=512, help="samples per boundary curve"
@@ -372,11 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resolution", type=_positive_int, default=512, help="shading grid resolution"
     )
-    p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser(
-        "profile", parents=[common, fmt],
-        help="distance to a target versus the step budget k",
+    p = _add_command(
+        sub, "profile", _cmd_profile,
+        "distance to a target versus the step budget k",
+        ("--seed",), ("csv", "json"),
     )
     p.add_argument(
         "values", nargs="+",
@@ -387,25 +384,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--objective", choices=("xy", "uvw"), default="xy",
         help="score sequences in the plane or against full (u,v,w)",
     )
-    p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser(
-        "synth", parents=[common, fmt],
-        help="construct a word whose planar image is the target",
+    p = _add_command(
+        sub, "synth", _cmd_synth,
+        "construct a word whose planar image is the target",
+        ("--seed", "--tol", "--pattern-cap"), text_or_json,
     )
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser(
-        "verify", parents=[common, fmt], help="run a named verification suite"
+    p = _add_command(
+        sub, "verify", _cmd_verify, "run a named verification suite",
+        ("--arith", "--seed"), text_or_json,
     )
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument(
         "--trials", type=_positive_int, default=None,
         help="override the suite's default trial count",
     )
-    p.set_defaults(func=_cmd_verify)
     return parser
 
 

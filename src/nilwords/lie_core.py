@@ -22,7 +22,6 @@ __all__ = [
     "zero_element",
     "basis",
     "add",
-    "sub",
     "neg",
     "bracket",
     "multiply",
@@ -80,10 +79,6 @@ def basis(mode: Mode) -> Tuple[AlgebraVector, ...]:
 
 def add(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(*(x + y for x, y in zip(a.coords(), b.coords())))
-
-
-def sub(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
-    return AlgebraVector(*(x - y for x, y in zip(a.coords(), b.coords())))
 
 
 def neg(a: AlgebraVector) -> AlgebraVector:

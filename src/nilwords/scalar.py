@@ -181,9 +181,6 @@ class Scalar:
         """Nearest double to the represented value."""
         return float(self.value)
 
-    def is_exact(self) -> bool:
-        return self.mode is Mode.EXACT
-
     def as_json(self) -> str:
         """Wire format: "p/q" in exact mode, shortest decimal in float mode."""
         return str(self.value) if self.mode is Mode.EXACT else repr(self.value)

@@ -92,9 +92,7 @@ class SearchConfig:
     master_seed: int = 1729
     multistarts: int = 8
     max_iterations: int = 500
-    xatol: float = 1e-10
     synthesis_tolerance: float = 1e-9
-    diagonal_tolerance: float = 1e-9
     max_synthesis_steps: int = 12
 
 
@@ -278,7 +276,7 @@ def _multistart(
             method="Nelder-Mead",
             bounds=[(0.0, 1.0)] * dim,
             options={
-                "xatol": cfg.xatol,
+                "xatol": 1e-10,
                 "fatol": 1e-16,
                 "maxiter": cfg.max_iterations,
                 "maxfev": 20 * cfg.max_iterations,
@@ -619,13 +617,14 @@ def _reach_diagonal(
 ) -> Optional[Tuple[Seed, List[Tuple[StepKind, float]]]]:
     """A sequence landing on (d, d), or None within the step budget.
 
-    The reach is solved tighter than the synthesis tolerance because the
-    final step composed on top can amplify the source error slightly.
+    The reach is solved tighter than the synthesis tolerance, and never
+    looser than 1e-9, because the final step composed on top can amplify
+    the source error slightly.
     """
     s = DIAGONAL_FIXED_POINT.value
-    if abs(d - s) <= cfg.diagonal_tolerance:
+    if abs(d - s) <= min(cfg.synthesis_tolerance, 1e-9):
         return Seed.XY, [(StepKind.A, s)]
-    tolerance = min(cfg.diagonal_tolerance, cfg.synthesis_tolerance / 4)
+    tolerance = min(1e-9, cfg.synthesis_tolerance / 4)
     found = _least_squares_reach((d, d), cfg, context_tag=3, tolerance=tolerance)
     if found is None:
         return None

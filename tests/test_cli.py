@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output shapes, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ import json
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from nilwords.cli import main
+from nilwords.cli import _build_parser, main
 from nilwords.verify import SUITE_NAMES
 
 
@@ -15,6 +16,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subcommands():
+    """The subcommand parsers of the real parser, by name."""
+    (action,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every public attribute read."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
 
 
 class TestEval:
@@ -62,9 +84,10 @@ class TestEval:
         assert "not a finite number" in err
 
     def test_csv_rejected(self, capsys):
-        code, _, err = run(capsys, "eval", "X^1 Y^1", "--format", "csv")
-        assert code == 2
-        assert "usage error" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "X^1 Y^1", "--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "eval.json"
@@ -159,6 +182,15 @@ class TestPlot:
         assert "--resolution" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "-5"])
+    def test_bad_eps(self, capsys, tmp_path, eps):
+        path = tmp_path / "region.svg"
+        code, out, err = run(capsys, "plot", "--out", str(path), "--eps", eps)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+        assert not path.exists()
+
 
 class TestProfile:
     def test_planar_csv(self, capsys):
@@ -242,8 +274,10 @@ class TestSynth:
         assert "not synthesized" in out
 
     def test_csv_rejected(self, capsys):
-        code, _, err = run(capsys, "synth", "0.6", "0.2", "--format", "csv")
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "0.6", "0.2", "--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_bad_tolerance(self, capsys, tol):
@@ -311,6 +345,41 @@ class TestParser:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ("profile", "1/3", "1/3", "2", "--arith", "exact"),
+        ("synth", "0.25", "0.5", "--arith", "exact"),
+        ("verify", "convergence", "--eps", "0.5"),
+        ("eval", "X^1", "--tol", "1"),
+        ("member", "0.4", "0.4", "--seed", "1"),
+        ("plot", "--pattern-cap", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_foreign_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "X^1"),
+        ("member", "0.4", "0.4"),
+        ("plot", "--resolution", "4", "--count", "2"),
+        ("profile", "0.4", "0.4", "1"),
+        ("synth", "0.25", "0.5"),
+        ("verify", "convergence", "--trials", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_every_flag_is_read(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # plot writes region.svg here
+        args = _build_parser().parse_args(argv, namespace=RecordingNamespace())
+        args._reads.clear()
+        args.func(args)
+        dests = {
+            action.dest for action in subcommands()[argv[0]]._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert dests - args._reads == set()
+
     def test_flags_accepted_after_subcommand(self, capsys):
         code, _, _ = run(
             capsys, "synth", "0.6", "0.2", "--tol", "1e-6",
@@ -319,29 +388,45 @@ class TestParser:
         assert code == 0
 
 
-# Arbitrary command lines: every one ends in a documented exit code.  Flags
-# that set the amount of work (`--trials`, `--resolution`, `--count`,
-# `--pattern-cap`) draw only small values, and the largest integer in the
-# token pool is 2, so `profile` runs with k_max <= 2.
+# Arbitrary command lines: every one ends in a documented exit code.  The
+# flags come from the parser itself, and now and then a command draws a flag
+# that only another command takes.  Flags that set the amount of work
+# (`--trials`, `--resolution`, `--count`, `--pattern-cap`) draw only small
+# values, and the largest integer in the token pool is 2, so `profile` runs
+# with k_max <= 2.  Every command line ends in `--out`, so it is not drawn.
 TOKENS = ("0.5", "1", "0", "2", "-1", "X^1 Y^1", "X^2", "nan", "inf", "1e400",
           "1/0", "junk", "")
+
+
+def _flag_table():
+    """Each subcommand's flags but `--out`, and for each flag with choices
+    every choice any subcommand offers, read from the parser."""
+    flags, choices = {}, {}
+    for command, parser in subcommands().items():
+        actions = [
+            action for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "out")
+        ]
+        flags[command] = tuple(action.option_strings[0] for action in actions)
+        for action in actions:
+            if action.choices:
+                choices.setdefault(action.option_strings[0], set()).update(action.choices)
+    return flags, {flag: tuple(sorted(values)) for flag, values in choices.items()}
+
+
+COMMAND_FLAGS, CHOICES = _flag_table()
+ALL_FLAGS = tuple(sorted({flag for flags in COMMAND_FLAGS.values() for flag in flags}))
+COMMAND_FLAGS["junk"] = ALL_FLAGS
 # Each flag mostly draws a value it accepts, sometimes one from the pool.
 FLAG_VALUES = {
-    "--arith": ("exact", "float"),
     "--eps": ("0", "0.01"),
     "--tol": ("1e-9", "1e-6"),
     "--seed": ("1", "7"),
-    "--format": ("text", "json", "csv", "svg"),
-    "--objective": ("xy", "uvw"),
-}
-COMMAND_FLAGS = {
-    "eval": ("--arith", "--eps", "--tol", "--seed", "--format"),
-    "member": ("--arith", "--eps", "--tol", "--seed", "--format"),
-    "plot": ("--arith", "--eps", "--format"),
-    "profile": ("--arith", "--eps", "--tol", "--seed", "--format", "--objective"),
-    "synth": ("--arith", "--eps", "--tol", "--seed", "--format"),
-    "verify": ("--arith", "--seed", "--format"),
-    "junk": ("--arith", "--seed"),
+    "--trials": ("1", "2"),
+    "--resolution": ("1", "2"),
+    "--count": ("1", "2"),
+    "--pattern-cap": ("1", "2"),
+    **CHOICES,
 }
 COORDINATES = ("0.5", "0.25", "0.6", "0.2", "1", "0")
 OPERANDS = {
@@ -379,10 +464,13 @@ def command_lines(draw):
     elif extra < 0 and operands:
         argv.pop()
     flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), max_size=3, unique=True))
+    foreign = sorted(set(ALL_FLAGS) - set(COMMAND_FLAGS[command]))
+    if foreign and draw(st.integers(0, 4)) == 4:
+        flags.append(draw(st.sampled_from(foreign)))
     for flag in flags:
         argv += [flag, _value(draw, FLAG_VALUES[flag])]
     if draw(st.integers(0, 9)) == 9:
-        argv.append(draw(st.sampled_from(sorted(FLAG_VALUES))))  # flag without a value
+        argv.append(draw(st.sampled_from(ALL_FLAGS)))  # flag without a value
     # Work-setting flags come last, so a repeated flag cannot override them.
     for flag in WORK_FLAGS.get(command, ()):
         argv += [flag, _value(draw, ("1", "2"))]
