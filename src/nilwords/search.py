@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -94,6 +94,20 @@ class SearchConfig:
     max_iterations: int = 500
     synthesis_tolerance: float = 1e-9
     max_synthesis_steps: int = 12
+
+    def __post_init__(self):
+        broken = [
+            rule
+            for rule, holds in (
+                ("multistarts >= 1", self.multistarts >= 1),
+                ("max_iterations >= 1", self.max_iterations >= 1),
+                ("0 < synthesis_tolerance < inf", 0.0 < self.synthesis_tolerance < math.inf),
+                ("max_synthesis_steps >= 0", self.max_synthesis_steps >= 0),
+            )
+            if not holds
+        ]
+        if broken:
+            raise ValueError(f"invalid SearchConfig {self}: needs {', '.join(broken)}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -560,18 +574,90 @@ def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], st
     )
 
 
-def _least_squares_reach(
+class _Solved(NamedTuple):
+    point: Tuple[float, ...]
+    cost: float
+    iterations: int
+    converged: bool
+
+
+def _solve(
+    residual: Callable[[List[float]], Tuple[float, float]],
+    jacobian: Callable[[List[float]], np.ndarray],
+    x0: Sequence[float],
+    max_iterations: int,
+) -> _Solved:
+    """Projected Levenberg-Marquardt for two residuals over the box [0, 1]^n.
+
+    `residual` maps a point to (r0, r1) and `jacobian` to the 2 x n array of
+    their derivatives; the cost is the residual norm.  Each iteration tries
+    one step delta = -J_f^T z, where (J_f J_f^T + mu I) z = r is a 2 x 2
+    system solved in closed form and J_f keeps the Jacobian columns of the
+    free coordinates: a coordinate on a bound whose gradient points outward
+    is held.  The trial point is clipped to the box and accepted only when
+    the cost falls, after which mu shrinks; otherwise mu grows and the
+    Jacobian is reused.  So every evaluated point lies in the box and the
+    returned cost is never above the start's.  Converged means a stop on a
+    zero cost, a vanishing free gradient, or a step too small to move the
+    point; not converged means the iteration cap (or a damped system too
+    small to solve) ended the run.
+    """
+    x = [_clamp(float(t)) for t in x0]
+    r0, r1 = residual(x)
+    cost = math.hypot(r0, r1)
+    mu = -1.0  # set from the first Jacobian
+    free: Optional[List[Tuple[float, float]]] = None  # J_f's columns at x
+    iterations = 0
+    converged = cost == 0.0
+    while not converged and iterations < max_iterations:
+        if free is None:
+            free = []
+            for t, (p, q) in zip(x, jacobian(x).T.tolist()):
+                g = p * r0 + q * r1
+                held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
+                free.append((0.0, 0.0) if held else (p, q))
+            a = sum(p * p for p, _ in free)
+            b = sum(p * q for p, q in free)
+            c = sum(q * q for _, q in free)
+            if a * r0 * r0 + 2.0 * b * r0 * r1 + c * r1 * r1 <= 0.0:
+                converged = True  # J_f^T r = 0: no descent inside the box
+                break
+            if mu < 0.0:
+                mu = 1e-3 * max(a, c)
+        iterations += 1
+        det = max(a * c - b * b, 0.0) + mu * (a + c + mu)
+        if not det > 0.0:
+            break
+        z0 = ((c + mu) * r0 - b * r1) / det
+        z1 = ((a + mu) * r1 - b * r0) / det
+        trial = [_clamp(t - p * z0 - q * z1) for t, (p, q) in zip(x, free)]
+        if trial == x:
+            converged = True
+            break
+        t0, t1 = residual(trial)
+        trial_cost = math.hypot(t0, t1)
+        if trial_cost < cost:
+            x, r0, r1, cost, free = trial, t0, t1, trial_cost, None
+            converged = cost == 0.0
+            mu /= 3.0
+        else:
+            mu *= 4.0
+    return _Solved(tuple(x), cost, iterations, converged)
+
+
+def _reach(
     target_xy: Tuple[float, float],
     cfg: SearchConfig,
     context_tag: int,
     tolerance: float,
 ) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...], float]]:
-    """Escalating bounded least-squares over the alternating forms.
+    """Reach a planar point by `_solve` over the alternating forms.
 
-    Each solve gets the exact Jacobian of the planar fold
-    (`_fold_xy_jacobian`) instead of finite differences.  Returns the first
-    (seed, kinds, ts, residual) meeting the tolerance, trying shorter
-    sequences first; None when the budget ends.
+    Forms are tried in `_forms` order up to `cfg.max_synthesis_steps`
+    steps, each from the all-0.5 vector and then up to four seeded starts,
+    with the exact Jacobian of the planar fold (`_fold_xy_jacobian`).
+    Returns the first (seed, kinds, ts, residual) meeting the tolerance,
+    so shorter sequences win; None when the budget ends.
     """
     tx, ty = target_xy
     starts_budget = min(4, cfg.multistarts)
@@ -580,35 +666,20 @@ def _least_squares_reach(
             return None
         origin = _origin(seed)
 
-        def residuals(ts: np.ndarray) -> np.ndarray:
+        def residual(ts: Sequence[float]) -> Tuple[float, float]:
             x, y = _fold_xy(origin, kinds, ts)
-            return np.array([x - tx, y - ty])
+            return x - tx, y - ty
 
-        def jacobian(ts: np.ndarray) -> np.ndarray:
+        def jacobian(ts: Sequence[float]) -> np.ndarray:
             return _fold_xy_jacobian(origin, kinds, ts)
 
         raw_starts = _start_vectors(
             len(kinds), cfg, _length_context(context_tag, seed, kinds)
         )[:starts_budget]
-        start_list = [np.full(len(kinds), 0.5)] + [np.asarray(s) for s in raw_starts]
-        for x0 in start_list:
-            # Bound-hugging iterates make the TRF internals divide by zero
-            # harmlessly; results are checked explicitly.
-            with np.errstate(all="ignore"):
-                result = optimize.least_squares(
-                    residuals,
-                    x0,
-                    jac=jacobian,
-                    bounds=(0.0, 1.0),
-                    method="trf",
-                    xtol=1e-15,
-                    ftol=1e-15,
-                    gtol=None,
-                )
-            res = float(np.hypot(*result.fun))
-            if res <= tolerance:
-                ts = tuple(_clamp(float(t)) for t in result.x)
-                return seed, kinds, ts, res
+        for x0 in [[0.5] * len(kinds), *raw_starts]:
+            solved = _solve(residual, jacobian, x0, cfg.max_iterations)
+            if solved.cost <= tolerance:
+                return seed, kinds, solved.point, solved.cost
     return None
 
 
@@ -625,7 +696,7 @@ def _reach_diagonal(
     if abs(d - s) <= min(cfg.synthesis_tolerance, 1e-9):
         return Seed.XY, [(StepKind.A, s)]
     tolerance = min(1e-9, cfg.synthesis_tolerance / 4)
-    found = _least_squares_reach((d, d), cfg, context_tag=3, tolerance=tolerance)
+    found = _reach((d, d), cfg, context_tag=3, tolerance=tolerance)
     if found is None:
         return None
     seed, kinds, ts, _ = found
@@ -702,7 +773,7 @@ def synthesize_word(
     # Stage: direct.  Numeric reach of the target itself; this also covers
     # admissible targets whose diagonal-source quadratics have no usable
     # root.
-    found = _least_squares_reach((x, y), cfg, context_tag=4, tolerance=tol)
+    found = _reach((x, y), cfg, context_tag=4, tolerance=tol)
     if found is not None:
         seed, kinds, ts, _ = found
         result = _finish(target, seed, list(zip(kinds, ts)), "direct")

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,9 @@ from nilwords.search import (
     _fold_xy,
     _fold_xy_jacobian,
     _forms,
+    _origin,
     _padded,
+    _solve,
 )
 from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
@@ -124,6 +127,140 @@ class TestFoldJacobian:
 
     def test_empty_pattern(self):
         assert _fold_xy_jacobian((1.0, 0.0), (), ()).shape == (2, 0)
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("multistarts", 0),
+            ("max_iterations", 0),
+            ("synthesis_tolerance", math.nan),
+            ("synthesis_tolerance", -1e-9),
+            ("synthesis_tolerance", 0.0),
+            ("synthesis_tolerance", math.inf),
+            ("max_synthesis_steps", -1),
+        ],
+    )
+    def test_rejects_values_that_give_wrong_answers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
+    def test_smallest_valid_values(self):
+        cfg = SearchConfig(
+            multistarts=1, max_iterations=1, synthesis_tolerance=5e-324, max_synthesis_steps=0
+        )
+        assert cfg.max_synthesis_steps == 0
+
+
+def fold_problem(seed, kinds, goal):
+    """Residual and Jacobian of reaching `goal` with the form (seed, kinds)."""
+    origin = _origin(seed)
+
+    def residual(ts):
+        x, y = _fold_xy(origin, kinds, ts)
+        return x - goal[0], y - goal[1]
+
+    return residual, lambda ts: _fold_xy_jacobian(origin, kinds, ts)
+
+
+class TestSolve:
+    def test_iterates_stay_in_the_box(self):
+        # r = (t0 + t1 - 3, t2 + 1) pulls t0 and t1 above 1 and t2 below 0;
+        # the box minimum is the corner (1, 1, 0), where the gradient points
+        # out of the box in every coordinate.
+        seen = []
+
+        def residual(ts):
+            seen.append(list(ts))
+            return ts[0] + ts[1] - 3.0, ts[2] + 1.0
+
+        def jacobian(ts):
+            seen.append(list(ts))
+            return np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+        for x0 in ([0.5, 0.5, 0.5], [0.0, 1.0, 0.3], [0.9, 0.1, 1.0]):
+            solved = _solve(residual, jacobian, x0, 500)
+            assert solved.converged
+            assert solved.point == (1.0, 1.0, 0.0)
+            assert solved.cost == math.sqrt(2.0)
+        assert len(seen) > 9
+        assert all(0.0 <= t <= 1.0 for point in seen for t in point)
+
+    def test_holds_coordinates_pushed_out_of_the_box(self):
+        # r = (t0 + 2 t2 - 0.5, t1 - t2 - 2) has its box minimum at
+        # (0.5, 1, 0) with cost 1.  Stepping t1 and t2 as if they were free
+        # and clipping afterwards stalls short of it.
+        jac = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+
+        def residual(ts):
+            return ts[0] + 2.0 * ts[2] - 0.5, ts[1] - ts[2] - 2.0
+
+        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5], 500)
+        assert solved.converged
+        assert solved.iterations < 100
+        assert solved.cost == pytest.approx(1.0, abs=1e-12)
+        assert solved.point == pytest.approx((0.5, 1.0, 0.0), abs=1e-9)
+
+    def test_underflowing_system_stops_without_dividing(self):
+        # Columns of size 1e-155 make J J^T and mu underflow, so the damped
+        # 2 x 2 system has determinant 0; the solve ends unconverged at x0.
+        scale = 1e-155
+
+        def residual(ts):
+            return scale * ts[0] + 1.0, scale * ts[1] + 1.0
+
+        jac = np.array([[scale, 0.0], [0.0, scale]])
+        solved = _solve(residual, lambda ts: jac, [0.5, 0.5], 500)
+        assert not solved.converged
+        assert solved.point == (0.5, 0.5)
+        assert solved.cost == math.hypot(*residual([0.5, 0.5]))
+
+    def test_cost_never_rises(self):
+        rnd = random.Random(11)
+        for _ in range(40):
+            seed = rnd.choice(list(Seed))
+            kinds = _alternating(rnd.choice(list(StepKind)), rnd.randint(1, 8))
+            residual, jacobian = fold_problem(seed, kinds, (rnd.random(), rnd.random()))
+            x0 = [rnd.random() for _ in kinds]
+            solved = _solve(residual, jacobian, x0, 50)
+            assert solved.cost <= math.hypot(*residual(x0))
+            assert solved.iterations <= 50
+            assert all(0.0 <= t <= 1.0 for t in solved.point)
+            assert math.hypot(*residual(solved.point)) == solved.cost
+
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_reaches_images_of_known_parameters(self, length):
+        rnd = random.Random(length)
+        for seed in Seed:
+            for start in StepKind:
+                kinds = _alternating(start, length)
+                ts = [rnd.uniform(0.1, 0.9) for _ in kinds]
+                goal = _fold_xy(_origin(seed), kinds, ts)
+                residual, jacobian = fold_problem(seed, kinds, goal)
+                solved = _solve(residual, jacobian, [0.5] * length, 500)
+                assert solved.converged
+                assert solved.cost < 1e-15, (seed, kinds, ts)
+
+    def test_deterministic(self):
+        residual, jacobian = fold_problem(Seed.XY, _alternating(StepKind.A, 5), (0.41, 0.37))
+        first = _solve(residual, jacobian, [0.2, 0.9, 0.4, 0.6, 0.1], 500)
+        again = _solve(residual, jacobian, [0.2, 0.9, 0.4, 0.6, 0.1], 500)
+        assert first == again
+        assert [t.hex() for t in first.point] == [t.hex() for t in again.point]
+
+    def test_near_limit_target_stops_within_the_cap(self):
+        near = 1 / 3 + 5e-4
+        cap = DEFAULT_CONFIG.max_iterations
+        for seed in Seed:
+            for start in StepKind:
+                residual, jacobian = fold_problem(seed, _alternating(start, 12), (near, near))
+                solved = _solve(residual, jacobian, [0.5] * 12, cap)
+                assert 0 < solved.iterations <= cap
+                assert solved.cost > 0.0
+        capped = _solve(residual, jacobian, [0.5] * 12, 3)
+        assert capped.iterations == 3
+        assert not capped.converged
 
 
 class TestForms:
