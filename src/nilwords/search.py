@@ -15,6 +15,12 @@ starting kind), and keeps the first form with the smallest distance, so on
 an exact tie the shortest form wins.  A winner shorter than k is padded to
 k steps with identity steps (t = 0) right after its first A step, or by
 repeating the step of the form (B,).
+
+Every search, and the numeric reach inside word synthesis, runs one solver:
+`_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
+3 residuals of a form (the planar fold minus the target, the (u, v, w) fold
+minus the target, or a diagonal landing minus 1/3) with their exact
+Jacobians (More 1978; Kanzow, Yamashita & Fukushima 2004).
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from enum import Enum
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
+# Unused here since every search runs on `_solve`; the benchmark's tracer
+# (perfbench/bench_trace.py) installs its solver proxy on `search.optimize`.
+from scipy import optimize  # noqa: F401
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
@@ -115,6 +122,10 @@ DEFAULT_CONFIG = SearchConfig()
 
 @dataclass(frozen=True)
 class SearchReport:
+    """The best sequence found.  `evaluations` is the number of residual
+    evaluations spent on every form of at most k steps, and `converged`
+    is the winning start's `_solve` verdict."""
+
     best_sequence: MapSequence
     best_point: XYPoint
     distance: Scalar
@@ -232,7 +243,227 @@ def _fold_uvw(
     return u, v, w
 
 
-# forms and the multistart optimizer ---------------------------------------
+def _fold_uvw_jacobian(
+    point: Tuple[float, float, float], kinds: Sequence[StepKind], ts: Sequence[float]
+) -> np.ndarray:
+    """The 3 x n Jacobian of `_fold_uvw` with respect to the step parameters.
+
+    A step is not diagonal in the state: with r = 1 - t its state Jacobian
+    is [[r,0,0],[-3tr,r^2,0],[0,0,r]] for A and [[r,0,0],[0,r,0],[3tr,0,r^2]]
+    for B, since u feeds v (A) or w (B).  One forward pass records each
+    step's derivative in t and its state Jacobian; a backward sweep keeps
+    the rows of the product of the later steps' Jacobians, and column i is
+    that product times step i's derivative.
+    """
+    u, v, w = point
+    steps = []
+    for kind, raw in zip(kinds, ts):
+        t = _clamp(raw)
+        r = 1.0 - t
+        mix = 3 * t * r
+        feed = 3.0 * u * (1.0 - 2.0 * t)  # d(3tru)/dt
+        bend = 4.0 * t - 1.0  # d(t(2t - 1))/dt
+        if kind is StepKind.A:
+            steps.append((True, r, mix, (-u - 1.0, -2.0 * r * v - feed + bend, 1.0 - w)))
+            u, v, w = r * u - t, r * r * v - 3 * t * r * u + t * (2 * t - 1), r * w + t
+        else:
+            steps.append((False, r, mix, (1.0 - u, 1.0 - v, -2.0 * r * w + feed + bend)))
+            u, v, w = r * u + t, r * v + t, r * r * w + 3 * t * r * u + t * (2 * t - 1)
+    jac = np.empty((3, len(steps)))
+    rows = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    for i in range(len(steps) - 1, -1, -1):
+        is_a, r, mix, (du, dv, dw) = steps[i]
+        jac[:, i] = [su * du + sv * dv + sw * dw for su, sv, sw in rows]
+        if is_a:
+            rows = tuple((su * r - sv * mix, sv * r * r, sw * r) for su, sv, sw in rows)
+        else:
+            rows = tuple((su * r + sw * mix, sv * r, sw * r * r) for su, sv, sw in rows)
+    return jac
+
+
+# the bounded least-squares solver -------------------------------------------
+
+_Residual = Callable[[Sequence[float]], Tuple[float, ...]]
+_Jacobian = Callable[[Sequence[float]], np.ndarray]
+# A trial step of one linearization: mu -> the clipped trial point, or None
+# when the damped system underflows.
+_Step = Callable[[float], Optional[List[float]]]
+
+
+class _Solved(NamedTuple):
+    point: Tuple[float, ...]
+    cost: float
+    iterations: int
+    converged: bool
+    evaluations: int
+
+
+# `_solve`'s linearization at x for m = 1, 2, 3 residuals: J_f holds the
+# coordinates on a bound whose gradient J^T r points out of the box.
+# Returns None when J_f^T r = 0, else the trial step as a function of mu
+# and the largest diagonal entry of J_f J_f^T, which sets the first mu.
+# Each is written out for its m: generic loops over m cost more than the
+# residuals they serve.
+
+
+def _linearize_1(
+    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+) -> Optional[Tuple[_Step, float]]:
+    (r0,) = r
+    free = []
+    for t, (p,) in zip(x, jac.T.tolist()):
+        g = p * r0
+        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
+        free.append(0.0 if held else p)
+    a = sum(p * p for p in free)
+    if a * r0 * r0 <= 0.0:
+        return None
+
+    def step(mu: float) -> Optional[List[float]]:
+        det = a + mu
+        if not det > 0.0:
+            return None
+        z0 = r0 / det
+        return [_clamp(t - p * z0) for t, p in zip(x, free)]
+
+    return step, a
+
+
+def _linearize_2(
+    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+) -> Optional[Tuple[_Step, float]]:
+    r0, r1 = r
+    free = []
+    for t, (p, q) in zip(x, jac.T.tolist()):
+        g = p * r0 + q * r1
+        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
+        free.append((0.0, 0.0) if held else (p, q))
+    a = sum(p * p for p, _ in free)
+    b = sum(p * q for p, q in free)
+    c = sum(q * q for _, q in free)
+    if a * r0 * r0 + 2.0 * b * r0 * r1 + c * r1 * r1 <= 0.0:
+        return None
+    minor = max(a * c - b * b, 0.0)
+
+    def step(mu: float) -> Optional[List[float]]:
+        det = minor + mu * (a + c + mu)
+        if not det > 0.0:
+            return None
+        z0 = ((c + mu) * r0 - b * r1) / det
+        z1 = ((a + mu) * r1 - b * r0) / det
+        return [_clamp(t - p * z0 - q * z1) for t, (p, q) in zip(x, free)]
+
+    return step, max(a, c)
+
+
+def _linearize_3(
+    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+) -> Optional[Tuple[_Step, float]]:
+    r0, r1, r2 = r
+    free = []
+    for t, (p, q, s) in zip(x, jac.T.tolist()):
+        g = p * r0 + q * r1 + s * r2
+        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
+        free.append((0.0, 0.0, 0.0) if held else (p, q, s))
+    a = sum(p * p for p, _, _ in free)
+    b = sum(p * q for p, q, _ in free)
+    c = sum(q * q for _, q, _ in free)
+    d = sum(p * s for p, _, s in free)
+    e = sum(q * s for _, q, s in free)
+    f = sum(s * s for _, _, s in free)
+    descent = a * r0 * r0 + c * r1 * r1 + f * r2 * r2
+    if descent + 2.0 * (b * r0 * r1 + d * r0 * r2 + e * r1 * r2) <= 0.0:
+        return None
+    # The principal minors and determinant of the Gram matrix, clamped at 0
+    # against rounding, so that each coefficient of det(G + mu I) as a
+    # polynomial in mu is nonnegative, as it is exactly.
+    m_ac = max(a * c - b * b, 0.0)
+    m_af = max(a * f - d * d, 0.0)
+    m_cf = max(c * f - e * e, 0.0)
+    det_g = max(a * (c * f - e * e) - b * (b * f - d * e) + d * (b * e - c * d), 0.0)
+
+    def step(mu: float) -> Optional[List[float]]:
+        det = det_g + mu * (m_ac + m_af + m_cf + mu * (a + c + f + mu))
+        if not det > 0.0:
+            return None
+        # the adjugate of G + mu I
+        k00 = m_cf + mu * (c + f + mu)
+        k11 = m_af + mu * (a + f + mu)
+        k22 = m_ac + mu * (a + c + mu)
+        k01 = d * e - b * (f + mu)
+        k02 = b * e - d * (c + mu)
+        k12 = b * d - e * (a + mu)
+        z0 = (k00 * r0 + k01 * r1 + k02 * r2) / det
+        z1 = (k01 * r0 + k11 * r1 + k12 * r2) / det
+        z2 = (k02 * r0 + k12 * r1 + k22 * r2) / det
+        return [_clamp(t - p * z0 - q * z1 - s * z2) for t, (p, q, s) in zip(x, free)]
+
+    return step, max(a, c, f)
+
+
+_LINEARIZE = {1: _linearize_1, 2: _linearize_2, 3: _linearize_3}
+
+
+def _solve(
+    residual: _Residual,
+    jacobian: _Jacobian,
+    x0: Sequence[float],
+    max_iterations: int,
+) -> _Solved:
+    """Projected Levenberg-Marquardt for m = 1 to 3 residuals over [0, 1]^n.
+
+    `residual` maps a point to (r_0, ..., r_{m-1}) and `jacobian` to the
+    m x n array of their derivatives; the cost is the residual norm.  Each
+    iteration tries one step delta = -J_f^T z, where (J_f J_f^T + mu I) z = r
+    is an m x m system solved in closed form and J_f keeps the Jacobian
+    columns of the free coordinates: a coordinate on a bound whose gradient
+    points outward is held.  The trial point is clipped to the box and
+    accepted only when the cost falls, after which mu shrinks; otherwise mu
+    grows and the Jacobian is reused.  So every evaluated point lies in the
+    box and the returned cost is never above the start's.  Converged means a
+    stop on a zero cost, a vanishing free gradient, or a step too small to
+    move the point; not converged means the iteration cap (or a damped
+    system whose determinant underflows to 0) ended the run.  `evaluations`
+    counts the calls of `residual`.
+    """
+    x = [_clamp(float(t)) for t in x0]
+    r = residual(x)
+    linearize = _LINEARIZE[len(r)]
+    cost = math.hypot(*r)
+    evaluations = 1
+    mu = -1.0  # set from the first Jacobian
+    step: Optional[_Step] = None  # the linearization at x
+    iterations = 0
+    converged = cost == 0.0
+    while not converged and iterations < max_iterations:
+        if step is None:
+            model = linearize(x, r, jacobian(x))
+            if model is None:
+                converged = True  # J_f^T r = 0: no descent inside the box
+                break
+            step, scale = model
+            if mu < 0.0:
+                mu = 1e-3 * scale
+        iterations += 1
+        trial = step(mu)
+        if trial is None:
+            break
+        if trial == x:
+            converged = True
+            break
+        trial_r = residual(trial)
+        evaluations += 1
+        trial_cost = math.hypot(*trial_r)
+        if trial_cost < cost:
+            x, r, cost, step = trial, trial_r, trial_cost, None
+            converged = cost == 0.0
+            mu /= 3.0
+        else:
+            mu *= 4.0
+    return _Solved(tuple(x), cost, iterations, converged, evaluations)
+
+
+# forms and the multistart search ------------------------------------------
 
 
 def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
@@ -262,53 +493,52 @@ def _length_context(tag: int, seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[
 
 
 def _start_vectors(dim: int, cfg: SearchConfig, context: Sequence[int]) -> np.ndarray:
-    """Deterministic Latin-hypercube start points in [0,1]^dim."""
+    """Deterministic Latin-hypercube start points in [0,1]^dim.
+
+    Each axis is cut into n = cfg.multistarts equal slices, and every row
+    takes one point drawn uniformly in its own slice of each axis, the
+    slices shuffled independently per axis (McKay, Beckman & Conover 1979).
+    The draws are in the order of scipy's `qmc.LatinHypercube` seeded with
+    the same generator, so the points are bit for bit the ones it gives.
+    """
+    n = cfg.multistarts
     seed_seq = np.random.SeedSequence([cfg.master_seed, *context, dim])
-    rng = np.random.default_rng(seed_seq)
-    sampler = qmc.LatinHypercube(d=dim, seed=rng)
-    return sampler.random(cfg.multistarts)
+    rng = np.random.default_rng(seed_seq).spawn(1)[0]
+    offsets = rng.uniform(size=(n, dim))
+    slices = np.tile(np.arange(1, n + 1), (dim, 1))
+    for axis in slices:
+        rng.shuffle(axis)
+    return (slices.T - offsets) / n
 
 
 def _multistart(
-    objective: Callable[[Sequence[float]], float],
+    residual: _Residual,
+    jacobian: _Jacobian,
     dim: int,
     cfg: SearchConfig,
     context: Sequence[int],
-) -> Tuple[float, Tuple[float, ...], bool]:
-    """Bounded Nelder-Mead from each seeded start in [0,1]^dim.
+) -> Tuple[_Solved, int]:
+    """`_solve` from each seeded start in [0,1]^dim.
 
-    Returns (value, clamped parameters, converged) of the best start; the
-    earlier start wins a tie.  With dim = 0 the objective is evaluated once.
+    Returns the best start's result (the earlier start wins a tie) and the
+    residual evaluations of all starts.  With dim = 0 there is one start,
+    the empty point.
     """
-    if dim == 0:
-        return objective(()), (), True
-    best: Optional[Tuple[float, Tuple[float, ...], bool]] = None
-    for start in _start_vectors(dim, cfg, context):
-        result = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            bounds=[(0.0, 1.0)] * dim,
-            options={
-                "xatol": 1e-10,
-                "fatol": 1e-16,
-                "maxiter": cfg.max_iterations,
-                "maxfev": 20 * cfg.max_iterations,
-            },
-        )
-        if best is None or float(result.fun) < best[0]:
-            best = (
-                float(result.fun),
-                tuple(_clamp(float(t)) for t in result.x),
-                bool(result.success),
-            )
+    best: Optional[_Solved] = None
+    evaluations = 0
+    for start in _start_vectors(dim, cfg, context) if dim else [()]:
+        solved = _solve(residual, jacobian, start, cfg.max_iterations)
+        evaluations += solved.evaluations
+        if best is None or solved.cost < best.cost:
+            best = solved
     assert best is not None
-    return best
+    return best, evaluations
 
 
 # the search walk ----------------------------------------------------------
 
-_Distance = Callable[[Seed, Tuple[StepKind, ...], Sequence[float]], float]
+# The least-squares problem of one form: (seed, kinds) -> (residual, jacobian).
+_Problem = Callable[[Seed, Tuple[StepKind, ...]], Tuple[_Residual, _Jacobian]]
 
 
 @dataclass(frozen=True)
@@ -336,57 +566,71 @@ def _padded(
     return kinds, ts[:cut] + (0.0,) * extra + ts[cut:]
 
 
-def _walk(k_max: int, distance_of: _Distance, cfg: SearchConfig, tag: int) -> List[_Winner]:
-    """Optimize every form of `_forms(k_max)` once, keeping a running best.
+def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> List[_Winner]:
+    """Solve every form of `_forms(k_max)` once, keeping a running best.
 
     Returns one winner per budget k (k = 0 alone for k_max = 0, else
-    k = 1..k_max), counting the objective evaluations spent on all forms of
+    k = 1..k_max), counting the residual evaluations spent on all forms of
     at most k steps.  Starts depend only on the form, not on the budget, so
     each winner is what a walk stopped at its own budget finds.
     """
     winners: List[_Winner] = []
-    best: Optional[Tuple[float, Seed, Tuple[StepKind, ...], Tuple[float, ...], bool]] = None
+    best: Optional[Tuple[_Solved, Seed, Tuple[StepKind, ...]]] = None
     evaluations = 0
-
-    def objective(ts: Sequence[float]) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return distance_of(seed, kinds, ts)
-
     for length, forms in itertools.groupby(_forms(k_max), key=lambda form: len(form[1])):
         for seed, kinds in forms:
             b_positions = sum(1 << i for i, kind in enumerate(kinds) if kind is StepKind.B)
             context = (tag, 0 if seed is Seed.XY else 1, b_positions)
-            distance, ts, converged = _multistart(objective, length, cfg, context)
-            if best is None or distance < best[0]:
-                best = (distance, seed, kinds, ts, converged)
+            solved, spent = _multistart(*problem_of(seed, kinds), length, cfg, context)
+            evaluations += spent
+            if best is None or solved.cost < best[0].cost:
+                best = (solved, seed, kinds)
         assert best is not None
-        distance, best_seed, best_kinds, ts, converged = best
-        padded_kinds, padded_ts = _padded(best_kinds, ts, length)
+        solved, best_seed, best_kinds = best
+        padded_kinds, padded_ts = _padded(best_kinds, solved.point, length)
         winners.append(
-            _Winner(best_seed, padded_kinds, padded_ts, distance, converged, evaluations)
+            _Winner(
+                best_seed, padded_kinds, padded_ts, solved.cost, solved.converged, evaluations
+            )
         )
     return winners
 
 
-def _xy_distance(target: XYPoint) -> _Distance:
-    tx, ty = target.x.to_float(), target.y.to_float()
+def _xy_problem(tx: float, ty: float) -> _Problem:
+    """Reach (tx, ty) with the planar fold: residual fold - target."""
 
-    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
-        x, y = _fold_xy(_origin(seed), kinds, ts)
-        return math.hypot(x - tx, y - ty)
+    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+        origin = _origin(seed)
 
-    return distance_of
+        def residual(ts: Sequence[float]) -> Tuple[float, float]:
+            x, y = _fold_xy(origin, kinds, ts)
+            return x - tx, y - ty
+
+        def jacobian(ts: Sequence[float]) -> np.ndarray:
+            return _fold_xy_jacobian(origin, kinds, ts)
+
+        return residual, jacobian
+
+    return problem_of
 
 
-def _uvw_distance(target: UVWPoint) -> _Distance:
+def _uvw_problem(target: UVWPoint) -> _Problem:
+    """Reach a (u, v, w) target with the full fold: residual fold - target."""
     tu, tv, tw = (c.to_float() for c in target.coords())
 
-    def distance_of(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> float:
-        u, v, w = _fold_uvw(seed_uvw(seed), kinds, ts)
-        return math.sqrt((u - tu) ** 2 + (v - tv) ** 2 + (w - tw) ** 2)
+    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+        origin = seed_uvw(seed)
 
-    return distance_of
+        def residual(ts: Sequence[float]) -> Tuple[float, float, float]:
+            u, v, w = _fold_uvw(origin, kinds, ts)
+            return u - tu, v - tv, w - tw
+
+        def jacobian(ts: Sequence[float]) -> np.ndarray:
+            return _fold_uvw_jacobian(origin, kinds, ts)
+
+        return residual, jacobian
+
+    return problem_of
 
 
 def _report(winner: _Winner, point) -> SearchReport:
@@ -405,8 +649,9 @@ def nearest_reachable(
 ) -> SearchReport:
     """Best planar approximation to the target with at most k steps.
 
-    Searches both seeds and the 2k alternating forms, with a multistart
-    simplex search over each form's parameters.  On an exact distance tie
+    Searches both seeds and the 2k alternating forms, solving each form's
+    parameters by projected Levenberg-Marquardt (`_solve`) on the residual
+    fold - target from `cfg.multistarts` seeded starts.  On an exact distance tie
     the shortest form wins, then the XY seed, then the form starting with A.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
@@ -415,7 +660,7 @@ def nearest_reachable(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _xy_distance(target), cfg, tag=0)[-1]
+    winner = _walk(k, _xy_problem(*target.to_floats()), cfg, tag=0)[-1]
     x, y = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
@@ -431,12 +676,12 @@ def nearest_reachable_uvw(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _uvw_distance(target), cfg, tag=1)[-1]
+    winner = _walk(k, _uvw_problem(target), cfg, tag=1)[-1]
     u, v, w = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
     return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
 
-def _profile(k_max: int, distance_of: _Distance, cfg: SearchConfig, tag: int) -> List[ProfileRow]:
+def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> List[ProfileRow]:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     return [
@@ -446,7 +691,7 @@ def _profile(k_max: int, distance_of: _Distance, cfg: SearchConfig, tag: int) ->
             pattern="".join(kind.value for kind in winner.kinds),
             t_values=winner.ts,
         )
-        for k, winner in enumerate(_walk(k_max, distance_of, cfg, tag), start=1)
+        for k, winner in enumerate(_walk(k_max, problem_of, cfg, tag), start=1)
     ]
 
 
@@ -458,7 +703,7 @@ def coarse_length_profile(
     One walk over the forms serves every k, and row k equals
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    return _profile(k_max, _xy_distance(target), cfg, tag=0)
+    return _profile(k_max, _xy_problem(*target.to_floats()), cfg, tag=0)
 
 
 def coarse_length_profile_uvw(
@@ -469,7 +714,7 @@ def coarse_length_profile_uvw(
     Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
     experiments targeting a group element rather than its planar shadow.
     """
-    return _profile(k_max, _uvw_distance(target), cfg, tag=1)
+    return _profile(k_max, _uvw_problem(target), cfg, tag=1)
 
 
 def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
@@ -503,43 +748,77 @@ def _quadratic_roots(a: float, b: float, c: float) -> List[float]:
     return roots
 
 
-def _diagonal_landings(kind: StepKind, x0: float, y0: float) -> List[Tuple[float, float]]:
-    """Parameters t in [0,1) whose step from (x0,y0) lands on the diagonal,
-    paired with the landing coordinate d."""
-    if kind is StepKind.A:
-        a, b, c = x0, y0 - 2 * x0 - 1, x0 - y0
-    else:
-        a, b, c = y0, x0 - 2 * y0 - 1, y0 - x0
-    landings = []
-    for t in _quadratic_roots(a, b, c):
+def _lowest_landing(
+    kind: StepKind, x0: float, y0: float
+) -> Optional[Tuple[float, float, float]]:
+    """The lowest diagonal point (d, d) one step from (x0, y0) reaches with
+    t in [0, 1), as (d, dd/dx0, dd/dy0); None when no such step lands.
+
+    With (base, other) = (x0, y0) for A and (y0, x0) for B, the step lands
+    at the roots t of F = base t^2 + (other - 2 base - 1) t + base - other,
+    at d = (1 - t)^2 base.  Implicit differentiation of F = 0, whose
+    partials are F_base = (1 - t)^2 and F_other = -(1 - t), gives the
+    gradient; at a double root (F_t = 0) it is infinite and reported as 0.
+    """
+    base, other = (x0, y0) if kind is StepKind.A else (y0, x0)
+    slope = other - 2 * base - 1
+    lowest: Optional[Tuple[float, float]] = None
+    for t in _quadratic_roots(base, slope, base - other):
         if 0.0 <= t < 1.0:
-            base = x0 if kind is StepKind.A else y0
-            landings.append((t, (1.0 - t) ** 2 * base))
-    return landings
+            d = (1.0 - t) ** 2 * base
+            if lowest is None or d < lowest[0]:
+                lowest = (d, t)
+    if lowest is None:
+        return None
+    d, t = lowest
+    r = 1.0 - t
+    f_t = 2.0 * base * t + slope
+    if f_t == 0.0:
+        return d, 0.0, 0.0
+    d_base = r * r + 2.0 * r * r * r * base / f_t
+    d_other = -2.0 * r * r * base / f_t
+    return (d, d_base, d_other) if kind is StepKind.A else (d, d_other, d_base)
+
+
+def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+    """Residual d - 1/3 of the form's lowest diagonal landing, over the
+    parameters of every step but the last, which lands exactly.  A point
+    with no landing scores 2 - 1/3 with a zero gradient."""
+    origin = _origin(seed)
+    prefix, last = kinds[:-1], kinds[-1]
+
+    def residual(ts: Sequence[float]) -> Tuple[float]:
+        found = _lowest_landing(last, *_fold_xy(origin, prefix, ts))
+        return ((found[0] if found else 2.0) - 1 / 3,)
+
+    def jacobian(ts: Sequence[float]) -> np.ndarray:
+        found = _lowest_landing(last, *_fold_xy(origin, prefix, ts))
+        if found is None:
+            return np.zeros((1, len(prefix)))
+        _, d_x0, d_y0 = found
+        fold = _fold_xy_jacobian(origin, prefix, ts)
+        return (d_x0 * fold[0] + d_y0 * fold[1]).reshape(1, -1)
+
+    return residual, jacobian
 
 
 def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     """How far above 1/3 the diagonal points reachable in <= k steps stay.
 
     The final step is solved exactly (a quadratic decides which parameters
-    land on the diagonal), the earlier steps are optimized numerically, and
-    only alternating forms are searched since runs of one kind fuse.
-    Returns min(d) - 1/3, which is positive for every finite k.
+    land on the diagonal, and the lowest landing d counts), the earlier
+    steps by `_solve` on the residual d - 1/3, and only alternating forms
+    are searched since runs of one kind fuse.  Returns min(d) - 1/3, which
+    is positive for every finite k.
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")
     best = math.inf
     for seed, kinds in _forms(k):
-        prefix, last = kinds[:-1], kinds[-1]
-
-        def landing(ts: Sequence[float]) -> float:
-            x0, y0 = _fold_xy(_origin(seed), prefix, ts)
-            options = [d for _, d in _diagonal_landings(last, x0, y0)]
-            return min(options) if options else 2.0
-
         context = _length_context(2, seed, kinds)
-        best = min(best, _multistart(landing, len(prefix), cfg, context)[0])
-    return Scalar.of_float(best - 1 / 3)
+        solved, _ = _multistart(*_landing_problem(seed, kinds), len(kinds) - 1, cfg, context)
+        best = min(best, solved.cost)
+    return Scalar.of_float(best)
 
 
 # word synthesis ---------------------------------------------------------
@@ -574,77 +853,6 @@ def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], st
     )
 
 
-class _Solved(NamedTuple):
-    point: Tuple[float, ...]
-    cost: float
-    iterations: int
-    converged: bool
-
-
-def _solve(
-    residual: Callable[[List[float]], Tuple[float, float]],
-    jacobian: Callable[[List[float]], np.ndarray],
-    x0: Sequence[float],
-    max_iterations: int,
-) -> _Solved:
-    """Projected Levenberg-Marquardt for two residuals over the box [0, 1]^n.
-
-    `residual` maps a point to (r0, r1) and `jacobian` to the 2 x n array of
-    their derivatives; the cost is the residual norm.  Each iteration tries
-    one step delta = -J_f^T z, where (J_f J_f^T + mu I) z = r is a 2 x 2
-    system solved in closed form and J_f keeps the Jacobian columns of the
-    free coordinates: a coordinate on a bound whose gradient points outward
-    is held.  The trial point is clipped to the box and accepted only when
-    the cost falls, after which mu shrinks; otherwise mu grows and the
-    Jacobian is reused.  So every evaluated point lies in the box and the
-    returned cost is never above the start's.  Converged means a stop on a
-    zero cost, a vanishing free gradient, or a step too small to move the
-    point; not converged means the iteration cap (or a damped system too
-    small to solve) ended the run.
-    """
-    x = [_clamp(float(t)) for t in x0]
-    r0, r1 = residual(x)
-    cost = math.hypot(r0, r1)
-    mu = -1.0  # set from the first Jacobian
-    free: Optional[List[Tuple[float, float]]] = None  # J_f's columns at x
-    iterations = 0
-    converged = cost == 0.0
-    while not converged and iterations < max_iterations:
-        if free is None:
-            free = []
-            for t, (p, q) in zip(x, jacobian(x).T.tolist()):
-                g = p * r0 + q * r1
-                held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
-                free.append((0.0, 0.0) if held else (p, q))
-            a = sum(p * p for p, _ in free)
-            b = sum(p * q for p, q in free)
-            c = sum(q * q for _, q in free)
-            if a * r0 * r0 + 2.0 * b * r0 * r1 + c * r1 * r1 <= 0.0:
-                converged = True  # J_f^T r = 0: no descent inside the box
-                break
-            if mu < 0.0:
-                mu = 1e-3 * max(a, c)
-        iterations += 1
-        det = max(a * c - b * b, 0.0) + mu * (a + c + mu)
-        if not det > 0.0:
-            break
-        z0 = ((c + mu) * r0 - b * r1) / det
-        z1 = ((a + mu) * r1 - b * r0) / det
-        trial = [_clamp(t - p * z0 - q * z1) for t, (p, q) in zip(x, free)]
-        if trial == x:
-            converged = True
-            break
-        t0, t1 = residual(trial)
-        trial_cost = math.hypot(t0, t1)
-        if trial_cost < cost:
-            x, r0, r1, cost, free = trial, t0, t1, trial_cost, None
-            converged = cost == 0.0
-            mu /= 3.0
-        else:
-            mu *= 4.0
-    return _Solved(tuple(x), cost, iterations, converged)
-
-
 def _reach(
     target_xy: Tuple[float, float],
     cfg: SearchConfig,
@@ -659,20 +867,12 @@ def _reach(
     Returns the first (seed, kinds, ts, residual) meeting the tolerance,
     so shorter sequences win; None when the budget ends.
     """
-    tx, ty = target_xy
+    problem_of = _xy_problem(*target_xy)
     starts_budget = min(4, cfg.multistarts)
     for seed, kinds in _forms(cfg.max_synthesis_steps):
         if not kinds:  # a budget of 0 steps has nothing to solve
             return None
-        origin = _origin(seed)
-
-        def residual(ts: Sequence[float]) -> Tuple[float, float]:
-            x, y = _fold_xy(origin, kinds, ts)
-            return x - tx, y - ty
-
-        def jacobian(ts: Sequence[float]) -> np.ndarray:
-            return _fold_xy_jacobian(origin, kinds, ts)
-
+        residual, jacobian = problem_of(seed, kinds)
         raw_starts = _start_vectors(
             len(kinds), cfg, _length_context(context_tag, seed, kinds)
         )[:starts_budget]

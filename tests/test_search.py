@@ -30,12 +30,16 @@ from nilwords.search import (
     seq_to_word,
     synthesize_word,
     _alternating,
+    _fold_uvw,
+    _fold_uvw_jacobian,
     _fold_xy,
     _fold_xy_jacobian,
     _forms,
+    _lowest_landing,
     _origin,
     _padded,
     _solve,
+    _start_vectors,
 )
 from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
@@ -127,6 +131,101 @@ class TestFoldJacobian:
 
     def test_empty_pattern(self):
         assert _fold_xy_jacobian((1.0, 0.0), (), ()).shape == (2, 0)
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_uvw_matches_central_differences(self, length):
+        rnd = random.Random(100 + length)
+        h = 1e-6
+        for seed in Seed:
+            origin = seed_uvw(seed)
+            for start in (StepKind.A, StepKind.B):
+                kinds = _alternating(start, length)
+                ts = [rnd.uniform(0.05, 0.95) for _ in range(length)]
+                jac = _fold_uvw_jacobian(origin, kinds, ts)
+                assert jac.shape == (3, length)
+                for i in range(length):
+                    up, down = list(ts), list(ts)
+                    up[i] += h
+                    down[i] -= h
+                    high = _fold_uvw(origin, kinds, up)
+                    low = _fold_uvw(origin, kinds, down)
+                    for row in range(3):
+                        assert jac[row, i] == pytest.approx(
+                            (high[row] - low[row]) / (2 * h), abs=1e-7
+                        )
+
+    def test_uvw_empty_pattern(self):
+        assert _fold_uvw_jacobian((1.0, 1.0, 1.0), (), ()).shape == (3, 0)
+
+
+class TestLowestLanding:
+    @staticmethod
+    def reachable_points(rnd, count):
+        """Points a short random sequence reaches: what diagonal_gap feeds
+        to its last step."""
+        for _ in range(count):
+            kinds = _alternating(rnd.choice(list(StepKind)), rnd.randint(0, 4))
+            origin = _origin(rnd.choice(list(Seed)))
+            yield _fold_xy(origin, kinds, [rnd.uniform(0.05, 0.95) for _ in kinds])
+
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_gradient_matches_central_differences(self, kind):
+        rnd = random.Random(31 if kind is StepKind.A else 32)
+        h = 1e-7
+        checked = 0
+        for x0, y0 in self.reachable_points(rnd, 200):
+            found = _lowest_landing(kind, x0, y0)
+            if found is None:
+                continue
+            d, d_x0, d_y0 = found
+            assert d > 1 / 3
+            for (dx, dy), slope in (((h, 0.0), d_x0), ((0.0, h), d_y0)):
+                high = _lowest_landing(kind, x0 + dx, y0 + dy)
+                low = _lowest_landing(kind, x0 - dx, y0 - dy)
+                assert slope == pytest.approx((high[0] - low[0]) / (2 * h), abs=1e-6)
+            checked += 1
+        assert checked > 50
+
+    def test_lands_on_the_diagonal(self):
+        # from the XY seed, A(t) gives ((1-t)^2, t): on the diagonal at the
+        # fixed point t = s, where (1-s)^2 = s
+        d, _, _ = _lowest_landing(StepKind.A, 1.0, 0.0)
+        assert d == pytest.approx(S, abs=1e-15)
+        # B only raises x and lowers y, so from below the diagonal it never
+        # lands
+        assert _lowest_landing(StepKind.B, 0.9, 0.1) is None
+
+
+class TestStartVectors:
+    def test_pinned_latin_hypercube_points(self):
+        # Values from scipy's qmc.LatinHypercube on the same seeds.
+        four = _start_vectors(2, SearchConfig(multistarts=4), (1, 0, 3))
+        assert four.tolist() == [
+            [0.10846376472869498, 0.7181906707766506],
+            [0.9795128994483993, 0.0094820844116843],
+            [0.5237533033020147, 0.929305347208895],
+            [0.4378923067119787, 0.40062111625581376],
+        ]
+        one = _start_vectors(3, SearchConfig(multistarts=1), (2, 1, 5, 0))
+        assert one.tolist() == [[0.49946035084062235, 0.4028548116730183, 0.8028915464847918]]
+        eight = _start_vectors(1, SearchConfig(multistarts=8), (0,))
+        assert eight.ravel().tolist() == [
+            0.12431007358172178,
+            0.2919609879635222,
+            0.7487592365717181,
+            0.8248211704988668,
+            0.1873221956117933,
+            0.5274891506268103,
+            0.4538656197904247,
+            0.9099971434762195,
+        ]
+
+    def test_one_start_per_slice_of_each_axis(self):
+        n = 16
+        points = _start_vectors(5, SearchConfig(multistarts=n), (7,))
+        assert points.shape == (n, 5)
+        for axis in points.T:
+            assert sorted(int(v * n) for v in axis) == list(range(n))
 
 
 class TestSearchConfig:
@@ -263,6 +362,111 @@ class TestSolve:
         assert not capped.converged
 
 
+class TestSolveOneAndThreeResiduals:
+    @staticmethod
+    def counted(residual):
+        calls = []
+
+        def wrapped(ts):
+            calls.append(list(ts))
+            return residual(ts)
+
+        return wrapped, calls
+
+    def test_one_residual_holds_coordinates_on_the_box(self):
+        # r = 2 t0 - t1 + 1.5 cannot reach 0 in the box; its box minimum is
+        # the corner (0, 1) with cost 0.5, where both coordinates are held.
+        residual, calls = self.counted(lambda ts: (2.0 * ts[0] - ts[1] + 1.5,))
+        jac = np.array([[2.0, -1.0]])
+        for x0 in ([0.5, 0.5], [0.9, 0.1], [0.0, 0.3]):
+            calls.clear()
+            solved = _solve(residual, lambda ts: jac, x0, 500)
+            assert solved.converged
+            assert solved.point == (0.0, 1.0)
+            assert solved.cost == 0.5
+            assert solved.evaluations == len(calls)
+            assert all(0.0 <= t <= 1.0 for point in calls for t in point)
+        # r = 100 t0 + t1 - 0.5 from (0, 1): t0 sits on its bound with a
+        # steep outward gradient.  Held, it leaves t1 the whole step; left
+        # free, its column would shrink t1's step 10^4-fold.
+        steep = np.array([[100.0, 1.0]])
+        solved = _solve(
+            lambda ts: (100.0 * ts[0] + ts[1] - 0.5,), lambda ts: steep, [0.0, 1.0], 500
+        )
+        assert solved.converged
+        assert solved.iterations < 10
+        assert solved.cost < 1e-15
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_one_residual_reaches_a_known_coordinate(self, length):
+        rnd = random.Random(50 + length)
+        for seed in Seed:
+            origin = _origin(seed)
+            for start in StepKind:
+                kinds = _alternating(start, length)
+                goal = _fold_xy(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])[0]
+                solved = _solve(
+                    lambda ts: (_fold_xy(origin, kinds, ts)[0] - goal,),
+                    lambda ts: _fold_xy_jacobian(origin, kinds, ts)[:1],
+                    [0.5] * length,
+                    500,
+                )
+                assert solved.converged
+                assert solved.cost < 1e-15, (seed, kinds)
+
+    def test_three_residuals_hold_coordinates_pushed_out_of_the_box(self):
+        # r = (t0 + 2 t3 - 0.5, t1 - t3 - 2, t2 + t3 - 0.25) has its box
+        # minimum at (0.5, 1, 0.25, 0) with cost 1: t1 and t3 are held.
+        jac = np.array(
+            [[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 1.0]]
+        )
+        residual, calls = self.counted(
+            lambda ts: (ts[0] + 2.0 * ts[3] - 0.5, ts[1] - ts[3] - 2.0, ts[2] + ts[3] - 0.25)
+        )
+        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5, 0.5], 500)
+        assert solved.converged
+        assert solved.iterations < 100
+        assert solved.cost == pytest.approx(1.0, abs=1e-12)
+        assert solved.point == pytest.approx((0.5, 1.0, 0.25, 0.0), abs=1e-9)
+        assert solved.evaluations == len(calls)
+        assert all(0.0 <= t <= 1.0 for point in calls for t in point)
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    def test_three_residuals_reach_uvw_images_of_known_parameters(self, length):
+        rnd = random.Random(length)
+        for seed in Seed:
+            origin = seed_uvw(seed)
+            for start in StepKind:
+                kinds = _alternating(start, length)
+                goal = _fold_uvw(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])
+                solved = _solve(
+                    lambda ts: tuple(
+                        a - b for a, b in zip(_fold_uvw(origin, kinds, ts), goal)
+                    ),
+                    lambda ts: _fold_uvw_jacobian(origin, kinds, ts),
+                    [0.5] * length,
+                    500,
+                )
+                assert solved.converged
+                assert solved.cost < 1e-15, (seed, kinds)
+
+    def test_underflowing_three_by_three_system_stops_without_dividing(self):
+        # As in the 2 x 2 case: columns of size 1e-155 make the Gram matrix
+        # and mu underflow, so the damped determinant is 0 and the solve
+        # ends unconverged at x0.
+        scale = 1e-155
+
+        def residual(ts):
+            return tuple(scale * t + 1.0 for t in ts)
+
+        jac = scale * np.eye(3)
+        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5], 500)
+        assert not solved.converged
+        assert solved.point == (0.5, 0.5, 0.5)
+        assert solved.cost == math.hypot(*residual([0.5, 0.5, 0.5]))
+        assert solved.iterations == 1
+
+
 class TestForms:
     def test_order(self):
         A, B = StepKind.A, StepKind.B
@@ -383,6 +587,15 @@ class TestProfiles:
     def test_validation(self):
         with pytest.raises(ValueError):
             coarse_length_profile(target(0.4, 0.4), 0, FAST)
+
+    def test_default_profile_at_the_limit_is_tight(self):
+        # The optima at (1/3, 1/3) for k = 7 and 8 are 0.0037155 and
+        # 0.0029302 (the same with 32 starts per form).  A search stuck at
+        # the 6-step optimum padded with identity steps reports 0.004866 at
+        # k = 7.
+        rows = coarse_length_profile(target(1 / 3, 1 / 3), 8)
+        assert rows[6].distance <= 0.0037155 + 1e-9
+        assert rows[7].distance <= 0.0029303
 
     def test_csv_form(self):
         rows = coarse_length_profile(target(0.38, 0.36), 2, FAST)
