@@ -20,7 +20,8 @@ Every search, and the numeric reach inside word synthesis, runs one solver:
 `_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
 3 residuals of a form (the planar fold minus the target, the (u, v, w) fold
 minus the target, or a diagonal landing minus 1/3) with their exact
-Jacobians (More 1978; Kanzow, Yamashita & Fukushima 2004).
+Jacobians (More 1978; Kanzow, Yamashita & Fukushima 2004): one forward pass
+per point, the Jacobian is its backward sweep (Griewank & Walther 2008).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 # Unused here since every search runs on `_solve`; the benchmark's tracer
@@ -87,7 +88,7 @@ class MapSequence:
 
     def __post_init__(self):
         for kind, t in self.steps:
-            if t < 0 or t > 1:
+            if not 0 <= t <= 1:
                 raise ValueError(f"step parameter {t} outside [0, 1]")
 
     def pattern(self) -> str:
@@ -185,106 +186,100 @@ def _clamp(t: float) -> float:
 
 def _fold_xy(
     point: Tuple[float, float], kinds: Sequence[StepKind], ts: Sequence[float]
-) -> Tuple[float, float]:
+) -> Tuple[Tuple[float, float], list]:
+    """The planar fold and its tape: per step, whether it is an A step,
+    r = 1 - t and the state it acts on.  Parameters lie in [0, 1], as every
+    point `_solve` evaluates, every winner and every padded step does."""
     x, y = point
-    for kind, raw in zip(kinds, ts):
-        t = _clamp(raw)
+    tape = []
+    for kind, t in zip(kinds, ts):
         r = 1.0 - t
-        if kind is StepKind.A:
+        is_a = kind is StepKind.A
+        tape.append((is_a, r, x, y))
+        if is_a:
             x, y = r * r * x, r * y + t
         else:
             x, y = r * x + t, r * r * y
-    return x, y
+    return (x, y), tape
 
 
-def _fold_xy_jacobian(
-    point: Tuple[float, float], kinds: Sequence[StepKind], ts: Sequence[float]
-) -> np.ndarray:
-    """The 2 x n Jacobian of `_fold_xy` with respect to the step parameters.
+def _sweep_xy(tape: list) -> List[Tuple[float, float]]:
+    """The columns of the 2 x n Jacobian of `_fold_xy` in the parameters.
 
     Each step acts on the state diagonally, A by diag(r^2, r) and B by
-    diag(r, r^2) with r = 1 - t, so column i is step i's own derivative
-    scaled by the product of the later steps' factors: one forward pass and
-    one backward sweep of suffix products, no matrix products.
+    diag(r, r^2), so column i is step i's own derivative scaled by the
+    product of the later steps' factors: suffix products, no matrices.
     """
-    x, y = point
-    steps = []
-    for kind, raw in zip(kinds, ts):
-        t = _clamp(raw)
-        r = 1.0 - t
-        if kind is StepKind.A:
-            steps.append((-2.0 * r * x, 1.0 - y, r * r, r))
-            x, y = r * r * x, r * y + t
-        else:
-            steps.append((1.0 - x, -2.0 * r * y, r, r * r))
-            x, y = r * x + t, r * r * y
-    jac = np.empty((2, len(steps)))
+    columns = []
     sx = sy = 1.0
-    for i in range(len(steps) - 1, -1, -1):
-        dx, dy, fx, fy = steps[i]
-        jac[0, i] = dx * sx
-        jac[1, i] = dy * sy
-        sx *= fx
-        sy *= fy
-    return jac
+    for is_a, r, x, y in reversed(tape):
+        if is_a:
+            columns.append((-2.0 * r * x * sx, (1.0 - y) * sy))
+            sx, sy = sx * (r * r), sy * r
+        else:
+            columns.append(((1.0 - x) * sx, -2.0 * r * y * sy))
+            sx, sy = sx * r, sy * (r * r)
+    columns.reverse()
+    return columns
 
 
 def _fold_uvw(
     point: Tuple[float, float, float], kinds: Sequence[StepKind], ts: Sequence[float]
-) -> Tuple[float, float, float]:
+) -> Tuple[Tuple[float, float, float], list]:
+    """The (u, v, w) fold and its tape, as in `_fold_xy` but with t too."""
     u, v, w = point
-    for kind, raw in zip(kinds, ts):
-        t = _clamp(raw)
+    tape = []
+    for kind, t in zip(kinds, ts):
         r = 1.0 - t
-        if kind is StepKind.A:
+        is_a = kind is StepKind.A
+        tape.append((is_a, t, r, u, v, w))
+        if is_a:
             u, v, w = r * u - t, r * r * v - 3 * t * r * u + t * (2 * t - 1), r * w + t
         else:
             u, v, w = r * u + t, r * v + t, r * r * w + 3 * t * r * u + t * (2 * t - 1)
-    return u, v, w
+    return (u, v, w), tape
 
 
-def _fold_uvw_jacobian(
-    point: Tuple[float, float, float], kinds: Sequence[StepKind], ts: Sequence[float]
-) -> np.ndarray:
-    """The 3 x n Jacobian of `_fold_uvw` with respect to the step parameters.
+def _sweep_uvw(tape: list) -> List[Tuple[float, float, float]]:
+    """The columns of the 3 x n Jacobian of `_fold_uvw` in the parameters.
 
     A step is not diagonal in the state: with r = 1 - t its state Jacobian
     is [[r,0,0],[-3tr,r^2,0],[0,0,r]] for A and [[r,0,0],[0,r,0],[3tr,0,r^2]]
-    for B, since u feeds v (A) or w (B).  One forward pass records each
-    step's derivative in t and its state Jacobian; a backward sweep keeps
-    the rows of the product of the later steps' Jacobians, and column i is
-    that product times step i's derivative.
+    for B, since u feeds v (A) or w (B).  The sweep keeps the rows (a, b, c)
+    of the product of the later steps' state Jacobians, and column i is that
+    product times step i's derivative in t.
     """
-    u, v, w = point
-    steps = []
-    for kind, raw in zip(kinds, ts):
-        t = _clamp(raw)
-        r = 1.0 - t
+    columns = []
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    for is_a, t, r, u, v, w in reversed(tape):
         mix = 3 * t * r
         feed = 3.0 * u * (1.0 - 2.0 * t)  # d(3tru)/dt
         bend = 4.0 * t - 1.0  # d(t(2t - 1))/dt
-        if kind is StepKind.A:
-            steps.append((True, r, mix, (-u - 1.0, -2.0 * r * v - feed + bend, 1.0 - w)))
-            u, v, w = r * u - t, r * r * v - 3 * t * r * u + t * (2 * t - 1), r * w + t
-        else:
-            steps.append((False, r, mix, (1.0 - u, 1.0 - v, -2.0 * r * w + feed + bend)))
-            u, v, w = r * u + t, r * v + t, r * r * w + 3 * t * r * u + t * (2 * t - 1)
-    jac = np.empty((3, len(steps)))
-    rows = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    for i in range(len(steps) - 1, -1, -1):
-        is_a, r, mix, (du, dv, dw) = steps[i]
-        jac[:, i] = [su * du + sv * dv + sw * dw for su, sv, sw in rows]
         if is_a:
-            rows = tuple((su * r - sv * mix, sv * r * r, sw * r) for su, sv, sw in rows)
+            du, dv, dw = -u - 1.0, -2.0 * r * v - feed + bend, 1.0 - w
         else:
-            rows = tuple((su * r + sw * mix, sv * r, sw * r * r) for su, sv, sw in rows)
-    return jac
+            du, dv, dw = 1.0 - u, 1.0 - v, -2.0 * r * w + feed + bend
+        columns.append(
+            (a0 * du + a1 * dv + a2 * dw, b0 * du + b1 * dv + b2 * dw, c0 * du + c1 * dv + c2 * dw)
+        )
+        if is_a:
+            a0, a1, a2 = a0 * r - a1 * mix, a1 * r * r, a2 * r
+            b0, b1, b2 = b0 * r - b1 * mix, b1 * r * r, b2 * r
+            c0, c1, c2 = c0 * r - c1 * mix, c1 * r * r, c2 * r
+        else:
+            a0, a1, a2 = a0 * r + a2 * mix, a1 * r, a2 * r * r
+            b0, b1, b2 = b0 * r + b2 * mix, b1 * r, b2 * r * r
+            c0, c1, c2 = c0 * r + c2 * mix, c1 * r, c2 * r * r
+    columns.reverse()
+    return columns
 
 
 # the bounded least-squares solver -------------------------------------------
 
-_Residual = Callable[[Sequence[float]], Tuple[float, ...]]
-_Jacobian = Callable[[Sequence[float]], np.ndarray]
+# A residual maps a point to (r_0, ..., r_{m-1}) and the tape of its forward
+# pass; the Jacobian maps that tape to the n columns (dr_0/dx_i, ...).
+_Residual = Callable[[Sequence[float]], Tuple[Tuple[float, ...], Any]]
+_Jacobian = Callable[[Any], List[Tuple[float, ...]]]
 # A trial step of one linearization: mu -> the clipped trial point, or None
 # when the damped system underflows.
 _Step = Callable[[float], Optional[List[float]]]
@@ -298,24 +293,26 @@ class _Solved(NamedTuple):
     evaluations: int
 
 
-# `_solve`'s linearization at x for m = 1, 2, 3 residuals: J_f holds the
-# coordinates on a bound whose gradient J^T r points out of the box.
-# Returns None when J_f^T r = 0, else the trial step as a function of mu
-# and the largest diagonal entry of J_f J_f^T, which sets the first mu.
-# Each is written out for its m: generic loops over m cost more than the
-# residuals they serve.
+# `_solve`'s linearization at x for m = 1, 2, 3 residuals from the Jacobian
+# columns of x's tape; one loop builds J_f, which holds the coordinates on a
+# bound whose gradient J^T r points out of the box, and its Gram sums.  Returns
+# None when J_f^T r = 0, else the trial step as a function of mu and the
+# largest diagonal entry of J_f J_f^T, which sets the first mu.  Each is
+# written out for its m: generic loops over m cost more than the residuals.
 
 
 def _linearize_1(
-    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+    x: List[float], r: Tuple[float, ...], columns: List[Tuple[float, ...]]
 ) -> Optional[Tuple[_Step, float]]:
     (r0,) = r
     free = []
-    for t, (p,) in zip(x, jac.T.tolist()):
+    a = 0.0
+    for t, (p,) in zip(x, columns):
         g = p * r0
-        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
-        free.append(0.0 if held else p)
-    a = sum(p * p for p in free)
+        if (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0):
+            p = 0.0
+        free.append(p)
+        a += p * p
     if a * r0 * r0 <= 0.0:
         return None
 
@@ -330,17 +327,19 @@ def _linearize_1(
 
 
 def _linearize_2(
-    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+    x: List[float], r: Tuple[float, ...], columns: List[Tuple[float, ...]]
 ) -> Optional[Tuple[_Step, float]]:
     r0, r1 = r
     free = []
-    for t, (p, q) in zip(x, jac.T.tolist()):
+    a = b = c = 0.0
+    for t, (p, q) in zip(x, columns):
         g = p * r0 + q * r1
-        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
-        free.append((0.0, 0.0) if held else (p, q))
-    a = sum(p * p for p, _ in free)
-    b = sum(p * q for p, q in free)
-    c = sum(q * q for _, q in free)
+        if (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0):
+            p = q = 0.0
+        free.append((p, q))
+        a += p * p
+        b += p * q
+        c += q * q
     if a * r0 * r0 + 2.0 * b * r0 * r1 + c * r1 * r1 <= 0.0:
         return None
     minor = max(a * c - b * b, 0.0)
@@ -357,20 +356,22 @@ def _linearize_2(
 
 
 def _linearize_3(
-    x: List[float], r: Tuple[float, ...], jac: np.ndarray
+    x: List[float], r: Tuple[float, ...], columns: List[Tuple[float, ...]]
 ) -> Optional[Tuple[_Step, float]]:
     r0, r1, r2 = r
     free = []
-    for t, (p, q, s) in zip(x, jac.T.tolist()):
+    a = b = c = d = e = f = 0.0
+    for t, (p, q, s) in zip(x, columns):
         g = p * r0 + q * r1 + s * r2
-        held = (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0)
-        free.append((0.0, 0.0, 0.0) if held else (p, q, s))
-    a = sum(p * p for p, _, _ in free)
-    b = sum(p * q for p, q, _ in free)
-    c = sum(q * q for _, q, _ in free)
-    d = sum(p * s for p, _, s in free)
-    e = sum(q * s for _, q, s in free)
-    f = sum(s * s for _, _, s in free)
+        if (t <= 0.0 and g > 0.0) or (t >= 1.0 and g < 0.0):
+            p = q = s = 0.0
+        free.append((p, q, s))
+        a += p * p
+        b += p * q
+        c += q * q
+        d += p * s
+        e += q * s
+        f += s * s
     descent = a * r0 * r0 + c * r1 * r1 + f * r2 * r2
     if descent + 2.0 * (b * r0 * r1 + d * r0 * r2 + e * r1 * r2) <= 0.0:
         return None
@@ -412,22 +413,23 @@ def _solve(
 ) -> _Solved:
     """Projected Levenberg-Marquardt for m = 1 to 3 residuals over [0, 1]^n.
 
-    `residual` maps a point to (r_0, ..., r_{m-1}) and `jacobian` to the
-    m x n array of their derivatives; the cost is the residual norm.  Each
-    iteration tries one step delta = -J_f^T z, where (J_f J_f^T + mu I) z = r
-    is an m x m system solved in closed form and J_f keeps the Jacobian
-    columns of the free coordinates: a coordinate on a bound whose gradient
-    points outward is held.  The trial point is clipped to the box and
-    accepted only when the cost falls, after which mu shrinks; otherwise mu
-    grows and the Jacobian is reused.  So every evaluated point lies in the
-    box and the returned cost is never above the start's.  Converged means a
-    stop on a zero cost, a vanishing free gradient, or a step too small to
-    move the point; not converged means the iteration cap (or a damped
-    system whose determinant underflows to 0) ended the run.  `evaluations`
-    counts the calls of `residual`.
+    `residual` maps a point to (r_0, ..., r_{m-1}) and its forward tape, and
+    `jacobian` that tape to the n columns of dr/dx: one forward pass per
+    point, the Jacobian is its backward sweep.  The cost is the residual
+    norm.  Each iteration tries one step delta = -J_f^T z, where
+    (J_f J_f^T + mu I) z = r is an m x m system solved in closed form and J_f
+    keeps the Jacobian columns of the free coordinates: a coordinate on a
+    bound whose gradient points outward is held.  The trial point is clipped
+    to the box and accepted only when the cost falls, after which mu shrinks;
+    otherwise mu grows and the Jacobian is reused.  So every evaluated point
+    lies in the box and the returned cost is never above the start's.
+    Converged means a stop on a zero cost, a vanishing free gradient, or a
+    step too small to move the point; not converged means the iteration cap
+    (or a damped system whose determinant underflows to 0) ended the run.
+    `evaluations` counts the calls of `residual`.
     """
     x = [_clamp(float(t)) for t in x0]
-    r = residual(x)
+    r, tape = residual(x)
     linearize = _LINEARIZE[len(r)]
     cost = math.hypot(*r)
     evaluations = 1
@@ -437,7 +439,7 @@ def _solve(
     converged = cost == 0.0
     while not converged and iterations < max_iterations:
         if step is None:
-            model = linearize(x, r, jacobian(x))
+            model = linearize(x, r, jacobian(tape))
             if model is None:
                 converged = True  # J_f^T r = 0: no descent inside the box
                 break
@@ -451,11 +453,11 @@ def _solve(
         if trial == x:
             converged = True
             break
-        trial_r = residual(trial)
+        trial_r, trial_tape = residual(trial)
         evaluations += 1
         trial_cost = math.hypot(*trial_r)
         if trial_cost < cost:
-            x, r, cost, step = trial, trial_r, trial_cost, None
+            x, r, tape, cost, step = trial, trial_r, trial_tape, trial_cost, None
             converged = cost == 0.0
             mu /= 3.0
         else:
@@ -596,39 +598,41 @@ def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> List
     return winners
 
 
-def _xy_problem(tx: float, ty: float) -> _Problem:
+def _finite_target(names: str, target: Sequence[float]) -> Sequence[float]:
+    for name, value in zip(names, target):
+        if not math.isfinite(value):
+            raise ValueError(f"target coordinate {name} = {value} is not finite")
+    return target
+
+
+def _xy_problem(target: Tuple[float, float]) -> _Problem:
     """Reach (tx, ty) with the planar fold: residual fold - target."""
+    tx, ty = _finite_target("xy", target)
 
     def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
         origin = _origin(seed)
 
-        def residual(ts: Sequence[float]) -> Tuple[float, float]:
-            x, y = _fold_xy(origin, kinds, ts)
-            return x - tx, y - ty
+        def residual(ts: Sequence[float]) -> Tuple[Tuple[float, float], list]:
+            (x, y), tape = _fold_xy(origin, kinds, ts)
+            return (x - tx, y - ty), tape
 
-        def jacobian(ts: Sequence[float]) -> np.ndarray:
-            return _fold_xy_jacobian(origin, kinds, ts)
-
-        return residual, jacobian
+        return residual, _sweep_xy
 
     return problem_of
 
 
 def _uvw_problem(target: UVWPoint) -> _Problem:
     """Reach a (u, v, w) target with the full fold: residual fold - target."""
-    tu, tv, tw = (c.to_float() for c in target.coords())
+    tu, tv, tw = _finite_target("uvw", [c.to_float() for c in target.coords()])
 
     def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
         origin = seed_uvw(seed)
 
-        def residual(ts: Sequence[float]) -> Tuple[float, float, float]:
-            u, v, w = _fold_uvw(origin, kinds, ts)
-            return u - tu, v - tv, w - tw
+        def residual(ts: Sequence[float]) -> Tuple[Tuple[float, float, float], list]:
+            (u, v, w), tape = _fold_uvw(origin, kinds, ts)
+            return (u - tu, v - tv, w - tw), tape
 
-        def jacobian(ts: Sequence[float]) -> np.ndarray:
-            return _fold_uvw_jacobian(origin, kinds, ts)
-
-        return residual, jacobian
+        return residual, _sweep_uvw
 
     return problem_of
 
@@ -660,8 +664,8 @@ def nearest_reachable(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _xy_problem(*target.to_floats()), cfg, tag=0)[-1]
-    x, y = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
+    winner = _walk(k, _xy_problem(target.to_floats()), cfg, tag=0)[-1]
+    (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
 
@@ -677,7 +681,7 @@ def nearest_reachable_uvw(
     if k < 0:
         raise ValueError("step count must be nonnegative")
     winner = _walk(k, _uvw_problem(target), cfg, tag=1)[-1]
-    u, v, w = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
+    (u, v, w), _ = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
     return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
 
@@ -703,7 +707,7 @@ def coarse_length_profile(
     One walk over the forms serves every k, and row k equals
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    return _profile(k_max, _xy_problem(*target.to_floats()), cfg, tag=0)
+    return _profile(k_max, _xy_problem(target.to_floats()), cfg, tag=0)
 
 
 def coarse_length_profile_uvw(
@@ -787,17 +791,14 @@ def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual
     origin = _origin(seed)
     prefix, last = kinds[:-1], kinds[-1]
 
-    def residual(ts: Sequence[float]) -> Tuple[float]:
-        found = _lowest_landing(last, *_fold_xy(origin, prefix, ts))
-        return ((found[0] if found else 2.0) - 1 / 3,)
+    def residual(ts: Sequence[float]) -> Tuple[Tuple[float], tuple]:
+        start, tape = _fold_xy(origin, prefix, ts)
+        d, d_x0, d_y0 = _lowest_landing(last, *start) or (2.0, 0.0, 0.0)
+        return (d - 1 / 3,), (d_x0, d_y0, tape)
 
-    def jacobian(ts: Sequence[float]) -> np.ndarray:
-        found = _lowest_landing(last, *_fold_xy(origin, prefix, ts))
-        if found is None:
-            return np.zeros((1, len(prefix)))
-        _, d_x0, d_y0 = found
-        fold = _fold_xy_jacobian(origin, prefix, ts)
-        return (d_x0 * fold[0] + d_y0 * fold[1]).reshape(1, -1)
+    def jacobian(landing: tuple) -> List[Tuple[float]]:
+        d_x0, d_y0, tape = landing
+        return [(d_x0 * p + d_y0 * q,) for p, q in _sweep_xy(tape)]
 
     return residual, jacobian
 
@@ -863,19 +864,18 @@ def _reach(
 
     Forms are tried in `_forms` order up to `cfg.max_synthesis_steps`
     steps, each from the all-0.5 vector and then up to four seeded starts,
-    with the exact Jacobian of the planar fold (`_fold_xy_jacobian`).
+    with the exact Jacobian of the planar fold (`_sweep_xy`).
     Returns the first (seed, kinds, ts, residual) meeting the tolerance,
     so shorter sequences win; None when the budget ends.
     """
-    problem_of = _xy_problem(*target_xy)
+    problem_of = _xy_problem(target_xy)
     starts_budget = min(4, cfg.multistarts)
     for seed, kinds in _forms(cfg.max_synthesis_steps):
         if not kinds:  # a budget of 0 steps has nothing to solve
             return None
         residual, jacobian = problem_of(seed, kinds)
-        raw_starts = _start_vectors(
-            len(kinds), cfg, _length_context(context_tag, seed, kinds)
-        )[:starts_budget]
+        context = _length_context(context_tag, seed, kinds)
+        raw_starts = _start_vectors(len(kinds), cfg, context)[:starts_budget]
         for x0 in [[0.5] * len(kinds), *raw_starts]:
             solved = _solve(residual, jacobian, x0, cfg.max_iterations)
             if solved.cost <= tolerance:

@@ -3,10 +3,10 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilwords import search
 from nilwords.dynamics import UVWPoint, XYPoint, eval_xy, eval_uvw, xy_distance
 from nilwords.region import Membership, membership
 from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
@@ -31,15 +31,16 @@ from nilwords.search import (
     synthesize_word,
     _alternating,
     _fold_uvw,
-    _fold_uvw_jacobian,
     _fold_xy,
-    _fold_xy_jacobian,
     _forms,
+    _landing_problem,
     _lowest_landing,
     _origin,
     _padded,
     _solve,
     _start_vectors,
+    _sweep_uvw,
+    _sweep_xy,
 )
 from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
@@ -93,6 +94,15 @@ class TestSequences:
         with pytest.raises(ValueError):
             sequence(Seed.XY, (StepKind.A, 1.5))
 
+    @pytest.mark.parametrize("t", [math.nan, -0.1, 1.1])
+    def test_rejects_parameters_outside_the_unit_interval(self, t):
+        with pytest.raises(ValueError, match="outside"):
+            sequence(Seed.XY, (StepKind.A, t))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_accepts_the_interval_ends(self, t):
+        assert sequence(Seed.XY, (StepKind.B, t)).steps[0][1].value == t
+
     def test_single_step_example(self):
         seq = sequence(Seed.XY, (StepKind.A, S))
         x, y = apply_sequence(seq).to_floats()
@@ -116,21 +126,21 @@ class TestFoldJacobian:
         for origin in ((1.0, 0.0), (0.0, 1.0)):
             for start in (StepKind.A, StepKind.B):
                 kinds = _alternating(start, length)
-                # interior parameters, so t +- h never reaches the clamp
+                # interior parameters, so t +- h stays in [0, 1]
                 ts = [rnd.uniform(0.05, 0.95) for _ in range(length)]
-                jac = _fold_xy_jacobian(origin, kinds, ts)
-                assert jac.shape == (2, length)
+                jac = _sweep_xy(_fold_xy(origin, kinds, ts)[1])
+                assert [len(column) for column in jac] == [2] * length
                 for i in range(length):
                     up, down = list(ts), list(ts)
                     up[i] += h
                     down[i] -= h
-                    xu, yu = _fold_xy(origin, kinds, up)
-                    xd, yd = _fold_xy(origin, kinds, down)
-                    assert jac[0, i] == pytest.approx((xu - xd) / (2 * h), abs=1e-7)
-                    assert jac[1, i] == pytest.approx((yu - yd) / (2 * h), abs=1e-7)
+                    (xu, yu), _ = _fold_xy(origin, kinds, up)
+                    (xd, yd), _ = _fold_xy(origin, kinds, down)
+                    assert jac[i][0] == pytest.approx((xu - xd) / (2 * h), abs=1e-7)
+                    assert jac[i][1] == pytest.approx((yu - yd) / (2 * h), abs=1e-7)
 
     def test_empty_pattern(self):
-        assert _fold_xy_jacobian((1.0, 0.0), (), ()).shape == (2, 0)
+        assert _sweep_xy(_fold_xy((1.0, 0.0), (), ())[1]) == []
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_uvw_matches_central_differences(self, length):
@@ -141,21 +151,21 @@ class TestFoldJacobian:
             for start in (StepKind.A, StepKind.B):
                 kinds = _alternating(start, length)
                 ts = [rnd.uniform(0.05, 0.95) for _ in range(length)]
-                jac = _fold_uvw_jacobian(origin, kinds, ts)
-                assert jac.shape == (3, length)
+                jac = _sweep_uvw(_fold_uvw(origin, kinds, ts)[1])
+                assert [len(column) for column in jac] == [3] * length
                 for i in range(length):
                     up, down = list(ts), list(ts)
                     up[i] += h
                     down[i] -= h
-                    high = _fold_uvw(origin, kinds, up)
-                    low = _fold_uvw(origin, kinds, down)
+                    high, _ = _fold_uvw(origin, kinds, up)
+                    low, _ = _fold_uvw(origin, kinds, down)
                     for row in range(3):
-                        assert jac[row, i] == pytest.approx(
+                        assert jac[i][row] == pytest.approx(
                             (high[row] - low[row]) / (2 * h), abs=1e-7
                         )
 
     def test_uvw_empty_pattern(self):
-        assert _fold_uvw_jacobian((1.0, 1.0, 1.0), (), ()).shape == (3, 0)
+        assert _sweep_uvw(_fold_uvw((1.0, 1.0, 1.0), (), ())[1]) == []
 
 
 class TestLowestLanding:
@@ -166,7 +176,7 @@ class TestLowestLanding:
         for _ in range(count):
             kinds = _alternating(rnd.choice(list(StepKind)), rnd.randint(0, 4))
             origin = _origin(rnd.choice(list(Seed)))
-            yield _fold_xy(origin, kinds, [rnd.uniform(0.05, 0.95) for _ in kinds])
+            yield _fold_xy(origin, kinds, [rnd.uniform(0.05, 0.95) for _ in kinds])[0]
 
     @pytest.mark.parametrize("kind", list(StepKind))
     def test_gradient_matches_central_differences(self, kind):
@@ -185,6 +195,31 @@ class TestLowestLanding:
                 assert slope == pytest.approx((high[0] - low[0]) / (2 * h), abs=1e-6)
             checked += 1
         assert checked > 50
+
+    def test_landing_jacobian_matches_central_differences(self):
+        rnd = random.Random(33)
+        h = 1e-7
+        checked = 0
+        for length in range(2, 6):
+            for seed in Seed:
+                for start in StepKind:
+                    residual, jacobian = _landing_problem(seed, _alternating(start, length))
+                    ts = [rnd.uniform(0.05, 0.95) for _ in range(length - 1)]
+                    (d,), tape = residual(ts)
+                    jac = jacobian(tape)
+                    assert [len(column) for column in jac] == [1] * (length - 1)
+                    for i in range(length - 1):
+                        up, down = list(ts), list(ts)
+                        up[i] += h
+                        down[i] -= h
+                        (high,), _ = residual(up)
+                        (low,), _ = residual(down)
+                        if d == high == low == 2.0 - 1 / 3:  # no landing: zero gradient
+                            assert jac[i][0] == 0.0
+                        else:
+                            assert jac[i][0] == pytest.approx((high - low) / (2 * h), abs=1e-6)
+                            checked += 1
+        assert checked > 20
 
     def test_lands_on_the_diagonal(self):
         # from the XY seed, A(t) gives ((1-t)^2, t): on the diagonal at the
@@ -257,10 +292,10 @@ def fold_problem(seed, kinds, goal):
     origin = _origin(seed)
 
     def residual(ts):
-        x, y = _fold_xy(origin, kinds, ts)
-        return x - goal[0], y - goal[1]
+        (x, y), tape = _fold_xy(origin, kinds, ts)
+        return (x - goal[0], y - goal[1]), tape
 
-    return residual, lambda ts: _fold_xy_jacobian(origin, kinds, ts)
+    return residual, _sweep_xy
 
 
 class TestSolve:
@@ -272,11 +307,11 @@ class TestSolve:
 
         def residual(ts):
             seen.append(list(ts))
-            return ts[0] + ts[1] - 3.0, ts[2] + 1.0
+            return (ts[0] + ts[1] - 3.0, ts[2] + 1.0), list(ts)
 
         def jacobian(ts):
-            seen.append(list(ts))
-            return np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            seen.append(ts)
+            return [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
         for x0 in ([0.5, 0.5, 0.5], [0.0, 1.0, 0.3], [0.9, 0.1, 1.0]):
             solved = _solve(residual, jacobian, x0, 500)
@@ -290,12 +325,12 @@ class TestSolve:
         # r = (t0 + 2 t2 - 0.5, t1 - t2 - 2) has its box minimum at
         # (0.5, 1, 0) with cost 1.  Stepping t1 and t2 as if they were free
         # and clipping afterwards stalls short of it.
-        jac = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]])
+        jac = [(1.0, 0.0), (0.0, 1.0), (2.0, -1.0)]
 
         def residual(ts):
-            return ts[0] + 2.0 * ts[2] - 0.5, ts[1] - ts[2] - 2.0
+            return (ts[0] + 2.0 * ts[2] - 0.5, ts[1] - ts[2] - 2.0), None
 
-        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5], 500)
+        solved = _solve(residual, lambda tape: jac, [0.5, 0.5, 0.5], 500)
         assert solved.converged
         assert solved.iterations < 100
         assert solved.cost == pytest.approx(1.0, abs=1e-12)
@@ -307,13 +342,13 @@ class TestSolve:
         scale = 1e-155
 
         def residual(ts):
-            return scale * ts[0] + 1.0, scale * ts[1] + 1.0
+            return (scale * ts[0] + 1.0, scale * ts[1] + 1.0), None
 
-        jac = np.array([[scale, 0.0], [0.0, scale]])
-        solved = _solve(residual, lambda ts: jac, [0.5, 0.5], 500)
+        jac = [(scale, 0.0), (0.0, scale)]
+        solved = _solve(residual, lambda tape: jac, [0.5, 0.5], 500)
         assert not solved.converged
         assert solved.point == (0.5, 0.5)
-        assert solved.cost == math.hypot(*residual([0.5, 0.5]))
+        assert solved.cost == math.hypot(*residual([0.5, 0.5])[0])
 
     def test_cost_never_rises(self):
         rnd = random.Random(11)
@@ -323,10 +358,10 @@ class TestSolve:
             residual, jacobian = fold_problem(seed, kinds, (rnd.random(), rnd.random()))
             x0 = [rnd.random() for _ in kinds]
             solved = _solve(residual, jacobian, x0, 50)
-            assert solved.cost <= math.hypot(*residual(x0))
+            assert solved.cost <= math.hypot(*residual(x0)[0])
             assert solved.iterations <= 50
             assert all(0.0 <= t <= 1.0 for t in solved.point)
-            assert math.hypot(*residual(solved.point)) == solved.cost
+            assert math.hypot(*residual(solved.point)[0]) == solved.cost
 
     @pytest.mark.parametrize("length", [2, 3])
     def test_reaches_images_of_known_parameters(self, length):
@@ -335,7 +370,7 @@ class TestSolve:
             for start in StepKind:
                 kinds = _alternating(start, length)
                 ts = [rnd.uniform(0.1, 0.9) for _ in kinds]
-                goal = _fold_xy(_origin(seed), kinds, ts)
+                goal, _ = _fold_xy(_origin(seed), kinds, ts)
                 residual, jacobian = fold_problem(seed, kinds, goal)
                 solved = _solve(residual, jacobian, [0.5] * length, 500)
                 assert solved.converged
@@ -369,7 +404,7 @@ class TestSolveOneAndThreeResiduals:
 
         def wrapped(ts):
             calls.append(list(ts))
-            return residual(ts)
+            return residual(ts), None
 
         return wrapped, calls
 
@@ -377,10 +412,10 @@ class TestSolveOneAndThreeResiduals:
         # r = 2 t0 - t1 + 1.5 cannot reach 0 in the box; its box minimum is
         # the corner (0, 1) with cost 0.5, where both coordinates are held.
         residual, calls = self.counted(lambda ts: (2.0 * ts[0] - ts[1] + 1.5,))
-        jac = np.array([[2.0, -1.0]])
+        jac = [(2.0,), (-1.0,)]
         for x0 in ([0.5, 0.5], [0.9, 0.1], [0.0, 0.3]):
             calls.clear()
-            solved = _solve(residual, lambda ts: jac, x0, 500)
+            solved = _solve(residual, lambda tape: jac, x0, 500)
             assert solved.converged
             assert solved.point == (0.0, 1.0)
             assert solved.cost == 0.5
@@ -389,9 +424,9 @@ class TestSolveOneAndThreeResiduals:
         # r = 100 t0 + t1 - 0.5 from (0, 1): t0 sits on its bound with a
         # steep outward gradient.  Held, it leaves t1 the whole step; left
         # free, its column would shrink t1's step 10^4-fold.
-        steep = np.array([[100.0, 1.0]])
+        steep = [(100.0,), (1.0,)]
         solved = _solve(
-            lambda ts: (100.0 * ts[0] + ts[1] - 0.5,), lambda ts: steep, [0.0, 1.0], 500
+            lambda ts: ((100.0 * ts[0] + ts[1] - 0.5,), None), lambda tape: steep, [0.0, 1.0], 500
         )
         assert solved.converged
         assert solved.iterations < 10
@@ -404,10 +439,15 @@ class TestSolveOneAndThreeResiduals:
             origin = _origin(seed)
             for start in StepKind:
                 kinds = _alternating(start, length)
-                goal = _fold_xy(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])[0]
+                goal = _fold_xy(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])[0][0]
+
+                def residual(ts):
+                    (x, _), tape = _fold_xy(origin, kinds, ts)
+                    return (x - goal,), tape
+
                 solved = _solve(
-                    lambda ts: (_fold_xy(origin, kinds, ts)[0] - goal,),
-                    lambda ts: _fold_xy_jacobian(origin, kinds, ts)[:1],
+                    residual,
+                    lambda tape: [(p,) for p, _ in _sweep_xy(tape)],
                     [0.5] * length,
                     500,
                 )
@@ -417,13 +457,11 @@ class TestSolveOneAndThreeResiduals:
     def test_three_residuals_hold_coordinates_pushed_out_of_the_box(self):
         # r = (t0 + 2 t3 - 0.5, t1 - t3 - 2, t2 + t3 - 0.25) has its box
         # minimum at (0.5, 1, 0.25, 0) with cost 1: t1 and t3 are held.
-        jac = np.array(
-            [[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, -1.0], [0.0, 0.0, 1.0, 1.0]]
-        )
+        jac = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (2.0, -1.0, 1.0)]
         residual, calls = self.counted(
             lambda ts: (ts[0] + 2.0 * ts[3] - 0.5, ts[1] - ts[3] - 2.0, ts[2] + ts[3] - 0.25)
         )
-        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5, 0.5], 500)
+        solved = _solve(residual, lambda tape: jac, [0.5, 0.5, 0.5, 0.5], 500)
         assert solved.converged
         assert solved.iterations < 100
         assert solved.cost == pytest.approx(1.0, abs=1e-12)
@@ -438,12 +476,15 @@ class TestSolveOneAndThreeResiduals:
             origin = seed_uvw(seed)
             for start in StepKind:
                 kinds = _alternating(start, length)
-                goal = _fold_uvw(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])
+                goal, _ = _fold_uvw(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])
+
+                def residual(ts):
+                    end, tape = _fold_uvw(origin, kinds, ts)
+                    return tuple(a - b for a, b in zip(end, goal)), tape
+
                 solved = _solve(
-                    lambda ts: tuple(
-                        a - b for a, b in zip(_fold_uvw(origin, kinds, ts), goal)
-                    ),
-                    lambda ts: _fold_uvw_jacobian(origin, kinds, ts),
+                    residual,
+                    _sweep_uvw,
                     [0.5] * length,
                     500,
                 )
@@ -457,13 +498,13 @@ class TestSolveOneAndThreeResiduals:
         scale = 1e-155
 
         def residual(ts):
-            return tuple(scale * t + 1.0 for t in ts)
+            return tuple(scale * t + 1.0 for t in ts), None
 
-        jac = scale * np.eye(3)
-        solved = _solve(residual, lambda ts: jac, [0.5, 0.5, 0.5], 500)
+        jac = [(scale, 0.0, 0.0), (0.0, scale, 0.0), (0.0, 0.0, scale)]
+        solved = _solve(residual, lambda tape: jac, [0.5, 0.5, 0.5], 500)
         assert not solved.converged
         assert solved.point == (0.5, 0.5, 0.5)
-        assert solved.cost == math.hypot(*residual([0.5, 0.5, 0.5]))
+        assert solved.cost == math.hypot(*residual([0.5, 0.5, 0.5])[0])
         assert solved.iterations == 1
 
 
@@ -546,6 +587,18 @@ class TestNearestReachable:
     def test_negative_budget(self):
         with pytest.raises(ValueError):
             nearest_reachable(target(0.4, 0.4), -1, FAST)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinate x"):
+            nearest_reachable(target(bad, 0.3), 2, FAST)
+        with pytest.raises(ValueError, match="coordinate y"):
+            coarse_length_profile(target(0.3, bad), 2, FAST)
+        uvw = UVWPoint(Scalar.of_float(0.1), Scalar.of_float(bad), Scalar.of_float(0.1))
+        with pytest.raises(ValueError, match="coordinate v"):
+            nearest_reachable_uvw(uvw, 2, FAST)
+        with pytest.raises(ValueError, match="coordinate v"):
+            coarse_length_profile_uvw(uvw, 2, FAST)
 
     def test_uvw_objective(self):
         report = nearest_reachable_uvw(
@@ -778,3 +831,128 @@ class TestSynthesis:
             assert result.success, (x, y, result.message)
             assert result.residual <= 1e-9
             done += 1
+
+
+class TestOneForwardPass:
+    """Each point the solver evaluates costs one fold: the Jacobian only
+    sweeps the tape of the residual call back."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(search, name)
+
+        def wrapped(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(search, name, wrapped)
+        return calls
+
+    def test_planar_search_folds_once_per_evaluation(self, monkeypatch):
+        folds = self.counting(monkeypatch, "_fold_xy")
+        report = nearest_reachable(target(1 / 3, 1 / 3), 4, FAST)
+        # one more fold builds the report's point
+        assert len(folds) == report.evaluations + 1
+
+    def test_uvw_search_folds_once_per_evaluation(self, monkeypatch):
+        folds = self.counting(monkeypatch, "_fold_uvw")
+        report = nearest_reachable_uvw(eval_uvw(balanced_word(8, Mode.FLOAT)), 3, FAST)
+        assert len(folds) == report.evaluations + 1
+
+    def test_diagonal_gap_lands_once_per_evaluation(self, monkeypatch):
+        landings = self.counting(monkeypatch, "_lowest_landing")
+        folds = self.counting(monkeypatch, "_fold_xy")
+        evaluations = []
+        solve = search._solve
+
+        def counted_solve(*args):
+            solved = solve(*args)
+            evaluations.append(solved.evaluations)
+            return solved
+
+        monkeypatch.setattr(search, "_solve", counted_solve)
+        diagonal_gap(4, FAST)
+        assert len(landings) == len(folds) == sum(evaluations) > 0
+
+
+class TestPinnedAnswers:
+    """Answers of the default configuration, bit for bit, as the solver gave
+    them before its Jacobians became backward sweeps of the residual's tape;
+    a change to the solver's arithmetic shows here first."""
+
+    def test_diagonal_gaps(self):
+        assert [diagonal_gap(k).to_float().hex() for k in range(1, 9)] == [
+            "0x1.8e661e256c068p-5",
+            "0x1.43cbb5b0e43c0p-6",
+            "0x1.61d2afdd09080p-7",
+            "0x1.befd5e9bf1640p-8",
+            "0x1.343b6720de300p-8",
+            "0x1.c301d7a9c5980p-9",
+            "0x1.585cea0196000p-9",
+            "0x1.0f953b0ed3e00p-9",
+        ]
+
+    @pytest.mark.parametrize(
+        "k, distance, evaluations, pattern, ts",
+        [
+            (1, "0x1.0ec7589a55419p+0", 681, "A", ["0x1.2337ef2000000p-2"]),
+            (
+                2,
+                "0x1.14ea0d4e8cd0fp-3",
+                1473,
+                "AB",
+                ["0x1.5350033940000p-1", "0x1.595ff98e40000p-2"],
+            ),
+        ],
+    )
+    def test_uvw_search_at_a_balanced_word(self, k, distance, evaluations, pattern, ts):
+        report = nearest_reachable_uvw(eval_uvw(balanced_word(8, Mode.FLOAT)), k)
+        assert report.distance.to_float().hex() == distance
+        assert report.evaluations == evaluations
+        assert report.best_sequence.seed is Seed.XY
+        assert report.best_sequence.pattern() == pattern
+        assert [t.to_float().hex() for _, t in report.best_sequence.steps] == ts
+
+    @pytest.mark.parametrize(
+        "x, y, stage, pattern, ts",
+        [
+            (
+                0.019420809828158525,
+                0.865412341496933,
+                "direct",
+                "AB",
+                ["0x1.bd5075dc5d26ap-1", "0x1.479716df0a5b7p-9"],
+            ),
+            (
+                0.23928492289067993,
+                0.46116458327848064,
+                "diagonal-step",
+                "ABAA",
+                [
+                    "0x1.02857d2e24a60p-1",
+                    "0x1.2cd678ecd1f03p-1",
+                    "0x1.26e41ebacd38ep-2",
+                    "0x1.6084d1b6b4635p-3",
+                ],
+            ),
+            (
+                0.5152680043143939,
+                0.22323688358029925,
+                "diagonal-step",
+                "ABB",
+                ["0x1.b1a7ce7af9314p-2", "0x1.f57814e99ab73p-5", "0x1.d01d041cbc172p-3"],
+            ),
+        ],
+    )
+    def test_synthesis_of_criterion_10_targets(self, x, y, stage, pattern, ts):
+        result = synthesize_word(target(x, y))
+        assert result.stage == stage
+        assert result.sequence.seed is Seed.XY
+        assert result.sequence.pattern() == pattern
+        assert [t.to_float().hex() for _, t in result.sequence.steps] == ts
+
+    def test_synthesis_near_the_limit_is_exhausted(self):
+        near = 1 / 3 + 5e-4
+        result = synthesize_word(target(near, near))
+        assert (result.stage, result.success, result.sequence) == ("exhausted", False, None)
