@@ -49,10 +49,6 @@ EXIT_USAGE = 2
 EXIT_TOLERANCE = 3
 
 
-def _mode(args: argparse.Namespace) -> Mode:
-    return Mode.EXACT if args.arith == "exact" else Mode.FLOAT
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -104,7 +100,7 @@ def _policy(mode: Mode, eps: float) -> EpsilonPolicy:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = Mode(args.arith)
     word = parse_word(args.word, mode)
     element = evaluate_word(word, mode)
     ell = length(word)
@@ -139,7 +135,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = Mode(args.arith)
     point = XYPoint(
         _parse_scalar(args.x, mode, "x coordinate"),
         _parse_scalar(args.y, mode, "y coordinate"),
@@ -178,7 +174,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     cfg = SearchConfig(master_seed=args.seed)
-    values = [float(_parse_scalar(v, Mode.FLOAT, "coordinate").value) for v in args.values]
+    values = [_parse_scalar(v, Mode.FLOAT, "coordinate").value for v in args.values]
     if args.objective == "xy":
         if len(values) != 2:
             raise _UsageError("planar profile takes: profile X Y K_MAX")
@@ -267,7 +263,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    mode = _mode(args)
+    mode = Mode(args.arith)
     result = run_suite(args.suite, mode=mode, trials=args.trials, seed=args.seed)
     if args.format == "json":
         payload = {

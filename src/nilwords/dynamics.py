@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .lie_core import GroupElement, evaluate_word
 from .scalar import Mode, Scalar
-from .words import SigmaWord, _check_parameter, sigma_to_rword
+from .words import SigmaWord, _check_parameter, balanced_word, sigma_to_rword
 
 __all__ = [
     "UVWPoint",
@@ -78,14 +78,9 @@ class UnitMassError(ValueError):
 
 def extract_uvw(g: GroupElement) -> UVWPoint:
     """Read off (u, v, w) from an element of the form (1, 1, u, v, w)."""
-    if g.mode is Mode.EXACT:
-        ok = g.c1 == 1 and g.c2 == 1
-    else:
-        ok = (
-            abs(g.c1 - 1).to_float() <= ABELIANIZATION_TOLERANCE
-            and abs(g.c2 - 1).to_float() <= ABELIANIZATION_TOLERANCE
-        )
-    if not ok:
+    if not (
+        g.c1.close_to(1, ABELIANIZATION_TOLERANCE) and g.c2.close_to(1, ABELIANIZATION_TOLERANCE)
+    ):
         raise UnitMassError(f"generator masses ({g.c1}, {g.c2}) are not (1, 1)")
     return UVWPoint(g.c3, g.c4, g.c5)
 
@@ -147,13 +142,8 @@ def balanced_trajectory(n_max: int, mode: Mode = Mode.EXACT) -> List[dict]:
     Rows carry n, the point, and its distance to the limit (1/3, 1/3);
     suitable for CSV emission.
     """
-    from .words import balanced_word
-
-    limit = (
-        XYPoint(Scalar.exact(1, 3), Scalar.exact(1, 3))
-        if mode is Mode.EXACT
-        else XYPoint.of_floats(1 / 3, 1 / 3)
-    )
+    third = Scalar.lift(1, mode, 3)
+    limit = XYPoint(third, third)
     rows = []
     for n in range(1, n_max + 1):
         point = eval_xy(balanced_word(n, mode))

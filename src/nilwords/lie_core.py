@@ -169,16 +169,6 @@ def _on_integers(law, a: tuple, b: tuple) -> tuple:
     return _from_integers(den, law(sa, sb))
 
 
-def _raw_multiply(a: tuple, b: tuple) -> tuple:
-    """Group law on plain coordinate tuples (Fractions or floats).
-
-    This is the d-form `_product`, d = a1*b2 - a2*b1, whose outputs have
-    weights 1, 1, 2, 3, 3; exact coordinates run it on ints scaled by
-    (L, L, L^2, L^3, L^3).
-    """
-    return _on_integers(_product, a, b)
-
-
 def bracket(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
     """Lie bracket in coordinates: (0, 0, 2d, 6(a1*b3 - a3*b1),
     -6(a2*b3 - a3*b2)) with d = a1*b2 - a2*b1.
@@ -199,11 +189,12 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
     The series terminates at degree 3 because all deeper brackets vanish,
     so this closed form is the exact product, not a truncation.  In
-    coordinates it is the d-form of `_raw_multiply`, d = a1*b2 - a2*b1,
-    evaluated on integers scaled by (L, L, L^2, L^3, L^3) in exact mode.
+    coordinates it is the d-form `_product`, d = a1*b2 - a2*b1, whose
+    outputs have weights 1, 1, 2, 3, 3, evaluated on integers scaled by
+    (L, L, L^2, L^3, L^3) in exact mode.
     """
     mode = _check_modes(a, b)
-    raw = _raw_multiply(_values(a), _values(b))
+    raw = _on_integers(_product, _values(a), _values(b))
     return AlgebraVector(*(Scalar(mode, v) for v in raw))
 
 

@@ -156,26 +156,23 @@ def boundary_sample(count: int) -> List[BoundaryCurve]:
     """Sample the six bounding curves at `count` parameter values each.
 
     Every curve is parameterized over [0, 1] by the free coordinate and
-    already lies inside the unit square, so clipping never discards points.
+    lies inside the unit square.
     """
     if count < 2:
         raise ValueError("need at least 2 sample points per curve")
     ts = [i / (count - 1) for i in range(count)]
 
-    def clip(c: float) -> float:
-        return min(1.0, max(0.0, c))
-
     curves = [
         BoundaryCurve("x=1", tuple((1.0, t) for t in ts)),
         BoundaryCurve("y=1", tuple((t, 1.0) for t in ts)),
         BoundaryCurve(
-            "4x=3(1-y)^2", tuple((clip(0.75 * (1 - t) ** 2), t) for t in ts)
+            "4x=3(1-y)^2", tuple((0.75 * (1 - t) ** 2, t) for t in ts)
         ),
         BoundaryCurve(
-            "4y=3(1-x)^2", tuple((t, clip(0.75 * (1 - t) ** 2)) for t in ts)
+            "4y=3(1-x)^2", tuple((t, 0.75 * (1 - t) ** 2) for t in ts)
         ),
-        BoundaryCurve("x=(1-y)^2", tuple((clip((1 - t) ** 2), t) for t in ts)),
-        BoundaryCurve("y=(1-x)^2", tuple((t, clip((1 - t) ** 2)) for t in ts)),
+        BoundaryCurve("x=(1-y)^2", tuple(((1 - t) ** 2, t) for t in ts)),
+        BoundaryCurve("y=(1-x)^2", tuple((t, (1 - t) ** 2) for t in ts)),
     ]
     return curves
 

@@ -79,9 +79,10 @@ class Scalar:
         return Scalar(mode, Fraction(1) if mode is Mode.EXACT else 1.0)
 
     @staticmethod
-    def lift(value: int, mode: Mode) -> "Scalar":
-        """Embed a mode-neutral int into the given mode."""
-        return Scalar(mode, Fraction(value) if mode is Mode.EXACT else float(value))
+    def lift(num: int, mode: Mode, den: int = 1) -> "Scalar":
+        """The rational num/den of two ints in the given mode: exact, or the
+        correctly rounded double (int true division rounds once)."""
+        return Scalar(mode, Fraction(num, den) if mode is Mode.EXACT else num / den)
 
     @staticmethod
     def parse(text: str, mode: Mode) -> "Scalar":
@@ -115,7 +116,9 @@ class Scalar:
                 )
             return other.value
         if isinstance(other, int):
-            return Fraction(other) if self.mode is Mode.EXACT else float(other)
+            # Fractions and floats combine with an int exactly as with
+            # Fraction(n) or float(n).
+            return other
         raise ModeMismatchError(f"cannot combine Scalar with {type(other).__name__}")
 
     def __add__(self, other: NumberLike) -> "Scalar":
@@ -159,6 +162,14 @@ class Scalar:
         if isinstance(other, int):
             return self.value == other
         return NotImplemented
+
+    def close_to(self, other: NumberLike, tol: float) -> bool:
+        """Equality in exact mode, where tol is ignored; |self - other| <= tol
+        in float mode, which never holds for NaN."""
+        value = self._coerce(other)
+        if self.mode is Mode.EXACT:
+            return self.value == value
+        return abs(self.value - value) <= tol
 
     def __hash__(self) -> int:
         return hash((self.mode, self.value))

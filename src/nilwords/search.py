@@ -40,7 +40,7 @@ from scipy import optimize  # noqa: F401
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
 from .scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
-from .words import SigmaWord, word_map_a, word_map_b
+from .words import SigmaWord, _check_parameter, word_map_a, word_map_b
 
 __all__ = [
     "Seed",
@@ -87,9 +87,8 @@ class MapSequence:
     steps: Tuple[Tuple[StepKind, Scalar], ...]
 
     def __post_init__(self):
-        for kind, t in self.steps:
-            if not 0 <= t <= 1:
-                raise ValueError(f"step parameter {t} outside [0, 1]")
+        for _, t in self.steps:
+            _check_parameter(t)
 
     def pattern(self) -> str:
         return "".join(kind.value for kind, _ in self.steps)
@@ -111,6 +110,7 @@ class SearchConfig:
                 ("max_iterations >= 1", self.max_iterations >= 1),
                 ("0 < synthesis_tolerance < inf", 0.0 < self.synthesis_tolerance < math.inf),
                 ("max_synthesis_steps >= 0", self.max_synthesis_steps >= 0),
+                ("master_seed >= 0", self.master_seed >= 0),
             )
             if not holds
         ]

@@ -62,15 +62,9 @@ def _rand_vector(rnd: random.Random, mode: Mode) -> lie_core.AlgebraVector:
     return lie_core.AlgebraVector(*(_rand_scalar(rnd, mode) for _ in range(5)))
 
 
-def _vectors_close(a, b, mode: Mode, tol: float) -> bool:
-    """Coordinatewise closeness of two algebra vectors or points: equality
-    in exact mode, within tol per coordinate in float mode."""
-    if mode is Mode.EXACT:
-        return a == b
-    return all(
-        abs(x.to_float() - y.to_float()) <= tol
-        for x, y in zip(a.coords(), b.coords())
-    )
+def _vectors_close(a, b, tol: float) -> bool:
+    """Coordinatewise `Scalar.close_to` of two algebra vectors or points."""
+    return all(x.close_to(y, tol) for x, y in zip(a.coords(), b.coords()))
 
 
 def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
@@ -86,7 +80,7 @@ def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
         d = _rand_vector(rnd, mode)
         left = lie_core.multiply(lie_core.multiply(a, b), c)
         right = lie_core.multiply(a, lie_core.multiply(b, c))
-        if not _vectors_close(left, right, mode, tol):
+        if not _vectors_close(left, right, tol):
             failures["associativity"] += 1
         jac = lie_core.add(
             lie_core.add(
@@ -95,23 +89,19 @@ def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
             ),
             lie_core.bracket(c, lie_core.bracket(a, b)),
         )
-        if not _vectors_close(jac, zero, mode, tol):
+        if not _vectors_close(jac, zero, tol):
             failures["jacobi"] += 1
         deep = lie_core.bracket(a, lie_core.bracket(b, lie_core.bracket(c, d)))
         if deep != zero:
             failures["step3"] += 1
         product = lie_core.multiply(a, b)
-        ab_ok = product.c1 == a.c1 + b.c1 and product.c2 == a.c2 + b.c2
-        if mode is Mode.FLOAT:
-            ab_ok = (
-                abs(product.c1.to_float() - (a.c1 + b.c1).to_float()) <= tol
-                and abs(product.c2.to_float() - (a.c2 + b.c2).to_float()) <= tol
-            )
-        if not ab_ok:
+        if not (
+            product.c1.close_to(a.c1 + b.c1, tol) and product.c2.close_to(a.c2 + b.c2, tol)
+        ):
             failures["abelianization"] += 1
         unit = lie_core.multiply(a, lie_core.inverse(a))
         ident = lie_core.multiply(zero, a)
-        if not (_vectors_close(unit, zero, mode, tol) and _vectors_close(ident, a, mode, tol)):
+        if not (_vectors_close(unit, zero, tol) and _vectors_close(ident, a, tol)):
             failures["identity-inverse"] += 1
     return [
         CheckResult(name, count == 0, f"{count} violations in {trials} trials")
@@ -128,23 +118,14 @@ def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> 
     if sum(ys) == 0:
         ys[rnd.randrange(n)] = 1
     sx, sy = sum(xs), sum(ys)
-    if mode is Mode.EXACT:
-        blocks = tuple(
-            (Scalar.exact(a, sx), Scalar.exact(b, sy)) for a, b in zip(xs, ys)
-        )
-    else:
-        blocks = tuple(
-            (Scalar.of_float(a / sx), Scalar.of_float(b / sy))
-            for a, b in zip(xs, ys)
-        )
-    return SigmaWord(blocks)
+    return SigmaWord(
+        tuple((Scalar.lift(a, mode, sx), Scalar.lift(b, mode, sy)) for a, b in zip(xs, ys))
+    )
 
 
 def _rand_parameter(rnd: random.Random, mode: Mode, include_one: bool = False) -> Scalar:
     hi = 97 if include_one else 96
-    if mode is Mode.EXACT:
-        return Scalar.exact(rnd.randint(0, hi), 97)
-    return Scalar.of_float(rnd.randint(0, hi) / 97)
+    return Scalar.lift(rnd.randint(0, hi), mode, 97)
 
 
 def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
@@ -158,19 +139,15 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
         p = eval_uvw(w)
         via_word_a = eval_uvw(word_map_a(w, t))
         via_space_a = map_a_uvw(t, p)
-        if not _vectors_close(via_word_a, via_space_a, mode, tol):
+        if not _vectors_close(via_word_a, via_space_a, tol):
             failures["word-vs-space-a"] += 1
         via_word_b = eval_uvw(word_map_b(w, t))
         via_space_b = map_b_uvw(t, p)
-        if not _vectors_close(via_word_b, via_space_b, mode, tol):
+        if not _vectors_close(via_word_b, via_space_b, tol):
             failures["word-vs-space-b"] += 1
-        if not _vectors_close(
-            project(via_space_a), map_a_xy(t, project(p)), mode, tol
-        ):
+        if not _vectors_close(project(via_space_a), map_a_xy(t, project(p)), tol):
             failures["projection-a"] += 1
-        if not _vectors_close(
-            project(via_space_b), map_b_xy(t, project(p)), mode, tol
-        ):
+        if not _vectors_close(project(via_space_b), map_b_xy(t, project(p)), tol):
             failures["projection-b"] += 1
     return [
         CheckResult(name, count == 0, f"{count} violations in {trials} trials")
@@ -223,15 +200,13 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     monotone_ok = True
     xy_rate_ok = True
     previous: Optional[Scalar] = None
-    third = Scalar.exact(1, 3) if mode is Mode.EXACT else Scalar.of_float(1 / 3)
+    third = Scalar.lift(1, mode, 3)
     limit_xy = XYPoint(third, third)
     for n in range(1, n_max + 1):
         w = balanced_word(n, mode)
         element = lie_core.evaluate_word(sigma_to_rword(w))
         gap = lie_core.distance_squared(element, limit)
-        bound = (
-            Scalar.exact(9, n * n) if mode is Mode.EXACT else Scalar.of_float(9 / n**2)
-        )
+        bound = Scalar.lift(9, mode, n * n)
         if gap > bound:
             rate_ok = False
         if previous is not None and gap > previous:
@@ -242,19 +217,15 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
         dy = point.y - third
         if dx * dx + dy * dy > bound:
             xy_rate_ok = False
-    w2 = eval_xy(balanced_word(2, mode))
-    w3 = eval_xy(balanced_word(3, mode))
-    if mode is Mode.EXACT:
-        checkpoint_ok = w2 == XYPoint(Scalar.exact(5, 8), Scalar.exact(1, 8)) and (
-            w3 == XYPoint(Scalar.exact(14, 27), Scalar.exact(5, 27))
+    # The balanced words for n = 2, 3 land at (5, 1)/8 and (14, 5)/27.
+    checkpoint_ok = all(
+        _vectors_close(
+            eval_xy(balanced_word(n, mode)),
+            XYPoint(Scalar.lift(x, mode, n**3), Scalar.lift(y, mode, n**3)),
+            1e-12,
         )
-    else:
-        checkpoint_ok = (
-            abs(w2.x.to_float() - 5 / 8) <= 1e-12
-            and abs(w2.y.to_float() - 1 / 8) <= 1e-12
-            and abs(w3.x.to_float() - 14 / 27) <= 1e-12
-            and abs(w3.y.to_float() - 5 / 27) <= 1e-12
-        )
+        for n, x, y in ((2, 5, 1), (3, 14, 5))
+    )
     checks.append(CheckResult("rate-3-over-n", rate_ok, f"n up to {n_max}"))
     checks.append(CheckResult("monotone-norm", monotone_ok, f"n up to {n_max}"))
     checks.append(CheckResult("planar-rate", xy_rate_ok, f"n up to {n_max}"))

@@ -141,7 +141,7 @@ def parse_word(text: str, mode: Mode = Mode.FLOAT) -> RWord:
 def _format_exponent(value: Scalar) -> str:
     # Integral floats print without the trailing .0 so word text stays
     # readable; the JSON wire format keeps the full repr.
-    if value.mode is Mode.FLOAT and float(value.value).is_integer():
+    if value.mode is Mode.FLOAT and value.value.is_integer():
         return str(int(value.value))
     return value.as_json()
 
@@ -194,17 +194,13 @@ class SigmaWord:
         x_sum = Scalar.zero(mode)
         y_sum = Scalar.zero(mode)
         for s, t in self.blocks:
-            if s < 0 or t < 0:
-                raise SigmaValidationError("negative block exponent")
+            # Written so that a NaN exponent fails the test.
+            if not (s >= 0 and t >= 0):
+                raise SigmaValidationError("negative or NaN block exponent")
             x_sum = x_sum + s
             y_sum = y_sum + t
         for label, total in (("X", x_sum), ("Y", y_sum)):
-            bad = (
-                total != 1
-                if mode is Mode.EXACT
-                else abs(total - 1).to_float() > SUM_TOLERANCE
-            )
-            if bad:
+            if not total.close_to(1, SUM_TOLERANCE):
                 raise SigmaValidationError(
                     f"{label}-exponents sum to {total}, expected 1"
                 )
@@ -237,13 +233,13 @@ def validate_sigma(w: RWord) -> SigmaWord:
     Maximal same-generator runs become blocks, with zero exponents inserted
     where a block is missing (a leading Y run gets an empty X part, and a
     trailing X run an empty Y part).  Raises SigmaValidationError on a
-    negative exponent or when either generator's mass differs from 1.
+    negative or NaN exponent or when either generator's mass differs from 1.
     """
     mode = w.mode()
     for letter in w.letters:
-        if letter.exponent < 0:
+        if not letter.exponent >= 0:
             raise SigmaValidationError(
-                f"negative exponent {letter.exponent} in {format_word(w)!r}"
+                f"negative or NaN exponent {letter.exponent} in {format_word(w)!r}"
             )
     runs: list[tuple[Generator, Scalar]] = []
     for letter in w.letters:
@@ -273,7 +269,8 @@ def validate_sigma(w: RWord) -> SigmaWord:
 
 
 def _check_parameter(t: Scalar) -> None:
-    if t < 0 or t > 1:
+    """The one check of a map or step parameter; NaN fails it."""
+    if not 0 <= t <= 1:
         raise ValueError(f"map parameter {t} outside [0, 1]")
 
 
@@ -304,7 +301,5 @@ def balanced_word(n: int, mode: Mode = Mode.EXACT) -> SigmaWord:
     """
     if n < 1:
         raise ValueError("block count must be at least 1")
-    share = (
-        Scalar.exact(1, n) if mode is Mode.EXACT else Scalar.of_float(1.0 / n)
-    )
+    share = Scalar.lift(1, mode, n)
     return SigmaWord(((share, share),) * n)

@@ -293,6 +293,20 @@ class TestSynth:
         assert excinfo.value.code == 2
         assert "--pattern-cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "0.25", "0.5"),  # reached by the seed orbit, which draws no start
+            ("synth", "0.6", "0.2"),
+            ("profile", "0.4", "0.4", "2"),
+        ],
+    )
+    def test_negative_seed_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "master_seed >= 0" in err
+
     @pytest.mark.parametrize("x, y", [("nan", "0.5"), ("0.5", "inf"), ("1e400", "0.2")])
     def test_non_finite_target(self, capsys, x, y):
         code, out, err = run(capsys, "synth", x, y)
@@ -330,6 +344,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "--trials" in captured.err
+
+    def test_negative_seed_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "algebra", "--trials", "5", "--seed", "-1")
+        assert code == 0
+        assert "[PASS]" in out
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

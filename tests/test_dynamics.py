@@ -1,5 +1,6 @@
 """Induced point dynamics: extraction, the two maps, projection, trajectories."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -132,7 +133,7 @@ class TestMaps:
         assert map_b_uvw(one, p) == XY_SEED
 
     def test_parameter_out_of_range(self):
-        for bad in (Scalar.exact(-1, 10), Scalar.exact(11, 10)):
+        for bad in (Scalar.exact(-1, 10), Scalar.exact(11, 10), Scalar.of_float(math.nan)):
             with pytest.raises(ValueError):
                 map_a_uvw(bad, XY_SEED)
             with pytest.raises(ValueError):

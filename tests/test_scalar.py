@@ -74,9 +74,64 @@ class TestModeDiscipline:
         assert (exact(Fraction(1, 2)) * 2) == exact(Fraction(1))
         assert (Scalar.of_float(0.5) * 2).value == 1.0
 
+    @given(rationals, st.floats(-1e6, 1e6), st.integers(-1000, 1000))
+    def test_int_operand_acts_as_its_lift(self, q, x, n):
+        for mode, a in ((Mode.EXACT, exact(q)), (Mode.FLOAT, Scalar.of_float(x))):
+            m = Scalar.lift(n, mode)
+            assert [(a + n).value, (a - n).value, (n - a).value, (a * n).value] == [
+                (a + m).value, (a - m).value, (m - a).value, (a * m).value
+            ]
+            assert (a < n, a <= n, a > n, a >= n) == (a < m, a <= m, a > m, a >= m)
+
     def test_foreign_types_rejected(self):
         with pytest.raises(ModeMismatchError):
             exact(Fraction(1, 2)) + 0.5  # raw float is ambiguous
+
+
+LIFT_CASES = [(0, 1), (1, 3), (-9, 49), (5, 8), (14, 27), (2**60 + 1, 3)]
+
+
+class TestLift:
+    @pytest.mark.parametrize("num, den", LIFT_CASES)
+    def test_exact_is_the_rational(self, num, den):
+        assert Scalar.lift(num, Mode.EXACT, den) == Scalar.exact(num, den)
+
+    @pytest.mark.parametrize("num, den", LIFT_CASES)
+    def test_float_is_int_true_division(self, num, den):
+        lifted = Scalar.lift(num, Mode.FLOAT, den)
+        assert lifted.mode is Mode.FLOAT
+        assert lifted.value.hex() == (num / den).hex()
+
+    def test_default_denominator_is_one(self):
+        assert Scalar.lift(3, Mode.EXACT) == Scalar.exact(3)
+        assert Scalar.lift(3, Mode.FLOAT).value.hex() == (3.0).hex()
+
+
+class TestCloseTo:
+    def test_exact_mode_ignores_tolerance(self):
+        third = Scalar.exact(1, 3)
+        assert third.close_to(Scalar.exact(2, 6), 0.0)
+        assert not third.close_to(third + Scalar.exact(1, 10**30), 1)
+
+    def test_float_mode_within_tolerance(self):
+        a = Scalar.of_float(0.5)
+        assert a.close_to(Scalar.of_float(0.5 + 1e-13), 1e-12)
+        assert a.close_to(Scalar.of_float(0.75), 0.25)
+        assert not a.close_to(Scalar.of_float(0.5 + 1e-11), 1e-12)
+        assert a.close_to(1, 0.5) and not a.close_to(1, 0.25)
+
+    def test_nan_is_never_close(self):
+        nan = Scalar.of_float(math.nan)
+        for tol in (0.0, 1.0, math.inf):
+            assert not nan.close_to(nan, tol)
+            assert not nan.close_to(Scalar.of_float(0.0), tol)
+            assert not Scalar.of_float(0.0).close_to(nan, tol)
+
+    def test_mixed_modes_raise(self):
+        with pytest.raises(ModeMismatchError):
+            Scalar.exact(1, 2).close_to(Scalar.of_float(0.5), 1.0)
+        with pytest.raises(ModeMismatchError):
+            Scalar.of_float(0.5).close_to(Scalar.exact(1, 2), 1.0)
 
 
 class TestFloatAgreement:

@@ -274,6 +274,7 @@ class TestSearchConfig:
             ("synthesis_tolerance", 0.0),
             ("synthesis_tolerance", math.inf),
             ("max_synthesis_steps", -1),
+            ("master_seed", -1),
         ],
     )
     def test_rejects_values_that_give_wrong_answers(self, field, value):
@@ -282,7 +283,11 @@ class TestSearchConfig:
 
     def test_smallest_valid_values(self):
         cfg = SearchConfig(
-            multistarts=1, max_iterations=1, synthesis_tolerance=5e-324, max_synthesis_steps=0
+            multistarts=1,
+            max_iterations=1,
+            synthesis_tolerance=5e-324,
+            max_synthesis_steps=0,
+            master_seed=0,
         )
         assert cfg.max_synthesis_steps == 0
 

@@ -1,5 +1,6 @@
 """Word grammar, length bookkeeping, Sigma constraints, rewriting maps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,21 @@ class TestSigmaWord:
         with pytest.raises(SigmaValidationError):
             SigmaWord(((two, one), (neg, zero)))
 
+    def test_nan_exponent_rejected(self):
+        nan = Scalar.of_float(math.nan)
+        one = Scalar.of_float(1.0)
+        for blocks_ in (((nan, one),), ((one, nan),), ((one, one), (nan, nan))):
+            with pytest.raises(SigmaValidationError):
+                SigmaWord(blocks_)
+        with pytest.raises(SigmaValidationError):
+            validate_sigma(RWord((Letter(Generator.X, nan), Letter(Generator.Y, one))))
+
+    def test_float_mass_within_tolerance(self):
+        third = Scalar.of_float(1 / 3)
+        SigmaWord(((third, third),) * 3)
+        with pytest.raises(SigmaValidationError):
+            SigmaWord(((Scalar.of_float(1.0 + 1e-9), Scalar.of_float(1.0)),))
+
     def test_zero_blocks_are_legal(self):
         w = SigmaWord(
             (
@@ -241,7 +257,7 @@ class TestRewritingMaps:
 
     def test_parameter_out_of_range(self):
         seed = validate_sigma(ex("X^1 Y^1"))
-        for bad in (Scalar.exact(-1, 2), Scalar.exact(3, 2)):
+        for bad in (Scalar.exact(-1, 2), Scalar.exact(3, 2), Scalar.of_float(math.nan)):
             with pytest.raises(ValueError):
                 word_map_a(seed, bad)
             with pytest.raises(ValueError):
