@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .dynamics import UVWPoint, UnitMassError, XYPoint, eval_xy, extract_uvw, project
 from .lie_core import (
@@ -61,15 +61,19 @@ class _UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    """Argument type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """Argument type for integers that must be at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -305,9 +309,14 @@ _FLAGS = {
         type=_positive_float, default=1e-9,
         help="synthesis residual tolerance (default 1e-9)",
     ),
-    "--seed": dict(type=int, default=1729, help="master seed for all randomness"),
+    # SearchConfig.master_seed seeds numpy's start vectors, which take no
+    # negative seed; `verify` declares its own --seed.
+    "--seed": dict(
+        type=_int_at_least(0), default=1729,
+        help="master seed of the search's start vectors (default 1729)",
+    ),
     "--pattern-cap": dict(
-        type=_positive_int, default=12,
+        type=_int_at_least(1), default=12,
         help="synthesis step budget: longest map sequence synth tries (default 12)",
     ),
 }
@@ -363,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--count", type=int, default=512, help="samples per boundary curve"
     )
     p.add_argument(
-        "--resolution", type=_positive_int, default=512, help="shading grid resolution"
+        "--resolution", type=_int_at_least(1), default=512, help="shading grid resolution"
     )
 
     p = _add_command(
@@ -391,11 +400,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(
         sub, "verify", _cmd_verify, "run a named verification suite",
-        ("--arith", "--seed"), text_or_json,
+        ("--arith",), text_or_json,
     )
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument(
-        "--trials", type=_positive_int, default=None,
+        "--seed", type=int, default=1729,
+        help="seed of the suite's random trials, any integer (default 1729)",
+    )
+    p.add_argument(
+        "--trials", type=_int_at_least(1), default=None,
         help="override the suite's default trial count",
     )
     return parser

@@ -73,11 +73,12 @@ class EpsilonPolicy:
 
     @staticmethod
     def for_mode(mode: Mode, eps: float = 0.0) -> "EpsilonPolicy":
-        if mode is Mode.EXACT:
-            if eps != 0.0:
-                raise ValueError("exact mode does not admit a nonzero margin")
-            return EpsilonPolicy(Scalar.zero(mode))
-        return EpsilonPolicy(Scalar.of_float(eps))
+        """The policy whose margin is the double eps, lifted into the mode.
+        NaN and infinity have no exact value; they are refused as doubles."""
+        if not math.isfinite(eps):
+            return EpsilonPolicy(Scalar.of_float(eps))
+        num, den = eps.as_integer_ratio()
+        return EpsilonPolicy(Scalar.lift(num, mode, den))
 
 
 def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerdict:

@@ -39,7 +39,7 @@ from scipy import optimize  # noqa: F401
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
-from .scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
+from .scalar import Mode, Scalar
 from .words import SigmaWord, _check_parameter, word_map_a, word_map_b
 
 __all__ = [
@@ -855,17 +855,14 @@ def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], st
 
 
 def _reach(
-    target_xy: Tuple[float, float],
-    cfg: SearchConfig,
-    context_tag: int,
-    tolerance: float,
-) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...], float]]:
+    target_xy: Tuple[float, float], cfg: SearchConfig
+) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...]]]:
     """Reach a planar point by `_solve` over the alternating forms.
 
     Forms are tried in `_forms` order up to `cfg.max_synthesis_steps`
     steps, each from the all-0.5 vector and then up to four seeded starts,
     with the exact Jacobian of the planar fold (`_sweep_xy`).
-    Returns the first (seed, kinds, ts, residual) meeting the tolerance,
+    Returns the first (seed, kinds, ts) within `cfg.synthesis_tolerance`,
     so shorter sequences win; None when the budget ends.
     """
     problem_of = _xy_problem(target_xy)
@@ -874,33 +871,13 @@ def _reach(
         if not kinds:  # a budget of 0 steps has nothing to solve
             return None
         residual, jacobian = problem_of(seed, kinds)
-        context = _length_context(context_tag, seed, kinds)
+        context = _length_context(4, seed, kinds)  # tags 0-2 seed the searches
         raw_starts = _start_vectors(len(kinds), cfg, context)[:starts_budget]
         for x0 in [[0.5] * len(kinds), *raw_starts]:
             solved = _solve(residual, jacobian, x0, cfg.max_iterations)
-            if solved.cost <= tolerance:
-                return seed, kinds, solved.point, solved.cost
+            if solved.cost <= cfg.synthesis_tolerance:
+                return seed, kinds, solved.point
     return None
-
-
-def _reach_diagonal(
-    d: float, cfg: SearchConfig
-) -> Optional[Tuple[Seed, List[Tuple[StepKind, float]]]]:
-    """A sequence landing on (d, d), or None within the step budget.
-
-    The reach is solved tighter than the synthesis tolerance, and never
-    looser than 1e-9, because the final step composed on top can amplify
-    the source error slightly.
-    """
-    s = DIAGONAL_FIXED_POINT.value
-    if abs(d - s) <= min(cfg.synthesis_tolerance, 1e-9):
-        return Seed.XY, [(StepKind.A, s)]
-    tolerance = min(1e-9, cfg.synthesis_tolerance / 4)
-    found = _reach((d, d), cfg, context_tag=3, tolerance=tolerance)
-    if found is None:
-        return None
-    seed, kinds, ts, _ = found
-    return seed, list(zip(kinds, ts))
 
 
 def synthesize_word(
@@ -908,9 +885,10 @@ def synthesize_word(
 ) -> SynthesisResult:
     """Construct an alternating unit-mass word whose image is the target.
 
-    Stages, in order: exact seed and seed-orbit solutions; one quadratic
-    step back to an admissible diagonal source plus a numeric reach of that
-    source; a direct numeric reach of the target.  Exhausting the budget is
+    Stages, in order: the exact seed solutions (the two endpoints), the
+    exact seed-orbit solutions (one step from a seed), and a direct numeric
+    reach of the target by `_reach`, the shortest form first.  Every word
+    has at most `cfg.max_synthesis_steps` steps.  Exhausting the budget is
     reported, not raised; that is the expected outcome for targets very
     near the excluded limit point (1/3, 1/3).
     """
@@ -922,7 +900,6 @@ def synthesize_word(
         )
     x, y = target.to_floats()
     tol = cfg.synthesis_tolerance
-    s = DIAGONAL_FIXED_POINT.value
 
     # Stage: seed.  The two endpoints are the seed images themselves.
     if verdict.status is Membership.ENDPOINT_MEMBER:
@@ -932,50 +909,16 @@ def synthesize_word(
     # Stage: seed-orbit.  One step from a seed covers the two boundary
     # curves through the endpoints: a_t(1,0) = ((1-t)^2, t) and
     # b_t(0,1) = (t, (1-t)^2).
-    if 0.0 <= y < 1.0 and abs(x - (1.0 - y) ** 2) <= tol:
-        return _finish(target, Seed.XY, [(StepKind.A, y)], "seed-orbit")
-    if 0.0 <= x < 1.0 and abs(y - (1.0 - x) ** 2) <= tol:
-        return _finish(target, Seed.YX, [(StepKind.B, x)], "seed-orbit")
+    if cfg.max_synthesis_steps >= 1:
+        if 0.0 <= y < 1.0 and abs(x - (1.0 - y) ** 2) <= tol:
+            return _finish(target, Seed.XY, [(StepKind.A, y)], "seed-orbit")
+        if 0.0 <= x < 1.0 and abs(y - (1.0 - x) ** 2) <= tol:
+            return _finish(target, Seed.YX, [(StepKind.B, x)], "seed-orbit")
 
-    # Stage: diagonal-step.  Solve for a final step that maps a diagonal
-    # source (d, d) onto the target; admissible sources have d in (1/3, s].
-    candidates: List[Tuple[float, StepKind, float]] = []
-    for final_kind in (StepKind.A, StepKind.B):
-        if final_kind is StepKind.A:
-            coeffs = (1.0, -(1.0 + y), y - x)
-        else:
-            coeffs = (1.0, -(1.0 + x), x - y)
-        for t in _quadratic_roots(*coeffs):
-            # A root at t = 0 means the source is the target itself, which
-            # the direct stage handles; skip to avoid duplicated work.
-            if not 1e-12 < t < 1.0:
-                continue
-            numer = (y - t) if final_kind is StepKind.A else (x - t)
-            d = numer / (1.0 - t)
-            if 1 / 3 < d <= s + 1e-12:
-                candidates.append((d, final_kind, t))
-    # Prefer sources near the fixed point: those take the shortest reach.
-    candidates.sort(key=lambda item: (-item[0], item[1].value, item[2]))
-    deduped: List[Tuple[float, StepKind, float]] = []
-    for item in candidates:
-        if not deduped or abs(item[0] - deduped[-1][0]) > 1e-12:
-            deduped.append(item)
-    candidates = deduped
-    for d, final_kind, t in candidates:
-        reached = _reach_diagonal(min(d, s), cfg)
-        if reached is None:
-            continue
-        seed, steps = reached
-        result = _finish(target, seed, steps + [(final_kind, t)], "diagonal-step")
-        if result.residual <= tol:
-            return result
-
-    # Stage: direct.  Numeric reach of the target itself; this also covers
-    # admissible targets whose diagonal-source quadratics have no usable
-    # root.
-    found = _reach((x, y), cfg, context_tag=4, tolerance=tol)
+    # Stage: direct.  Numeric reach of the target itself.
+    found = _reach((x, y), cfg)
     if found is not None:
-        seed, kinds, ts, _ = found
+        seed, kinds, ts = found
         result = _finish(target, seed, list(zip(kinds, ts)), "direct")
         if result.residual <= tol:
             return result

@@ -265,6 +265,17 @@ class TestSynth:
         assert code == 1
         assert "not synthesized" in err
 
+    def test_pattern_cap_bounds_the_word(self, capsys):
+        # the shortest word reaching this target has 2 steps
+        code, out, _ = run(
+            capsys, "synth", "0.5152680043143939", "0.22323688358029925",
+            "--pattern-cap", "2", "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stage"] == "direct"
+        assert [kind for kind, _ in payload["sequence"]["steps"]] == ["A", "B"]
+
     def test_budget_exhaustion(self, capsys):
         near = repr(1 / 3 + 1e-6)
         code, out, _ = run(
@@ -302,10 +313,13 @@ class TestSynth:
         ],
     )
     def test_negative_seed_rejected(self, capsys, argv):
-        code, out, err = run(capsys, *argv, "--seed", "-1")
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "master_seed >= 0" in err
+        assert "argument --seed: must be at least 0, got -1" in err
+        assert "SearchConfig" not in err and "master_seed" not in err
 
     @pytest.mark.parametrize("x, y", [("nan", "0.5"), ("0.5", "inf"), ("1e400", "0.2")])
     def test_non_finite_target(self, capsys, x, y):

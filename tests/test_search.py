@@ -755,8 +755,7 @@ class TestSynthesis:
         assert exponents == pytest.approx([1 - S, 1.0, S], abs=1e-12)
 
     def test_diagonal_target_goes_direct(self):
-        # on the diagonal the back-step quadratic degenerates to t = 0,
-        # so the diagonal-step stage has no usable candidate
+        # off the seed orbits, so the numeric reach of the target solves it
         result = synthesize_word(target(0.36, 0.36), FAST)
         assert result.success
         assert result.stage == "direct"
@@ -772,15 +771,50 @@ class TestSynthesis:
         assert result.residual <= 1e-9
 
     def test_diagonal_step_target(self):
-        # one b-step off the interior diagonal point (0.37, 0.37)
+        # one b-step at t = 0.25 off the interior diagonal point (0.37, 0.37);
+        # the direct reach ends in one b-step that fuses it with the b-step
+        # landing on (0.37, 0.37), so splitting it at 0.25 lands there
         p = target(0.75 * 0.37 + 0.25, 0.5625 * 0.37)
         result = synthesize_word(p, FAST)
         assert result.success
-        assert result.stage == "diagonal-step"
+        assert result.stage == "direct"
+        assert result.sequence.pattern() == "AB"
         assert result.residual <= 1e-9
-        final_kind, final_t = result.sequence.steps[-1]
+        first, (final_kind, final_t) = result.sequence.steps
         assert final_kind is StepKind.B
-        assert final_t.to_float() == pytest.approx(0.25, abs=1e-9)
+        landing_t = 1 - (1 - final_t.to_float()) / 0.75
+        assert 0 <= landing_t <= 1
+        landing = MapSequence(
+            result.sequence.seed, (first, (StepKind.B, Scalar.of_float(landing_t)))
+        )
+        assert xy_distance(apply_sequence(landing), target(0.37, 0.37)) <= 1e-9
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "x, y, shortest",
+        [
+            (0.019420809828158525, 0.865412341496933, 2),
+            (0.23928492289067993, 0.46116458327848064, 3),
+            (0.5152680043143939, 0.22323688358029925, 2),
+            (0.75 * 0.37 + 0.25, 0.5625 * 0.37, 2),
+        ],
+    )
+    def test_step_budget_is_honoured(self, x, y, shortest, cap):
+        result = synthesize_word(target(x, y), SearchConfig(max_synthesis_steps=cap))
+        assert result.success == (cap >= shortest), result.message
+        if result.success:
+            pattern = result.sequence.pattern()
+            assert len(pattern) <= cap
+            assert all(a != b for a, b in zip(pattern, pattern[1:])), pattern
+            assert result.residual <= 1e-9
+        else:
+            assert result.stage == "exhausted"
+
+    def test_zero_step_budget_leaves_only_the_seeds(self):
+        no_steps = SearchConfig(max_synthesis_steps=0)
+        assert synthesize_word(target(1.0, 0.0), no_steps).stage == "seed"
+        # (0.25, 0.5) is one a-step from (1, 0), a step the budget does not allow
+        assert synthesize_word(target(0.25, 0.5), no_steps).stage == "exhausted"
 
     def test_generic_targets(self):
         for x, y in ((0.6, 0.2), (0.9, 0.05), (0.45, 0.3)):
@@ -932,21 +966,16 @@ class TestPinnedAnswers:
             (
                 0.23928492289067993,
                 0.46116458327848064,
-                "diagonal-step",
-                "ABAA",
-                [
-                    "0x1.02857d2e24a60p-1",
-                    "0x1.2cd678ecd1f03p-1",
-                    "0x1.26e41ebacd38ep-2",
-                    "0x1.6084d1b6b4635p-3",
-                ],
+                "direct",
+                "ABA",
+                ["0x1.dfaab55153d74p-2", "0x1.0c26ca8b7b7b2p-1", "0x1.96a2cd98f1633p-2"],
             ),
             (
                 0.5152680043143939,
                 0.22323688358029925,
-                "diagonal-step",
-                "ABB",
-                ["0x1.b1a7ce7af9314p-2", "0x1.f57814e99ab73p-5", "0x1.d01d041cbc172p-3"],
+                "direct",
+                "AB",
+                ["0x1.b1a7ce7af931bp-2", "0x1.1888fab9519fdp-2"],
             ),
         ],
     )
