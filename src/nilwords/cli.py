@@ -61,8 +61,8 @@ class _UsageError(Exception):
     pass
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """Argument type for integers that must be at least `low`."""
+def _int_between(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """Argument type for integers from `low` to `high`."""
 
     def parse(text: str) -> int:
         try:
@@ -71,6 +71,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -115,6 +117,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         xy = project(uvw)
     except UnitMassError:
         pass
+    bound = abelianization_lower_bound(element)
+    values = [*element.coords(), ell, bound]
+    if uvw is not None and xy is not None:
+        values += [*uvw.coords(), *xy.coords()]
+    if not all(value.is_finite() for value in values):
+        raise _UsageError(
+            f"{args.word!r} overflows float arithmetic to a non-finite value; use --arith exact"
+        )
     if args.format == "json":
         payload = {
             "element": element_to_json(element),
@@ -122,7 +132,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "xy": [c.as_json() for c in xy.coords()] if xy else None,
             "length": ell.as_json(),
             "coarse_length": ell_prime,
-            "abelianization_lower_bound": abelianization_lower_bound(element).as_json(),
+            "abelianization_lower_bound": bound.as_json(),
         }
         _emit(args, json.dumps(payload, indent=2))
         return EXIT_OK
@@ -203,6 +213,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     "distance": row.distance,
                     "pattern": row.pattern,
                     "t_vector": list(row.t_values),
+                    "converged": row.converged,
                 }
                 for row in rows
             ],
@@ -312,11 +323,11 @@ _FLAGS = {
     # SearchConfig.master_seed seeds numpy's start vectors, which take no
     # negative seed; `verify` declares its own --seed.
     "--seed": dict(
-        type=_int_at_least(0), default=1729,
+        type=_int_between(0), default=1729,
         help="master seed of the search's start vectors (default 1729)",
     ),
     "--pattern-cap": dict(
-        type=_int_at_least(1), default=12,
+        type=_int_between(1), default=12,
         help="synthesis step budget: longest map sequence synth tries (default 12)",
     ),
 }
@@ -368,11 +379,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "render the region as SVG, or its boundary curves as CSV",
         ("--eps",), ("svg", "csv"),
     )
+    # The upper bounds keep a plot to a few seconds and a few hundred MB: at
+    # resolution 4096 the process peaks near 380 MB.
     p.add_argument(
-        "--count", type=int, default=512, help="samples per boundary curve"
+        "--count", type=_int_between(2, 65536), default=512,
+        help="samples per boundary curve, 2 to 65536",
     )
     p.add_argument(
-        "--resolution", type=_int_at_least(1), default=512, help="shading grid resolution"
+        "--resolution", type=_int_between(1, 4096), default=512,
+        help="shading grid resolution, 1 to 4096",
     )
 
     p = _add_command(
@@ -408,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed of the suite's random trials, any integer (default 1729)",
     )
     p.add_argument(
-        "--trials", type=_int_at_least(1), default=None,
+        "--trials", type=_int_between(1), default=None,
         help="override the suite's default trial count",
     )
     return parser

@@ -192,6 +192,10 @@ class Scalar:
         """Nearest double to the represented value."""
         return float(self.value)
 
+    def is_finite(self) -> bool:
+        """False only for a float that overflowed to inf or became NaN."""
+        return self.mode is Mode.EXACT or math.isfinite(self.value)
+
     def as_json(self) -> str:
         """Wire format: "p/q" in exact mode, shortest decimal in float mode."""
         return str(self.value) if self.mode is Mode.EXACT else repr(self.value)

@@ -14,7 +14,9 @@ optimizes each form once, in the order of `_forms` (length, then seed, then
 starting kind), and keeps the first form with the smallest distance, so on
 an exact tie the shortest form wins.  A winner shorter than k is padded to
 k steps with identity steps (t = 0) right after its first A step, or by
-repeating the step of the form (B,).
+repeating the step of the form (B,).  Each form starts from the winner of
+the form one step shorter with the same seed and first kind, an identity
+step appended, then from four seeded Latin-hypercube points.
 
 Every search, and the numeric reach inside word synthesis, runs one solver:
 `_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
@@ -97,7 +99,6 @@ class MapSequence:
 @dataclass(frozen=True)
 class SearchConfig:
     master_seed: int = 1729
-    multistarts: int = 8
     max_iterations: int = 500
     synthesis_tolerance: float = 1e-9
     max_synthesis_steps: int = 12
@@ -106,7 +107,6 @@ class SearchConfig:
         broken = [
             rule
             for rule, holds in (
-                ("multistarts >= 1", self.multistarts >= 1),
                 ("max_iterations >= 1", self.max_iterations >= 1),
                 ("0 < synthesis_tolerance < inf", 0.0 < self.synthesis_tolerance < math.inf),
                 ("max_synthesis_steps >= 0", self.max_synthesis_steps >= 0),
@@ -140,6 +140,7 @@ class ProfileRow:
     distance: float
     pattern: str
     t_values: Tuple[float, ...]
+    converged: bool
 
 
 # seeds and folds --------------------------------------------------------
@@ -178,10 +179,6 @@ def seq_to_word(seq: MapSequence) -> SigmaWord:
     for kind, t in seq.steps:
         word = word_map_a(word, t) if kind is StepKind.A else word_map_b(word, t)
     return word
-
-
-def _clamp(t: float) -> float:
-    return 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
 
 
 def _fold_xy(
@@ -298,7 +295,8 @@ class _Solved(NamedTuple):
 # bound whose gradient J^T r points out of the box, and its Gram sums.  Returns
 # None when J_f^T r = 0, else the trial step as a function of mu and the
 # largest diagonal entry of J_f J_f^T, which sets the first mu.  Each is
-# written out for its m: generic loops over m cost more than the residuals.
+# written out for its m, and clips its trial point to the box inline: generic
+# loops over m, or a call per coordinate, cost more than the residuals.
 
 
 def _linearize_1(
@@ -321,7 +319,7 @@ def _linearize_1(
         if not det > 0.0:
             return None
         z0 = r0 / det
-        return [_clamp(t - p * z0) for t, p in zip(x, free)]
+        return [0.0 if (v := t - p * z0) < 0.0 else 1.0 if v > 1.0 else v for t, p in zip(x, free)]
 
     return step, a
 
@@ -350,7 +348,10 @@ def _linearize_2(
             return None
         z0 = ((c + mu) * r0 - b * r1) / det
         z1 = ((a + mu) * r1 - b * r0) / det
-        return [_clamp(t - p * z0 - q * z1) for t, (p, q) in zip(x, free)]
+        return [
+            0.0 if (v := t - p * z0 - q * z1) < 0.0 else 1.0 if v > 1.0 else v
+            for t, (p, q) in zip(x, free)
+        ]
 
     return step, max(a, c)
 
@@ -397,7 +398,10 @@ def _linearize_3(
         z0 = (k00 * r0 + k01 * r1 + k02 * r2) / det
         z1 = (k01 * r0 + k11 * r1 + k12 * r2) / det
         z2 = (k02 * r0 + k12 * r1 + k22 * r2) / det
-        return [_clamp(t - p * z0 - q * z1 - s * z2) for t, (p, q, s) in zip(x, free)]
+        return [
+            0.0 if (v := t - p * z0 - q * z1 - s * z2) < 0.0 else 1.0 if v > 1.0 else v
+            for t, (p, q, s) in zip(x, free)
+        ]
 
     return step, max(a, c, f)
 
@@ -428,7 +432,7 @@ def _solve(
     (or a damped system whose determinant underflows to 0) ended the run.
     `evaluations` counts the calls of `residual`.
     """
-    x = [_clamp(float(t)) for t in x0]
+    x = [0.0 if (v := float(t)) < 0.0 else 1.0 if v > 1.0 else v for t in x0]
     r, tape = residual(x)
     linearize = _LINEARIZE[len(r)]
     cost = math.hypot(*r)
@@ -465,7 +469,7 @@ def _solve(
     return _Solved(tuple(x), cost, iterations, converged, evaluations)
 
 
-# forms and the multistart search ------------------------------------------
+# forms and the continuation over them --------------------------------------
 
 
 def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
@@ -489,23 +493,18 @@ def _origin(seed: Seed) -> Tuple[float, float]:
     return (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
 
 
-def _length_context(tag: int, seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[int, ...]:
-    """Start-vector context of a nonempty form by its length and first kind."""
-    return tag, 0 if seed is Seed.XY else 1, len(kinds), 0 if kinds[0] is StepKind.A else 1
+def _start_vectors(dim: int, cfg: SearchConfig) -> np.ndarray:
+    """Four deterministic Latin-hypercube start points in [0,1]^dim, which
+    depend only on `cfg.master_seed` and `dim`.
 
-
-def _start_vectors(dim: int, cfg: SearchConfig, context: Sequence[int]) -> np.ndarray:
-    """Deterministic Latin-hypercube start points in [0,1]^dim.
-
-    Each axis is cut into n = cfg.multistarts equal slices, and every row
-    takes one point drawn uniformly in its own slice of each axis, the
-    slices shuffled independently per axis (McKay, Beckman & Conover 1979).
-    The draws are in the order of scipy's `qmc.LatinHypercube` seeded with
-    the same generator, so the points are bit for bit the ones it gives.
+    Each axis is cut into 4 equal slices, and every row takes one point
+    drawn uniformly in its own slice of each axis, the slices shuffled
+    independently per axis (McKay, Beckman & Conover 1979).  The draws are
+    in the order of scipy's `qmc.LatinHypercube` seeded with the same
+    generator, so the points are bit for bit the ones it gives.
     """
-    n = cfg.multistarts
-    seed_seq = np.random.SeedSequence([cfg.master_seed, *context, dim])
-    rng = np.random.default_rng(seed_seq).spawn(1)[0]
+    n = 4
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, dim])).spawn(1)[0]
     offsets = rng.uniform(size=(n, dim))
     slices = np.tile(np.arange(1, n + 1), (dim, 1))
     for axis in slices:
@@ -513,34 +512,48 @@ def _start_vectors(dim: int, cfg: SearchConfig, context: Sequence[int]) -> np.nd
     return (slices.T - offsets) / n
 
 
-def _multistart(
-    residual: _Residual,
-    jacobian: _Jacobian,
-    dim: int,
-    cfg: SearchConfig,
-    context: Sequence[int],
-) -> Tuple[_Solved, int]:
-    """`_solve` from each seeded start in [0,1]^dim.
+# The least-squares problem of one form: (seed, kinds) -> (residual, jacobian,
+# number of parameters).
+_Posed = Tuple[_Residual, _Jacobian, int]
+_Problem = Callable[[Seed, Tuple[StepKind, ...]], _Posed]
 
-    Returns the best start's result (the earlier start wins a tie) and the
-    residual evaluations of all starts.  With dim = 0 there is one start,
-    the empty point.
+
+def _solved_forms(
+    k_max: int, problem_of: _Problem, cfg: SearchConfig, enough: float = 0.0
+) -> Iterator[Tuple[Seed, Tuple[StepKind, ...], _Solved, int]]:
+    """Solve each form of `_forms(k_max)` once, continuing along its family.
+
+    A family is the forms of one seed and first kind, each its predecessor
+    with one more step.  A form starts first from its predecessor's winner
+    with an identity step (t = 0) appended, a continuation (Allgower & Georg
+    1990): for the planar and (u, v, w) folds that start reaches the
+    predecessor's point, so the form costs at most its predecessor's
+    optimum.  A family's first form starts from the all-0.5 vector.  The
+    four points of `_start_vectors` follow.  The starts stop at the first
+    whose cost is <= `enough`; the earlier start wins a tie, so at
+    `enough = 0` stopping never changes the winner.  Yields (seed, kinds,
+    the form's best `_Solved`, the residual evaluations of its starts).
     """
-    best: Optional[_Solved] = None
-    evaluations = 0
-    for start in _start_vectors(dim, cfg, context) if dim else [()]:
-        solved = _solve(residual, jacobian, start, cfg.max_iterations)
-        evaluations += solved.evaluations
-        if best is None or solved.cost < best.cost:
-            best = solved
-    assert best is not None
-    return best, evaluations
+    winners: dict = {}  # family -> its latest form's winning point
+    for seed, kinds in _forms(k_max):
+        residual, jacobian, dim = problem_of(seed, kinds)
+        family = (seed, kinds[:1])
+        first = winners[family] + (0.0,) if family in winners else (0.5,) * dim
+        best: Optional[_Solved] = None
+        evaluations = 0
+        for start in [first, *_start_vectors(dim, cfg)] if dim else [first]:
+            solved = _solve(residual, jacobian, start, cfg.max_iterations)
+            evaluations += solved.evaluations
+            if best is None or solved.cost < best.cost:
+                best = solved
+            if solved.cost <= enough:
+                break
+        assert best is not None
+        winners[family] = best.point
+        yield seed, kinds, best, evaluations
 
 
 # the search walk ----------------------------------------------------------
-
-# The least-squares problem of one form: (seed, kinds) -> (residual, jacobian).
-_Problem = Callable[[Seed, Tuple[StepKind, ...]], Tuple[_Residual, _Jacobian]]
 
 
 @dataclass(frozen=True)
@@ -568,22 +581,21 @@ def _padded(
     return kinds, ts[:cut] + (0.0,) * extra + ts[cut:]
 
 
-def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> List[_Winner]:
-    """Solve every form of `_forms(k_max)` once, keeping a running best.
+def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[_Winner]:
+    """Keep a running best over `_solved_forms(k_max)`.
 
     Returns one winner per budget k (k = 0 alone for k_max = 0, else
     k = 1..k_max), counting the residual evaluations spent on all forms of
-    at most k steps.  Starts depend only on the form, not on the budget, so
-    each winner is what a walk stopped at its own budget finds.
+    at most k steps.  A form's starts depend only on the forms before it,
+    not on the budget, so each winner is what a walk stopped at its own
+    budget finds.
     """
     winners: List[_Winner] = []
     best: Optional[Tuple[_Solved, Seed, Tuple[StepKind, ...]]] = None
     evaluations = 0
-    for length, forms in itertools.groupby(_forms(k_max), key=lambda form: len(form[1])):
-        for seed, kinds in forms:
-            b_positions = sum(1 << i for i, kind in enumerate(kinds) if kind is StepKind.B)
-            context = (tag, 0 if seed is Seed.XY else 1, b_positions)
-            solved, spent = _multistart(*problem_of(seed, kinds), length, cfg, context)
+    solved_forms = _solved_forms(k_max, problem_of, cfg)
+    for length, forms in itertools.groupby(solved_forms, key=lambda form: len(form[1])):
+        for seed, kinds, solved, spent in forms:
             evaluations += spent
             if best is None or solved.cost < best[0].cost:
                 best = (solved, seed, kinds)
@@ -609,14 +621,14 @@ def _xy_problem(target: Tuple[float, float]) -> _Problem:
     """Reach (tx, ty) with the planar fold: residual fold - target."""
     tx, ty = _finite_target("xy", target)
 
-    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
         origin = _origin(seed)
 
         def residual(ts: Sequence[float]) -> Tuple[Tuple[float, float], list]:
             (x, y), tape = _fold_xy(origin, kinds, ts)
             return (x - tx, y - ty), tape
 
-        return residual, _sweep_xy
+        return residual, _sweep_xy, len(kinds)
 
     return problem_of
 
@@ -625,14 +637,14 @@ def _uvw_problem(target: UVWPoint) -> _Problem:
     """Reach a (u, v, w) target with the full fold: residual fold - target."""
     tu, tv, tw = _finite_target("uvw", [c.to_float() for c in target.coords()])
 
-    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+    def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
         origin = seed_uvw(seed)
 
         def residual(ts: Sequence[float]) -> Tuple[Tuple[float, float, float], list]:
             (u, v, w), tape = _fold_uvw(origin, kinds, ts)
             return (u - tu, v - tv, w - tw), tape
 
-        return residual, _sweep_uvw
+        return residual, _sweep_uvw, len(kinds)
 
     return problem_of
 
@@ -655,8 +667,10 @@ def nearest_reachable(
 
     Searches both seeds and the 2k alternating forms, solving each form's
     parameters by projected Levenberg-Marquardt (`_solve`) on the residual
-    fold - target from `cfg.multistarts` seeded starts.  On an exact distance tie
-    the shortest form wins, then the XY seed, then the form starting with A.
+    fold - target, from the starts of `_solved_forms`: the winner of the
+    form one step shorter with an identity step appended, then four seeded
+    Latin-hypercube points.  On an exact distance tie the shortest form
+    wins, then the XY seed, then the form starting with A.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
     form (B,).  The returned distance is always an upper bound on the true
@@ -664,7 +678,7 @@ def nearest_reachable(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _xy_problem(target.to_floats()), cfg, tag=0)[-1]
+    winner = _walk(k, _xy_problem(target.to_floats()), cfg)[-1]
     (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
@@ -680,12 +694,12 @@ def nearest_reachable_uvw(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _uvw_problem(target), cfg, tag=1)[-1]
+    winner = _walk(k, _uvw_problem(target), cfg)[-1]
     (u, v, w), _ = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
     return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
 
-def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> List[ProfileRow]:
+def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[ProfileRow]:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     return [
@@ -694,8 +708,9 @@ def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig, tag: int) -> L
             distance=winner.distance,
             pattern="".join(kind.value for kind in winner.kinds),
             t_values=winner.ts,
+            converged=winner.converged,
         )
-        for k, winner in enumerate(_walk(k_max, problem_of, cfg, tag), start=1)
+        for k, winner in enumerate(_walk(k_max, problem_of, cfg), start=1)
     ]
 
 
@@ -707,7 +722,7 @@ def coarse_length_profile(
     One walk over the forms serves every k, and row k equals
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    return _profile(k_max, _xy_problem(target.to_floats()), cfg, tag=0)
+    return _profile(k_max, _xy_problem(target.to_floats()), cfg)
 
 
 def coarse_length_profile_uvw(
@@ -718,7 +733,7 @@ def coarse_length_profile_uvw(
     Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
     experiments targeting a group element rather than its planar shadow.
     """
-    return _profile(k_max, _uvw_problem(target), cfg, tag=1)
+    return _profile(k_max, _uvw_problem(target), cfg)
 
 
 def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
@@ -735,17 +750,12 @@ def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
 def _quadratic_roots(a: float, b: float, c: float) -> List[float]:
     """Real roots of a t^2 + b t + c, stable against cancellation."""
     if abs(a) < 1e-300:
-        if abs(b) < 1e-300:
-            return []
-        return [-c / b]
+        return [] if abs(b) < 1e-300 else [-c / b]
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
     root = math.sqrt(disc)
-    if b >= 0:
-        q = -(b + root) / 2
-    else:
-        q = -(b - root) / 2
+    q = -(b + root) / 2 if b >= 0 else -(b - root) / 2
     roots = [q / a]
     if q != 0:
         roots.append(c / q)
@@ -784,7 +794,7 @@ def _lowest_landing(
     return (d, d_base, d_other) if kind is StepKind.A else (d, d_other, d_base)
 
 
-def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual, _Jacobian]:
+def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
     """Residual d - 1/3 of the form's lowest diagonal landing, over the
     parameters of every step but the last, which lands exactly.  A point
     with no landing scores 2 - 1/3 with a zero gradient."""
@@ -800,7 +810,7 @@ def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> Tuple[_Residual
         d_x0, d_y0, tape = landing
         return [(d_x0 * p + d_y0 * q,) for p, q in _sweep_xy(tape)]
 
-    return residual, jacobian
+    return residual, jacobian, len(prefix)
 
 
 def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
@@ -814,12 +824,8 @@ def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")
-    best = math.inf
-    for seed, kinds in _forms(k):
-        context = _length_context(2, seed, kinds)
-        solved, _ = _multistart(*_landing_problem(seed, kinds), len(kinds) - 1, cfg, context)
-        best = min(best, solved.cost)
-    return Scalar.of_float(best)
+    costs = (solved.cost for _, _, solved, _ in _solved_forms(k, _landing_problem, cfg))
+    return Scalar.of_float(min(costs))
 
 
 # word synthesis ---------------------------------------------------------
@@ -857,26 +863,17 @@ def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], st
 def _reach(
     target_xy: Tuple[float, float], cfg: SearchConfig
 ) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...]]]:
-    """Reach a planar point by `_solve` over the alternating forms.
+    """Reach a planar point by `_solved_forms` within `cfg.max_synthesis_steps`.
 
-    Forms are tried in `_forms` order up to `cfg.max_synthesis_steps`
-    steps, each from the all-0.5 vector and then up to four seeded starts,
-    with the exact Jacobian of the planar fold (`_sweep_xy`).
     Returns the first (seed, kinds, ts) within `cfg.synthesis_tolerance`,
-    so shorter sequences win; None when the budget ends.
+    so shorter sequences win; None when the budget ends.  A budget of 0
+    steps leaves only the empty forms, which are not a reach.
     """
-    problem_of = _xy_problem(target_xy)
-    starts_budget = min(4, cfg.multistarts)
-    for seed, kinds in _forms(cfg.max_synthesis_steps):
-        if not kinds:  # a budget of 0 steps has nothing to solve
-            return None
-        residual, jacobian = problem_of(seed, kinds)
-        context = _length_context(4, seed, kinds)  # tags 0-2 seed the searches
-        raw_starts = _start_vectors(len(kinds), cfg, context)[:starts_budget]
-        for x0 in [[0.5] * len(kinds), *raw_starts]:
-            solved = _solve(residual, jacobian, x0, cfg.max_iterations)
-            if solved.cost <= cfg.synthesis_tolerance:
-                return seed, kinds, solved.point
+    tol = cfg.synthesis_tolerance
+    xy_problem = _xy_problem(target_xy)
+    for seed, kinds, solved, _ in _solved_forms(cfg.max_synthesis_steps, xy_problem, cfg, tol):
+        if kinds and solved.cost <= tol:
+            return seed, kinds, solved.point
     return None
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -82,6 +83,17 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "not a finite number" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("word", ["X^1e200 Y^1e200 X^-1e200", "X^1e308 Y^1e308"])
+    def test_float_overflow_is_a_usage_error(self, capsys, word, fmt):
+        code, out, err = run(capsys, "eval", word, "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "--arith exact" in err
+        code, out, _ = run(capsys, "eval", word, "--arith", "exact")
+        assert code == 0
+        assert "inf" not in out and "nan" not in out
 
     def test_csv_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -182,6 +194,21 @@ class TestPlot:
         assert "--resolution" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--resolution", "4097"), ("--resolution", "100000000"),
+         ("--count", "1"), ("--count", "65537"), ("--count", "100000000")],
+    )
+    def test_work_flags_are_bounded(self, capsys, tmp_path, monkeypatch, flag, value):
+        def render_region(*args, **kwargs):
+            raise AssertionError("rendered despite an out-of-range flag")
+
+        monkeypatch.setattr("nilwords.cli.render_region", render_region)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plot", "--out", str(tmp_path / "region.svg"), flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be at" in capsys.readouterr().err
+
     @pytest.mark.parametrize("eps", ["nan", "-5"])
     def test_bad_eps(self, capsys, tmp_path, eps):
         path = tmp_path / "region.svg"
@@ -211,7 +238,8 @@ class TestProfile:
         assert len(payload["rows"]) == 2
         assert "upper bounds" in payload["note"]
         first = payload["rows"][0]
-        assert set(first) == {"k", "distance", "pattern", "t_vector"}
+        assert set(first) == {"k", "distance", "pattern", "t_vector", "converged"}
+        assert all(row["converged"] is True for row in payload["rows"])
 
     def test_uvw_objective(self, capsys):
         code, out, _ = run(
@@ -419,6 +447,36 @@ class TestParser:
             "--seed", "7", "--pattern-cap", "8",
         )
         assert code == 0
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @staticmethod
+    def flag_cell(parser):
+        """A subcommand's flags as the README table writes them: its own flags
+        in parser order, then `--format{choices}` and `--out`."""
+        flags, formats = [], ""
+        for action in parser._actions:
+            if not action.option_strings or action.dest in ("help", "out"):
+                continue
+            if action.dest == "format":
+                formats = "--format{" + ",".join(action.choices) + "}"
+            else:
+                flags.append(action.option_strings[0])
+        return " ".join([*flags, formats, "--out"])
+
+    def test_flag_table_matches_the_parser(self):
+        lines = self.README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| Subcommand | Flags |") + 2
+        documented = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            name, cell = (part.strip() for part in line.strip("|").split("|"))
+            documented[name] = cell.strip("`")
+        derived = {name: self.flag_cell(parser) for name, parser in subcommands().items()}
+        assert documented == derived
 
 
 # Arbitrary command lines: every one ends in a documented exit code.  The

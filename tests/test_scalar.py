@@ -134,6 +134,17 @@ class TestCloseTo:
             Scalar.of_float(0.5).close_to(Scalar.exact(1, 2), 1.0)
 
 
+class TestIsFinite:
+    def test_exact_values_are_finite_beyond_the_float_range(self):
+        huge = Scalar.exact(10**400)
+        assert huge.is_finite() and (huge * huge).is_finite()
+
+    @pytest.mark.parametrize("x, finite", [(1e308, True), (math.inf, False), (math.nan, False)])
+    def test_float_values(self, x, finite):
+        assert Scalar.of_float(x).is_finite() is finite
+        assert (Scalar.of_float(1e200) * Scalar.of_float(1e200)).is_finite() is False
+
+
 class TestFloatAgreement:
     def test_to_float_examples(self):
         assert exact(Fraction(1, 3)).to_float() == 0.3333333333333333

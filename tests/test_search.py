@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +39,7 @@ from nilwords.search import (
     _origin,
     _padded,
     _solve,
+    _solved_forms,
     _start_vectors,
     _sweep_uvw,
     _sweep_xy,
@@ -46,7 +48,7 @@ from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
 
 S = DIAGONAL_FIXED_POINT.value
 
-FAST = SearchConfig(multistarts=4, max_iterations=300)
+FAST = SearchConfig(max_iterations=300)
 
 step_lists = st.lists(
     st.tuples(
@@ -203,8 +205,9 @@ class TestLowestLanding:
         for length in range(2, 6):
             for seed in Seed:
                 for start in StepKind:
-                    residual, jacobian = _landing_problem(seed, _alternating(start, length))
-                    ts = [rnd.uniform(0.05, 0.95) for _ in range(length - 1)]
+                    residual, jacobian, dim = _landing_problem(seed, _alternating(start, length))
+                    assert dim == length - 1
+                    ts = [rnd.uniform(0.05, 0.95) for _ in range(dim)]
                     (d,), tape = residual(ts)
                     jac = jacobian(tape)
                     assert [len(column) for column in jac] == [1] * (length - 1)
@@ -234,40 +237,30 @@ class TestLowestLanding:
 class TestStartVectors:
     def test_pinned_latin_hypercube_points(self):
         # Values from scipy's qmc.LatinHypercube on the same seeds.
-        four = _start_vectors(2, SearchConfig(multistarts=4), (1, 0, 3))
-        assert four.tolist() == [
-            [0.10846376472869498, 0.7181906707766506],
-            [0.9795128994483993, 0.0094820844116843],
-            [0.5237533033020147, 0.929305347208895],
-            [0.4378923067119787, 0.40062111625581376],
+        assert _start_vectors(2, DEFAULT_CONFIG).tolist() == [
+            [0.7320255513166098, 0.30674476537237827],
+            [0.8617196321265712, 0.1524300052825009],
+            [0.31425160720381895, 0.6729122158934786],
+            [0.2047955203518499, 0.8828788421285712],
         ]
-        one = _start_vectors(3, SearchConfig(multistarts=1), (2, 1, 5, 0))
-        assert one.tolist() == [[0.49946035084062235, 0.4028548116730183, 0.8028915464847918]]
-        eight = _start_vectors(1, SearchConfig(multistarts=8), (0,))
-        assert eight.ravel().tolist() == [
-            0.12431007358172178,
-            0.2919609879635222,
-            0.7487592365717181,
-            0.8248211704988668,
-            0.1873221956117933,
-            0.5274891506268103,
-            0.4538656197904247,
-            0.9099971434762195,
+        assert _start_vectors(1, SearchConfig(master_seed=0)).ravel().tolist() == [
+            0.774220241350587,
+            0.3930881749988642,
+            0.029947995725691096,
+            0.6792014172516441,
         ]
 
     def test_one_start_per_slice_of_each_axis(self):
-        n = 16
-        points = _start_vectors(5, SearchConfig(multistarts=n), (7,))
-        assert points.shape == (n, 5)
+        points = _start_vectors(5, DEFAULT_CONFIG)
+        assert points.shape == (4, 5)
         for axis in points.T:
-            assert sorted(int(v * n) for v in axis) == list(range(n))
+            assert sorted(int(v * 4) for v in axis) == [0, 1, 2, 3]
 
 
 class TestSearchConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("multistarts", 0),
             ("max_iterations", 0),
             ("synthesis_tolerance", math.nan),
             ("synthesis_tolerance", -1e-9),
@@ -283,7 +276,6 @@ class TestSearchConfig:
 
     def test_smallest_valid_values(self):
         cfg = SearchConfig(
-            multistarts=1,
             max_iterations=1,
             synthesis_tolerance=5e-324,
             max_synthesis_steps=0,
@@ -541,6 +533,38 @@ class TestForms:
         assert _padded((A, B), (0.5, 0.25), 2) == ((A, B), (0.5, 0.25))
 
 
+class TestSolvedForms:
+    def test_each_form_starts_from_its_predecessor(self):
+        # The first start of a form is its predecessor's winner with an
+        # identity step appended, so no form costs more than its predecessor.
+        costs = {}
+        problem_of = search._xy_problem((0.38, 0.36))
+        for seed, kinds, solved, spent in _solved_forms(8, problem_of, FAST):
+            family = (seed, kinds[0])
+            assert solved.cost <= costs.get(family, math.inf)
+            assert spent >= solved.evaluations
+            costs[family] = solved.cost
+        assert len(costs) == 4
+
+    def test_starts_stop_at_the_first_cost_within_enough(self, monkeypatch):
+        solves = []
+        solve = search._solve
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(search, "_solve", counted_solve)
+        reachable = search._xy_problem(((1 - 0.3) ** 2, 0.3))  # XY, A at t = 0.3
+        seed, kinds, solved, _ = next(_solved_forms(1, reachable, FAST, enough=1e-9))
+        assert (seed, kinds, len(solves)) == (Seed.XY, (StepKind.A,), 1)
+        assert solved.cost <= 1e-9
+        solves.clear()
+        unreachable = search._xy_problem((0.38, 0.36))
+        next(_solved_forms(1, unreachable, FAST))
+        assert len(solves) == 5  # the all-0.5 vector, then four Latin-hypercube points
+
+
 class TestNearestReachable:
     def test_zero_steps(self):
         report = nearest_reachable(target(1.0, 0.0), 0, FAST)
@@ -580,7 +604,7 @@ class TestNearestReachable:
     def test_large_budget(self):
         # Only 2k alternating forms per seed exist at budget k, so a budget
         # of 40 steps costs 160 short optimizer runs, not 2^40 patterns.
-        quick = SearchConfig(multistarts=1, max_iterations=1)
+        quick = SearchConfig(max_iterations=1)
         report = nearest_reachable(target(0.4, 0.4), 40, quick)
         assert len(report.best_sequence.steps) == 40
         rows = coarse_length_profile(target(0.4, 0.4), 40, quick)
@@ -648,12 +672,23 @@ class TestProfiles:
 
     def test_default_profile_at_the_limit_is_tight(self):
         # The optima at (1/3, 1/3) for k = 7 and 8 are 0.0037155 and
-        # 0.0029302 (the same with 32 starts per form).  A search stuck at
-        # the 6-step optimum padded with identity steps reports 0.004866 at
+        # 0.0029302, the balanced prefix's distances.  A search stuck at the
+        # 6-step optimum padded with identity steps reports 0.004866 at
         # k = 7.
         rows = coarse_length_profile(target(1 / 3, 1 / 3), 8)
         assert rows[6].distance <= 0.0037155 + 1e-9
         assert rows[7].distance <= 0.0029303
+
+    def test_profile_at_the_limit_follows_the_balanced_prefix(self):
+        # The balanced prefix: seed YX, kinds B A B A ..., t_i = 2/(i + 2)
+        # for the first k - 1 steps, and the last step at the minimum of the
+        # squared distance, a quartic in t, over [0, 1].  Up to k = 24 the
+        # profile matches it, and every winner converged.
+        rows = coarse_length_profile(target(1 / 3, 1 / 3), 24)
+        for row in rows:
+            expected = balanced_prefix_distance(row.k)
+            assert abs(row.distance - expected) <= 1e-10 * expected, row.k
+            assert row.converged, row.k
 
     def test_csv_form(self):
         rows = coarse_length_profile(target(0.38, 0.36), 2, FAST)
@@ -666,6 +701,24 @@ class TestProfiles:
         float(distance)
         assert set(pattern) <= {"A", "B"}
         assert len(ts.split(";")) == 2
+
+
+def balanced_prefix_distance(k):
+    """Distance to (1/3, 1/3) of the balanced prefix with k steps."""
+
+    def step(kind, t, x, y):
+        r = 1 - t
+        return (r * r * x, r * y + t) if kind == "A" else (r * x + t, r * r * y)
+
+    kinds = ["B" if i % 2 == 0 else "A" for i in range(k)]
+    x, y = 0.0, 1.0
+    for i, kind in enumerate(kinds[:-1], start=1):
+        x, y = step(kind, 2 / (i + 2), x, y)
+    # the squared distance after the last step is a quartic in its t
+    px, py = step(kinds[-1], np.polynomial.Polynomial([0.0, 1.0]), x, y)
+    roots = ((px - 1 / 3) ** 2 + (py - 1 / 3) ** 2).deriv().roots()
+    ts = [0.0, 1.0] + [z.real for z in roots if abs(z.imag) < 1e-12 and 0 <= z.real <= 1]
+    return min(math.hypot(u - 1 / 3, v - 1 / 3) for u, v in (step(kinds[-1], t, x, y) for t in ts))
 
 
 class TestSharedWalk:
@@ -838,9 +891,7 @@ class TestSynthesis:
             synthesize_word(target(1 / 3, 1 / 3), FAST)
 
     def test_near_limit_budget_exhaustion_is_reported(self):
-        tight = SearchConfig(
-            multistarts=2, max_synthesis_steps=3, synthesis_tolerance=1e-9
-        )
+        tight = SearchConfig(max_synthesis_steps=3, synthesis_tolerance=1e-9)
         near = 1 / 3 + 1e-6
         assert membership(target(near, near)).status is Membership.INTERIOR_MEMBER
         result = synthesize_word(target(near, near), tight)
@@ -916,32 +967,32 @@ class TestOneForwardPass:
 
 
 class TestPinnedAnswers:
-    """Answers of the default configuration, bit for bit, as the solver gave
-    them before its Jacobians became backward sweeps of the residual's tape;
-    a change to the solver's arithmetic shows here first."""
+    """Answers of the default configuration, bit for bit, from the start
+    rule of `_solved_forms`; a change to the solver's arithmetic or to the
+    starts shows here first."""
 
     def test_diagonal_gaps(self):
         assert [diagonal_gap(k).to_float().hex() for k in range(1, 9)] == [
             "0x1.8e661e256c068p-5",
             "0x1.43cbb5b0e43c0p-6",
-            "0x1.61d2afdd09080p-7",
-            "0x1.befd5e9bf1640p-8",
+            "0x1.61d2afdd090a0p-7",
+            "0x1.befd5e9bf1680p-8",
             "0x1.343b6720de300p-8",
-            "0x1.c301d7a9c5980p-9",
-            "0x1.585cea0196000p-9",
-            "0x1.0f953b0ed3e00p-9",
+            "0x1.c301d7a9c5a00p-9",
+            "0x1.585cea0196180p-9",
+            "0x1.0f953b0ed4100p-9",
         ]
 
     @pytest.mark.parametrize(
         "k, distance, evaluations, pattern, ts",
         [
-            (1, "0x1.0ec7589a55419p+0", 681, "A", ["0x1.2337ef2000000p-2"]),
+            (1, "0x1.0ec7589a55419p+0", 423, "A", ["0x1.2337ef0000000p-2"]),
             (
                 2,
-                "0x1.14ea0d4e8cd0fp-3",
-                1473,
+                "0x1.14ea0d4e8cd11p-3",
+                960,
                 "AB",
-                ["0x1.5350033940000p-1", "0x1.595ff98e40000p-2"],
+                ["0x1.5350033c00000p-1", "0x1.595ff98800000p-2"],
             ),
         ],
     )
@@ -961,21 +1012,21 @@ class TestPinnedAnswers:
                 0.865412341496933,
                 "direct",
                 "AB",
-                ["0x1.bd5075dc5d26ap-1", "0x1.479716df0a5b7p-9"],
+                ["0x1.bd5075dc5d269p-1", "0x1.479716df0a574p-9"],
             ),
             (
                 0.23928492289067993,
                 0.46116458327848064,
                 "direct",
                 "ABA",
-                ["0x1.dfaab55153d74p-2", "0x1.0c26ca8b7b7b2p-1", "0x1.96a2cd98f1633p-2"],
+                ["0x1.4195ca479a960p-1", "0x1.410f4848f9b99p-2", "0x1.e085bd6735ec8p-3"],
             ),
             (
                 0.5152680043143939,
                 0.22323688358029925,
                 "direct",
                 "AB",
-                ["0x1.b1a7ce7af931bp-2", "0x1.1888fab9519fdp-2"],
+                ["0x1.b1a7ce7af931cp-2", "0x1.1888fab9519fdp-2"],
             ),
         ],
     )
