@@ -199,6 +199,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             raise _UsageError("uvw profile takes: profile --objective uvw U V W K_MAX")
         target = UVWPoint(*(Scalar.of_float(v) for v in values))
         rows = coarse_length_profile_uvw(target, args.k_max, cfg)
+    if not all(math.isfinite(row.distance) for row in rows):
+        raise _UsageError(
+            f"target {values} is too large: its distance overflows float arithmetic"
+        )
     if args.format == "json":
         payload = {
             "objective": args.objective,

@@ -101,11 +101,16 @@ def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerd
     x, y = p.x.value, p.y.value
     if p.mode is Mode.EXACT:
         qx, qy = x.denominator, y.denominator
-        x, y, d = x.numerator * qy, y.numerator * qx, qx * qy
-        eps = 0  # the only margin EpsilonPolicy admits in exact mode
-    else:
-        d = 1
-        eps = policy.eps.value if policy is not None else 0.0
+        # eps = 0 is the only margin EpsilonPolicy admits in exact mode
+        return _classify(x.numerator * qy, y.numerator * qx, qx * qy, 0)
+    return _classify(x, y, 1, policy.eps.value if policy is not None else 0.0)
+
+
+def _classify(x, y, d, eps) -> RegionVerdict:
+    """`membership` of the point (x/d, y/d), d > 0, given as the homogeneous
+    triple (x, y, d) of ints or floats.  Scaling the triple by a positive
+    factor keeps every sign and every tie, so with eps = 0 any such triple
+    of a point gets the same verdict."""
     if (x == d and y == 0) or (x == 0 and y == d):
         return RegionVerdict(Membership.ENDPOINT_MEMBER)
     d_minus_x = d - x

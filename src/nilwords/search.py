@@ -18,6 +18,14 @@ repeating the step of the form (B,).  Each form starts from the winner of
 the form one step shorter with the same seed and first kind, an identity
 step appended, then from four seeded Latin-hypercube points.
 
+Swapping X and Y is a symmetry of the group: it swaps x and y, the a- and
+b-maps, and the two seeds, so the form (YX; B A B ...) reaches the mirror
+image of what (XY; A B A ...) reaches.  On a target with x = y, and for
+the diagonal landing, the two forms of a mirror pair pose the same
+problem, with the same parameters, and only the XY forms are solved: half
+the work, every winner XY-seeded, and about half the evaluations
+reported.  The (u, v, w) searches solve both seeds.
+
 Every search, and the numeric reach inside word synthesis, runs one solver:
 `_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
 3 residuals of a form (the planar fold minus the target, the (u, v, w) fold
@@ -124,8 +132,9 @@ DEFAULT_CONFIG = SearchConfig()
 @dataclass(frozen=True)
 class SearchReport:
     """The best sequence found.  `evaluations` is the number of residual
-    evaluations spent on every form of at most k steps, and `converged`
-    is the winning start's `_solve` verdict."""
+    evaluations spent on every form of at most k steps that was solved (on
+    a diagonal target only the XY forms are), and `converged` is the
+    winning start's `_solve` verdict."""
 
     best_sequence: MapSequence
     best_point: XYPoint
@@ -477,14 +486,17 @@ def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
     return tuple(start if i % 2 == 0 else other for i in range(length))
 
 
-def _forms(k: int) -> Iterator[Tuple[Seed, Tuple[StepKind, ...]]]:
+def _forms(k: int, symmetric: bool = False) -> Iterator[Tuple[Seed, Tuple[StepKind, ...]]]:
     """The (seed, alternating form) pairs with at most k steps, ordered by
-    length, then seed, then starting kind.  Budget 0 has only the empty form."""
+    length, then seed, then starting kind.  Budget 0 has only the empty form.
+    A `symmetric` problem, one the X <-> Y swap maps to itself, gets only
+    the XY seed's forms: each YX form is the mirror of an XY form."""
+    seeds = (Seed.XY,) if symmetric else (Seed.XY, Seed.YX)
     if k == 0:
-        for seed in (Seed.XY, Seed.YX):
+        for seed in seeds:
             yield seed, ()
     for length in range(1, k + 1):
-        for seed in (Seed.XY, Seed.YX):
+        for seed in seeds:
             for start in (StepKind.A, StepKind.B):
                 yield seed, _alternating(start, length)
 
@@ -519,9 +531,14 @@ _Problem = Callable[[Seed, Tuple[StepKind, ...]], _Posed]
 
 
 def _solved_forms(
-    k_max: int, problem_of: _Problem, cfg: SearchConfig, enough: float = 0.0
+    k_max: int,
+    problem_of: _Problem,
+    cfg: SearchConfig,
+    enough: float = 0.0,
+    symmetric: bool = False,
 ) -> Iterator[Tuple[Seed, Tuple[StepKind, ...], _Solved, int]]:
-    """Solve each form of `_forms(k_max)` once, continuing along its family.
+    """Solve each form of `_forms(k_max, symmetric)` once, continuing along
+    its family.
 
     A family is the forms of one seed and first kind, each its predecessor
     with one more step.  A form starts first from its predecessor's winner
@@ -533,9 +550,16 @@ def _solved_forms(
     whose cost is <= `enough`; the earlier start wins a tie, so at
     `enough = 0` stopping never changes the winner.  Yields (seed, kinds,
     the form's best `_Solved`, the residual evaluations of its starts).
+
+    Pass `symmetric` only for a problem the X <-> Y swap maps to itself
+    (a planar target with x = y, or the diagonal landing): a YX form and its
+    XY mirror then have the same starts and pose the same problem, so the YX
+    forms are skipped.  A planar twin's cost agrees with its XY twin's up
+    to the rounding of sums taken in mirrored order; a landing twin's is
+    the same bit for bit.
     """
     winners: dict = {}  # family -> its latest form's winning point
-    for seed, kinds in _forms(k_max):
+    for seed, kinds in _forms(k_max, symmetric):
         residual, jacobian, dim = problem_of(seed, kinds)
         family = (seed, kinds[:1])
         first = winners[family] + (0.0,) if family in winners else (0.5,) * dim
@@ -581,8 +605,10 @@ def _padded(
     return kinds, ts[:cut] + (0.0,) * extra + ts[cut:]
 
 
-def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[_Winner]:
-    """Keep a running best over `_solved_forms(k_max)`.
+def _walk(
+    k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+) -> List[_Winner]:
+    """Keep a running best over `_solved_forms(k_max, symmetric=symmetric)`.
 
     Returns one winner per budget k (k = 0 alone for k_max = 0, else
     k = 1..k_max), counting the residual evaluations spent on all forms of
@@ -593,7 +619,7 @@ def _walk(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[_Winner]:
     winners: List[_Winner] = []
     best: Optional[Tuple[_Solved, Seed, Tuple[StepKind, ...]]] = None
     evaluations = 0
-    solved_forms = _solved_forms(k_max, problem_of, cfg)
+    solved_forms = _solved_forms(k_max, problem_of, cfg, symmetric=symmetric)
     for length, forms in itertools.groupby(solved_forms, key=lambda form: len(form[1])):
         for seed, kinds, solved, spent in forms:
             evaluations += spent
@@ -670,7 +696,9 @@ def nearest_reachable(
     fold - target, from the starts of `_solved_forms`: the winner of the
     form one step shorter with an identity step appended, then four seeded
     Latin-hypercube points.  On an exact distance tie the shortest form
-    wins, then the XY seed, then the form starting with A.
+    wins, then the XY seed, then the form starting with A.  On a diagonal
+    target (x == y as floats) the YX forms, mirrors of the XY forms, are
+    not solved, so the winner is XY-seeded and `evaluations` about halves.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
     form (B,).  The returned distance is always an upper bound on the true
@@ -678,7 +706,8 @@ def nearest_reachable(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _xy_problem(target.to_floats()), cfg)[-1]
+    tx, ty = target.to_floats()
+    winner = _walk(k, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)[-1]
     (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
@@ -699,7 +728,9 @@ def nearest_reachable_uvw(
     return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
 
-def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[ProfileRow]:
+def _profile(
+    k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+) -> List[ProfileRow]:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     return [
@@ -710,7 +741,7 @@ def _profile(k_max: int, problem_of: _Problem, cfg: SearchConfig) -> List[Profil
             t_values=winner.ts,
             converged=winner.converged,
         )
-        for k, winner in enumerate(_walk(k_max, problem_of, cfg), start=1)
+        for k, winner in enumerate(_walk(k_max, problem_of, cfg, symmetric=symmetric), start=1)
     ]
 
 
@@ -722,7 +753,8 @@ def coarse_length_profile(
     One walk over the forms serves every k, and row k equals
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    return _profile(k_max, _xy_problem(target.to_floats()), cfg)
+    tx, ty = target.to_floats()
+    return _profile(k_max, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)
 
 
 def coarse_length_profile_uvw(
@@ -819,12 +851,14 @@ def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     The final step is solved exactly (a quadratic decides which parameters
     land on the diagonal, and the lowest landing d counts), the earlier
     steps by `_solve` on the residual d - 1/3, and only alternating forms
-    are searched since runs of one kind fuse.  Returns min(d) - 1/3, which
+    are searched since runs of one kind fuse.  The diagonal is its own
+    mirror, so only the XY forms are solved.  Returns min(d) - 1/3, which
     is positive for every finite k.
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")
-    costs = (solved.cost for _, _, solved, _ in _solved_forms(k, _landing_problem, cfg))
+    solved_forms = _solved_forms(k, _landing_problem, cfg, symmetric=True)
+    costs = (solved.cost for _, _, solved, _ in solved_forms)
     return Scalar.of_float(min(costs))
 
 
@@ -867,11 +901,15 @@ def _reach(
 
     Returns the first (seed, kinds, ts) within `cfg.synthesis_tolerance`,
     so shorter sequences win; None when the budget ends.  A budget of 0
-    steps leaves only the empty forms, which are not a reach.
+    steps leaves only the empty forms, which are not a reach.  A diagonal
+    target solves only the XY forms, as in `nearest_reachable`.
     """
     tol = cfg.synthesis_tolerance
-    xy_problem = _xy_problem(target_xy)
-    for seed, kinds, solved, _ in _solved_forms(cfg.max_synthesis_steps, xy_problem, cfg, tol):
+    tx, ty = target_xy
+    solved_forms = _solved_forms(
+        cfg.max_synthesis_steps, _xy_problem(target_xy), cfg, tol, symmetric=tx == ty
+    )
+    for seed, kinds, solved, _ in solved_forms:
         if kinds and solved.cost <= tol:
             return seed, kinds, solved.point
     return None

@@ -25,7 +25,7 @@ from .dynamics import (
     map_b_xy,
     project,
 )
-from .region import EpsilonPolicy, Membership, membership
+from .region import Membership, _classify, membership
 from .scalar import Mode, Scalar
 from .words import SigmaWord, balanced_word, sigma_to_rword, word_map_a, word_map_b
 
@@ -156,17 +156,19 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
 
 def _random_interior_point(rnd: random.Random, mode: Mode) -> XYPoint:
-    policy = EpsilonPolicy.for_mode(mode)
+    """Draw candidates until one is an interior member.  An exact candidate
+    (px/1024, py/1024) is classified as the integer triple (px, py, 1024),
+    which gets the verdict of its reduced Fractions, so Fractions are built
+    only for the accepted point."""
     while True:
         if mode is Mode.EXACT:
-            p = XYPoint(
-                Scalar.exact(rnd.randint(1, 1023), 1024),
-                Scalar.exact(rnd.randint(1, 1023), 1024),
-            )
+            x, y, d = rnd.randint(1, 1023), rnd.randint(1, 1023), 1024
         else:
-            p = XYPoint.of_floats(rnd.random(), rnd.random())
-        if membership(p, policy).status is Membership.INTERIOR_MEMBER:
-            return p
+            x, y, d = rnd.random(), rnd.random(), 1
+        if _classify(x, y, d, 0).status is Membership.INTERIOR_MEMBER:
+            if mode is Mode.EXACT:
+                return XYPoint(Scalar.exact(x, d), Scalar.exact(y, d))
+            return XYPoint.of_floats(x, y)
 
 
 def _suite_invariance(mode: Mode, trials: int, seed: int) -> List[CheckResult]:

@@ -268,6 +268,24 @@ class TestProfile:
         assert out == ""
         assert "not a finite number" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_distance_is_a_usage_error(self, capsys, fmt):
+        # each residual is finite, but their norm overflows to inf, which
+        # JSON cannot hold
+        code, out, err = run(capsys, "profile", "1.7e308", "1.7e308", "2", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert "overflows" in err
+
+    def test_negative_coordinate_follows_a_double_dash(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--objective", "uvw", "-1e-3", "1", "1", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        code, out, _ = run(capsys, "profile", "--objective", "uvw", "--", "-1e-3", "1", "1", "1")
+        assert code == 0
+        assert out.startswith("k,distance,pattern,t_vector\n1,")
+
 
 class TestSynth:
     def test_seed_orbit_target(self, capsys):

@@ -521,6 +521,12 @@ class TestForms:
 
     def test_zero_budget_has_only_the_empty_form(self):
         assert list(_forms(0)) == [(Seed.XY, ()), (Seed.YX, ())]
+        assert list(_forms(0, symmetric=True)) == [(Seed.XY, ())]
+
+    def test_symmetric_order_keeps_the_xy_forms(self):
+        for k in range(4):
+            both = list(_forms(k))
+            assert list(_forms(k, symmetric=True)) == [f for f in both if f[0] is Seed.XY]
 
     def test_padding(self):
         A, B = StepKind.A, StepKind.B
@@ -563,6 +569,86 @@ class TestSolvedForms:
         unreachable = search._xy_problem((0.38, 0.36))
         next(_solved_forms(1, unreachable, FAST))
         assert len(solves) == 5  # the all-0.5 vector, then four Latin-hypercube points
+
+
+def mirrored(kinds):
+    """The kinds of the form the X <-> Y swap maps `kinds` to."""
+    swap = {StepKind.A: StepKind.B, StepKind.B: StepKind.A}
+    return tuple(swap[kind] for kind in kinds)
+
+
+class TestMirrorPairs:
+    """Swapping X and Y maps the YX form (B A B ...) onto the XY form
+    (A B A ...); on a diagonal target the two pose the same problem, so only
+    the XY forms are solved."""
+
+    @staticmethod
+    def seeds_posed(monkeypatch, run):
+        """The seeds of the planar forms `run()` poses to the solver."""
+        seeds = set()
+        xy_problem = search._xy_problem
+
+        def recording(target_xy):
+            problem_of = xy_problem(target_xy)
+
+            def posed(seed, kinds):
+                seeds.add(seed)
+                return problem_of(seed, kinds)
+
+            return posed
+
+        monkeypatch.setattr(search, "_xy_problem", recording)
+        run()
+        return seeds
+
+    def test_diagonal_targets_solve_only_xy_forms(self, monkeypatch):
+        for goal in (target(1 / 3, 1 / 3), target(0.38, 0.38)):
+            seeds = self.seeds_posed(monkeypatch, lambda: nearest_reachable(goal, 4, FAST))
+            assert seeds == {Seed.XY}
+        near = target(1 / 3 + 1e-3, 1 / 3 + 1e-3)
+        short = SearchConfig(max_synthesis_steps=3)
+        assert self.seeds_posed(monkeypatch, lambda: synthesize_word(near, short)) == {Seed.XY}
+
+    def test_off_diagonal_targets_solve_both_seeds(self, monkeypatch):
+        for goal in (target(0.38, 0.36), target(1 / 3, math.nextafter(1 / 3, 1))):
+            seeds = self.seeds_posed(monkeypatch, lambda: coarse_length_profile(goal, 2, FAST))
+            assert seeds == {Seed.XY, Seed.YX}
+
+    @staticmethod
+    def twin_costs(problem_of, k):
+        """(XY cost, YX mirror cost) of every XY form, both seeds solved."""
+        costs = {
+            (seed, kinds): solved.cost
+            for seed, kinds, solved, _ in _solved_forms(k, problem_of, FAST)
+        }
+        return [
+            (cost, costs[Seed.YX, mirrored(kinds)])
+            for (seed, kinds), cost in costs.items()
+            if seed is Seed.XY
+        ]
+
+    @pytest.mark.parametrize("d", [1 / 3, 0.35, 0.38, 0.5])
+    def test_skipped_planar_twins_cost_the_same(self, d):
+        pairs = self.twin_costs(search._xy_problem((d, d)), 8)
+        assert len(pairs) == 16
+        for xy, yx in pairs:
+            assert abs(xy - yx) <= 1e-12 * xy
+
+    def test_skipped_landing_twins_cost_the_same_bit_for_bit(self):
+        pairs = self.twin_costs(search._landing_problem, 8)
+        assert len(pairs) == 16
+        assert all(xy == yx for xy, yx in pairs)
+
+    def test_limit_point_reports_the_xy_seed(self):
+        for k in range(1, 6):
+            assert nearest_reachable(target(1 / 3, 1 / 3), k, FAST).best_sequence.seed is Seed.XY
+
+    def test_diagonal_search_spends_about_half(self):
+        goal = (0.38, 0.38)
+        both = list(_solved_forms(4, search._xy_problem(goal), FAST))
+        spent = sum(spent for seed, _, _, spent in both if seed is Seed.XY)
+        assert nearest_reachable(target(*goal), 4, FAST).evaluations == spent
+        assert 2 * spent == pytest.approx(sum(spent for *_, spent in both), rel=0.2)
 
 
 class TestNearestReachable:
@@ -682,8 +768,11 @@ class TestProfiles:
     def test_profile_at_the_limit_follows_the_balanced_prefix(self):
         # The balanced prefix: seed YX, kinds B A B A ..., t_i = 2/(i + 2)
         # for the first k - 1 steps, and the last step at the minimum of the
-        # squared distance, a quartic in t, over [0, 1].  Up to k = 24 the
-        # profile matches it, and every winner converged.
+        # squared distance, a quartic in t, over [0, 1].  The target is on
+        # the diagonal, so the profile solves only XY forms and reports the
+        # prefix's mirror, seed XY with kinds A B A B ..., at the same
+        # distance.  Up to k = 24 the profile matches it, and every winner
+        # converged.
         rows = coarse_length_profile(target(1 / 3, 1 / 3), 24)
         for row in rows:
             expected = balanced_prefix_distance(row.k)

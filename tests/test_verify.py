@@ -1,9 +1,13 @@
 """The randomized verification suites at reduced trial counts."""
 
+import random
+
 import pytest
 
-from nilwords.scalar import Mode
-from nilwords.verify import SUITE_NAMES, run_suite
+from nilwords.dynamics import XYPoint
+from nilwords.region import EpsilonPolicy, Membership, membership
+from nilwords.scalar import Mode, Scalar
+from nilwords.verify import SUITE_NAMES, _random_interior_point, run_suite
 
 
 def test_suite_names():
@@ -32,3 +36,30 @@ def test_deterministic_given_seed():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense", trials=1)
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+def test_interior_points_match_the_membership_loop(mode):
+    # The draw loop that classified every candidate as a point by
+    # `membership`; the integer-triple path must accept the same candidates
+    # and so leave the generator in the same state.
+    def by_membership(rnd):
+        policy = EpsilonPolicy.for_mode(mode)
+        while True:
+            if mode is Mode.EXACT:
+                p = XYPoint(
+                    Scalar.exact(rnd.randint(1, 1023), 1024),
+                    Scalar.exact(rnd.randint(1, 1023), 1024),
+                )
+            else:
+                p = XYPoint.of_floats(rnd.random(), rnd.random())
+            if membership(p, policy).status is Membership.INTERIOR_MEMBER:
+                return p
+
+    new, old = random.Random(11), random.Random(11)
+    for _ in range(300):
+        p, q = _random_interior_point(new, mode), by_membership(old)
+        assert p.mode is q.mode is mode
+        assert (p.x.value, p.y.value) == (q.x.value, q.y.value)
+        assert type(p.x.value) is type(q.x.value)
+    assert new.getstate() == old.getstate()
