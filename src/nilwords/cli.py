@@ -8,10 +8,11 @@ target not reached), 2 usage error, 3 tolerance or verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from .dynamics import UVWPoint, UnitMassError, XYPoint, eval_xy, extract_uvw, project
 from .lie_core import (
@@ -51,7 +52,7 @@ EXIT_TOLERANCE = 3
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -59,6 +60,15 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 class _UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Report an output path that cannot be written as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _int_between(low: int, high: float = math.inf) -> Callable[[str], int]:
@@ -175,13 +185,14 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     out = args.out or ("region.csv" if args.format == "csv" else "region.svg")
-    summary = render_region(
-        out,
-        format=args.format,
-        count=args.count,
-        resolution=args.resolution,
-        eps=_policy(Mode.FLOAT, args.eps).eps.value,
-    )
+    with _writing(out):
+        summary = render_region(
+            out,
+            format=args.format,
+            count=args.count,
+            resolution=args.resolution,
+            eps=_policy(Mode.FLOAT, args.eps).eps.value,
+        )
     print(f"wrote {summary.format} to {summary.path}")
     return EXIT_OK
 

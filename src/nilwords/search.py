@@ -5,18 +5,19 @@ A map sequence starts from one of the two seed words (images (1,0) and
 Searches minimize the distance from the endpoint to a target over the
 kinds of the steps and the parameter vector.
 
-The search rests on one algebraic fact: consecutive steps of the same kind
-fuse, applying the a-map at t then at u equals one a-step at
-1-(1-t)(1-u), and likewise for b.  A kind sequence therefore reaches
-exactly what its run-collapsed alternating form reaches, so with budget k
-only the alternating forms of length 1..k exist: 2k per seed.  The search
-optimizes each form once, in the order of `_forms` (length, then seed, then
-starting kind), and keeps the first form with the smallest distance, so on
-an exact tie the shortest form wins.  A winner shorter than k is padded to
-k steps with identity steps (t = 0) right after its first A step, or by
-repeating the step of the form (B,).  Each form starts from the winner of
-the form one step shorter with the same seed and first kind, an identity
-step appended, then from four seeded Latin-hypercube points.
+The search rests on two algebraic facts.  Consecutive steps of the same
+kind fuse: the a-map at t then at u is one a-step at 1-(1-t)(1-u), and
+likewise for b.  And the b-map, which rescales Y to Y^(1-t) and appends
+Y^t, fixes the seed X Y, as the a-map fixes Y X, so a first step of that
+kind adds nothing.  With budget k only the forms (XY; A B A ...) and
+(YX; B A B ...) of length 1..k exist: k per seed.  The search optimizes
+each form once, in the order of `_forms` (length, then seed), and keeps
+the first form with the smallest distance, so on an exact tie the shortest
+form wins.  A winner shorter than k is padded to k steps with identity
+steps (t = 0) right after its first A step, or by repeating the step of
+the form (B,).  Each form starts from the winner of its seed's form one
+step shorter, an identity step appended, then from four seeded
+Latin-hypercube points.
 
 Swapping X and Y is a symmetry of the group: it swaps x and y, the a- and
 b-maps, and the two seeds, so the form (YX; B A B ...) reaches the mirror
@@ -131,10 +132,10 @@ DEFAULT_CONFIG = SearchConfig()
 
 @dataclass(frozen=True)
 class SearchReport:
-    """The best sequence found.  `evaluations` is the number of residual
-    evaluations spent on every form of at most k steps that was solved (on
-    a diagonal target only the XY forms are), and `converged` is the
-    winning start's `_solve` verdict."""
+    """The best sequence found.  `evaluations` counts the residual
+    evaluations of every form solved, k per seed since a first step fixing
+    the seed adds nothing (on a diagonal target only the XY forms), and
+    `converged` is the winning start's `_solve` verdict."""
 
     best_sequence: MapSequence
     best_point: XYPoint
@@ -488,17 +489,14 @@ def _alternating(start: StepKind, length: int) -> Tuple[StepKind, ...]:
 
 def _forms(k: int, symmetric: bool = False) -> Iterator[Tuple[Seed, Tuple[StepKind, ...]]]:
     """The (seed, alternating form) pairs with at most k steps, ordered by
-    length, then seed, then starting kind.  Budget 0 has only the empty form.
-    A `symmetric` problem, one the X <-> Y swap maps to itself, gets only
-    the XY seed's forms: each YX form is the mirror of an XY form."""
+    length, then seed: (XY; A B A ...) and (YX; B A B ...), k per seed, as
+    a first step that fixes the seed adds nothing.  Budget 0 has only the
+    empty form.  A `symmetric` problem, one the X <-> Y swap maps to itself,
+    gets only the XY forms: each YX form is the mirror of an XY form."""
     seeds = (Seed.XY,) if symmetric else (Seed.XY, Seed.YX)
-    if k == 0:
+    for length in range(1, k + 1) if k else (0,):
         for seed in seeds:
-            yield seed, ()
-    for length in range(1, k + 1):
-        for seed in seeds:
-            for start in (StepKind.A, StepKind.B):
-                yield seed, _alternating(start, length)
+            yield seed, _alternating(StepKind.A if seed is Seed.XY else StepKind.B, length)
 
 
 def _origin(seed: Seed) -> Tuple[float, float]:
@@ -540,13 +538,14 @@ def _solved_forms(
     """Solve each form of `_forms(k_max, symmetric)` once, continuing along
     its family.
 
-    A family is the forms of one seed and first kind, each its predecessor
-    with one more step.  A form starts first from its predecessor's winner
-    with an identity step (t = 0) appended, a continuation (Allgower & Georg
-    1990): for the planar and (u, v, w) folds that start reaches the
-    predecessor's point, so the form costs at most its predecessor's
-    optimum.  A family's first form starts from the all-0.5 vector.  The
-    four points of `_start_vectors` follow.  The starts stop at the first
+    A seed's forms, k of them since a first step fixing the seed adds
+    nothing, form one family, each its predecessor with one more step.  A
+    form starts first from its predecessor's winner with an identity step
+    (t = 0) appended, a continuation (Allgower & Georg 1990): for the
+    planar and (u, v, w) folds that start reaches the predecessor's point,
+    so the form costs at most its predecessor's optimum.  A seed's first
+    form starts from the all-0.5 vector.  The four points of
+    `_start_vectors` follow.  The starts stop at the first
     whose cost is <= `enough`; the earlier start wins a tie, so at
     `enough = 0` stopping never changes the winner.  Yields (seed, kinds,
     the form's best `_Solved`, the residual evaluations of its starts).
@@ -558,11 +557,10 @@ def _solved_forms(
     to the rounding of sums taken in mirrored order; a landing twin's is
     the same bit for bit.
     """
-    winners: dict = {}  # family -> its latest form's winning point
+    winners: dict = {}  # seed -> its latest form's winning point
     for seed, kinds in _forms(k_max, symmetric):
         residual, jacobian, dim = problem_of(seed, kinds)
-        family = (seed, kinds[:1])
-        first = winners[family] + (0.0,) if family in winners else (0.5,) * dim
+        first = winners[seed] + (0.0,) if seed in winners else (0.5,) * dim
         best: Optional[_Solved] = None
         evaluations = 0
         for start in [first, *_start_vectors(dim, cfg)] if dim else [first]:
@@ -573,7 +571,7 @@ def _solved_forms(
             if solved.cost <= enough:
                 break
         assert best is not None
-        winners[family] = best.point
+        winners[seed] = best.point
         yield seed, kinds, best, evaluations
 
 
@@ -691,14 +689,15 @@ def nearest_reachable(
 ) -> SearchReport:
     """Best planar approximation to the target with at most k steps.
 
-    Searches both seeds and the 2k alternating forms, solving each form's
-    parameters by projected Levenberg-Marquardt (`_solve`) on the residual
-    fold - target, from the starts of `_solved_forms`: the winner of the
-    form one step shorter with an identity step appended, then four seeded
+    Searches both seeds and their k alternating forms each (a first step
+    fixing the seed adds nothing), solving each form's parameters by
+    projected Levenberg-Marquardt (`_solve`) on the residual fold - target,
+    from the starts of `_solved_forms`: the winner of the form one step
+    shorter with an identity step appended, then four seeded
     Latin-hypercube points.  On an exact distance tie the shortest form
-    wins, then the XY seed, then the form starting with A.  On a diagonal
-    target (x == y as floats) the YX forms, mirrors of the XY forms, are
-    not solved, so the winner is XY-seeded and `evaluations` about halves.
+    wins, then the XY seed.  On a diagonal target (x == y as floats) the
+    YX forms, mirrors of the XY forms, are not solved, so the winner is
+    XY-seeded and `evaluations` about halves.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
     form (B,).  The returned distance is always an upper bound on the true
@@ -850,10 +849,10 @@ def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
 
     The final step is solved exactly (a quadratic decides which parameters
     land on the diagonal, and the lowest landing d counts), the earlier
-    steps by `_solve` on the residual d - 1/3, and only alternating forms
-    are searched since runs of one kind fuse.  The diagonal is its own
-    mirror, so only the XY forms are solved.  Returns min(d) - 1/3, which
-    is positive for every finite k.
+    steps by `_solve` on the residual d - 1/3, over the k alternating forms
+    per seed (runs of one kind fuse, and a first step fixing the seed adds
+    nothing).  The diagonal is its own mirror, so only the XY forms are
+    solved.  Returns min(d) - 1/3, which is positive for every finite k.
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")

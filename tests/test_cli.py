@@ -417,6 +417,35 @@ class TestVerify:
         capsys.readouterr()
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is a usage error, not a traceback."""
+
+    @staticmethod
+    def assert_usage_error(code, out, err, path):
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage error: cannot write {str(path)!r}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "X^1 Y^1"),
+            ("profile", "0.4", "0.3", "2"),
+            ("plot", "--count", "4", "--resolution", "4"),
+        ],
+        ids=["eval", "profile", "plot"],
+    )
+    def test_missing_directory(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        self.assert_usage_error(*run(capsys, *argv, "--out", str(path)), path)
+        assert not path.parent.exists()
+
+    def test_directory(self, capsys, tmp_path):
+        result = run(capsys, "member", "0.4", "0.4", "--out", str(tmp_path))
+        self.assert_usage_error(*result, tmp_path)
+
+
 class TestParser:
     def test_missing_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilwords import search
-from nilwords.dynamics import UVWPoint, XYPoint, eval_xy, eval_uvw, xy_distance
+from nilwords.dynamics import (
+    UVWPoint,
+    XYPoint,
+    eval_uvw,
+    eval_xy,
+    map_a_uvw,
+    map_a_xy,
+    map_b_uvw,
+    map_b_xy,
+    xy_distance,
+)
+from nilwords.lie_core import evaluate_word
 from nilwords.region import Membership, membership
 from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
 from nilwords.search import (
@@ -44,7 +55,14 @@ from nilwords.search import (
     _sweep_uvw,
     _sweep_xy,
 )
-from nilwords.words import balanced_word, sigma_to_rword, normalize, format_word
+from nilwords.words import (
+    balanced_word,
+    format_word,
+    normalize,
+    sigma_to_rword,
+    word_map_a,
+    word_map_b,
+)
 
 S = DIAGONAL_FIXED_POINT.value
 
@@ -508,15 +526,13 @@ class TestSolveOneAndThreeResiduals:
 class TestForms:
     def test_order(self):
         A, B = StepKind.A, StepKind.B
-        assert list(_forms(2)) == [
+        assert list(_forms(3)) == [
             (Seed.XY, (A,)),
-            (Seed.XY, (B,)),
-            (Seed.YX, (A,)),
             (Seed.YX, (B,)),
             (Seed.XY, (A, B)),
-            (Seed.XY, (B, A)),
-            (Seed.YX, (A, B)),
             (Seed.YX, (B, A)),
+            (Seed.XY, (A, B, A)),
+            (Seed.YX, (B, A, B)),
         ]
 
     def test_zero_budget_has_only_the_empty_form(self):
@@ -524,9 +540,12 @@ class TestForms:
         assert list(_forms(0, symmetric=True)) == [(Seed.XY, ())]
 
     def test_symmetric_order_keeps_the_xy_forms(self):
-        for k in range(4):
+        for k in range(1, 5):
             both = list(_forms(k))
-            assert list(_forms(k, symmetric=True)) == [f for f in both if f[0] is Seed.XY]
+            assert len(both) == 2 * k
+            xy = [f for f in both if f[0] is Seed.XY]
+            assert list(_forms(k, symmetric=True)) == xy
+            assert [len(kinds) for _, kinds in xy] == list(range(1, k + 1))
 
     def test_padding(self):
         A, B = StepKind.A, StepKind.B
@@ -539,6 +558,60 @@ class TestForms:
         assert _padded((A, B), (0.5, 0.25), 2) == ((A, B), (0.5, 0.25))
 
 
+FIXING_STEP = {Seed.XY: StepKind.B, Seed.YX: StepKind.A}
+
+
+def exact_parameters(count, seed):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        den = rnd.randint(1, 97)
+        yield Scalar.exact(rnd.randint(0, den), den)
+
+
+class TestFixedSeedForms:
+    """The b-map fixes the XY seed and the a-map the YX seed, so a form whose
+    first step fixes its seed reaches what the form one step shorter reaches,
+    and `_forms` leaves it out."""
+
+    def test_maps_fix_their_seeds_exactly(self):
+        xy, yx = (seed_point(seed, Mode.EXACT) for seed in Seed)
+        uvw_xy, uvw_yx = (UVWPoint(*map(Scalar.exact, map(int, seed_uvw(seed)))) for seed in Seed)
+        for t in exact_parameters(40, 3):
+            assert map_b_xy(t, xy) == xy
+            assert map_a_xy(t, yx) == yx
+            assert map_b_uvw(t, uvw_xy) == uvw_xy
+            assert map_a_uvw(t, uvw_yx) == uvw_yx
+
+    def test_word_maps_keep_the_seed_element(self):
+        for seed, word_map in ((Seed.XY, word_map_b), (Seed.YX, word_map_a)):
+            word = seed_sigma_word(seed, Mode.EXACT)
+            element = evaluate_word(sigma_to_rword(word), Mode.EXACT)
+            for t in exact_parameters(20, 4):
+                assert evaluate_word(sigma_to_rword(word_map(word, t)), Mode.EXACT) == element
+
+    @pytest.mark.parametrize(
+        "problem_of",
+        [
+            search._xy_problem((0.38, 0.36)),
+            search._uvw_problem(eval_uvw(balanced_word(8, Mode.FLOAT))),
+            _landing_problem,
+        ],
+        ids=["xy", "uvw", "landing"],
+    )
+    def test_a_fixing_first_step_is_a_dead_parameter(self, problem_of):
+        rnd = random.Random(5)
+        for seed, kinds in _forms(6):
+            residual, _, dim = problem_of(seed, kinds)
+            dead_residual, dead_jacobian, dead_dim = problem_of(seed, (FIXING_STEP[seed],) + kinds)
+            assert dead_dim == dim + 1
+            for _ in range(10):
+                ts = [rnd.random() for _ in range(dim)]
+                r, _ = residual(ts)
+                dead_r, tape = dead_residual([rnd.random(), *ts])
+                assert all(abs(a - b) <= 1e-15 for a, b in zip(r, dead_r))
+                assert all(abs(c) <= 1e-15 for c in dead_jacobian(tape)[0])
+
+
 class TestSolvedForms:
     def test_each_form_starts_from_its_predecessor(self):
         # The first start of a form is its predecessor's winner with an
@@ -546,11 +619,10 @@ class TestSolvedForms:
         costs = {}
         problem_of = search._xy_problem((0.38, 0.36))
         for seed, kinds, solved, spent in _solved_forms(8, problem_of, FAST):
-            family = (seed, kinds[0])
-            assert solved.cost <= costs.get(family, math.inf)
+            assert solved.cost <= costs.get(seed, math.inf)
             assert spent >= solved.evaluations
-            costs[family] = solved.cost
-        assert len(costs) == 4
+            costs[seed] = solved.cost
+        assert len(costs) == 2  # one family per seed
 
     def test_starts_stop_at_the_first_cost_within_enough(self, monkeypatch):
         solves = []
@@ -630,13 +702,13 @@ class TestMirrorPairs:
     @pytest.mark.parametrize("d", [1 / 3, 0.35, 0.38, 0.5])
     def test_skipped_planar_twins_cost_the_same(self, d):
         pairs = self.twin_costs(search._xy_problem((d, d)), 8)
-        assert len(pairs) == 16
+        assert len(pairs) == 8
         for xy, yx in pairs:
             assert abs(xy - yx) <= 1e-12 * xy
 
     def test_skipped_landing_twins_cost_the_same_bit_for_bit(self):
         pairs = self.twin_costs(search._landing_problem, 8)
-        assert len(pairs) == 16
+        assert len(pairs) == 8
         assert all(xy == yx for xy, yx in pairs)
 
     def test_limit_point_reports_the_xy_seed(self):
@@ -688,8 +760,9 @@ class TestNearestReachable:
         )
 
     def test_large_budget(self):
-        # Only 2k alternating forms per seed exist at budget k, so a budget
-        # of 40 steps costs 160 short optimizer runs, not 2^40 patterns.
+        # Only k alternating forms per seed exist at budget k, and on the
+        # diagonal only the XY seed's are solved, so a budget of 40 steps
+        # solves 40 forms, not 2^40 patterns.
         quick = SearchConfig(max_iterations=1)
         report = nearest_reachable(target(0.4, 0.4), 40, quick)
         assert len(report.best_sequence.steps) == 40
@@ -1072,14 +1145,27 @@ class TestPinnedAnswers:
             "0x1.0f953b0ed4100p-9",
         ]
 
+    def test_planar_profile_off_the_diagonal(self):
+        # Row 1 is the YX form (B,); from k = 2 on, the XY form (A, B) reaches
+        # the target and is padded after its A step.
+        rows = coarse_length_profile(target(0.38, 0.36), 6)
+        a, b = "0x1.bfadb6df00d33p-2", "0x1.7b1fda4801eabp-4"
+        assert [(row.distance.hex(), row.pattern) for row in rows] == [
+            ("0x1.f8d93ecefa189p-7", "B"),
+            *(("0x0.0p+0", "A" * (k - 1) + "B") for k in range(2, 7)),
+        ]
+        assert [t.hex() for t in rows[0].t_values] == ["0x1.914e5d9c99f20p-2"]
+        for row in rows[1:]:
+            assert [t.hex() for t in row.t_values] == [a] + ["0x0.0p+0"] * (row.k - 2) + [b]
+
     @pytest.mark.parametrize(
         "k, distance, evaluations, pattern, ts",
         [
-            (1, "0x1.0ec7589a55419p+0", 423, "A", ["0x1.2337ef0000000p-2"]),
+            (1, "0x1.0ec7589a55419p+0", 233, "A", ["0x1.2337ef0000000p-2"]),
             (
                 2,
                 "0x1.14ea0d4e8cd11p-3",
-                960,
+                502,
                 "AB",
                 ["0x1.5350033c00000p-1", "0x1.595ff98800000p-2"],
             ),
