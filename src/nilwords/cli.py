@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from typing import Callable, Iterator, List, Optional
 
@@ -362,8 +363,22 @@ def _add_command(sub, name: str, func, summary: str, flags, formats) -> argparse
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every argument starting with '-' and a
+    digit, or '-.' and a digit, as a number rather than a flag.
+
+    argparse's own rule knows only plain decimals such as -0.5, so -1/3 and
+    -1e-3 read as unknown flags.  No flag of this CLI starts with a digit.
+    Subcommand parsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilwords",
         description=(
             "Word calculus in the free 3-step nilpotent group on two "

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .lie_core import GroupElement, evaluate_word
+from .lie_core import GroupElement, _evaluate
 from .scalar import Mode, Scalar
-from .words import SigmaWord, _check_parameter, balanced_word, sigma_to_rword
+from .words import SigmaWord, _check_parameter, balanced_word
 
 __all__ = [
     "UVWPoint",
@@ -122,8 +122,20 @@ def map_b_xy(t: Scalar, p: XYPoint) -> XYPoint:
     return XYPoint(r * p.x + t, r * r * p.y)
 
 
+def _sigma_element(w: SigmaWord) -> GroupElement:
+    """The group element of a Sigma word, from its blocks' raw values: the
+    same product as `evaluate_word(sigma_to_rword(w))`, without the letters."""
+    return _evaluate(
+        (True, False) * len(w.blocks),
+        [part.value for block in w.blocks for part in block],
+        w.mode(),
+    )
+
+
 def eval_uvw(w: SigmaWord) -> UVWPoint:
-    return extract_uvw(evaluate_word(sigma_to_rword(w)))
+    """(u, v, w) of the element of a Sigma word, evaluated block by block on
+    the raw exponent values; zero blocks are kept and contribute nothing."""
+    return extract_uvw(_sigma_element(w))
 
 
 def eval_xy(w: SigmaWord) -> XYPoint:

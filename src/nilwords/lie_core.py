@@ -213,22 +213,32 @@ def generator_power(g: Generator, t: Scalar) -> GroupElement:
 def evaluate_word(w: RWord, mode: Optional[Mode] = None) -> GroupElement:
     """Left-to-right product of the letter powers; empty word gives 0.
 
+    The letters' generators and raw exponent values go to `_evaluate`, the
+    one copy of the letter-by-letter group law.  The mode argument only
+    matters for the empty word, whose letters cannot reveal one.
+    """
+    return _evaluate(
+        [letter.generator is Generator.X for letter in w.letters],
+        [letter.exponent.value for letter in w.letters],
+        w.mode(mode if mode is not None else Mode.FLOAT),
+    )
+
+
+def _evaluate(is_x: Sequence[bool], ts: Sequence, mode: Mode) -> GroupElement:
+    """Product of X^t (where is_x) and Y^t powers of the raw values ts.
+
     Each letter applies the group law specialised to X^t = (t, 0, 0, 0, 0)
     or Y^t = (0, t, 0, 0, 0).  Exact exponents are scaled to integers by
-    their common denominator L, the state by (L, L, L^2, L^3, L^3).  The
-    mode argument only matters for the empty word, whose letters cannot
-    reveal one.
+    their common denominator L, the state by (L, L, L^2, L^3, L^3).
     """
-    actual = w.mode(mode if mode is not None else Mode.FLOAT)
-    ts = [letter.exponent.value for letter in w.letters]
-    if actual is Mode.EXACT:
+    if mode is Mode.EXACT:
         den = math.lcm(*(t.denominator for t in ts))
         ts = [t.numerator * (den // t.denominator) for t in ts]
         c1 = c2 = c3 = c4 = c5 = 0
     else:
         c1 = c2 = c3 = c4 = c5 = 0.0
-    for letter, t in zip(w.letters, ts):
-        if letter.generator is Generator.X:
+    for x, t in zip(is_x, ts):
+        if x:
             c1, c3, c4, c5 = (
                 c1 + t,
                 c3 - c2 * t,
@@ -243,9 +253,9 @@ def evaluate_word(w: RWord, mode: Optional[Mode] = None) -> GroupElement:
                 c5 + (3 * c3 - (c2 - t) * c1) * t,
             )
     state = (c1, c2, c3, c4, c5)
-    if actual is Mode.EXACT:
+    if mode is Mode.EXACT:
         state = _from_integers(den, state)
-    return AlgebraVector(*(Scalar(actual, v) for v in state))
+    return AlgebraVector(*(Scalar(mode, v) for v in state))
 
 
 def abelianization_lower_bound(g: GroupElement) -> Scalar:

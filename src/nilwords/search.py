@@ -44,9 +44,6 @@ from enum import Enum
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-# Unused here since every search runs on `_solve`; the benchmark's tracer
-# (perfbench/bench_trace.py) installs its solver proxy on `search.optimize`.
-from scipy import optimize  # noqa: F401
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
@@ -76,6 +73,23 @@ __all__ = [
     "diagonal_gap",
     "synthesize_word",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """`search.optimize` is `scipy.optimize`, imported on first access.
+
+    No search calls scipy, since every search runs on `_solve`; only the
+    benchmark's tracer (perfbench/bench_trace.py) reads `search.optimize`,
+    to install its solver proxy.  Importing scipy lazily keeps it out of
+    every CLI start.  ROADMAP item 2, which points the tracer at `_solve`,
+    deletes this hook and the scipy dependency.
+    """
+    if name == "optimize":
+        from scipy import optimize
+
+        globals()["optimize"] = optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Seed(Enum):

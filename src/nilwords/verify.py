@@ -17,8 +17,10 @@ from typing import Callable, Dict, List, Optional
 from . import lie_core
 from .dynamics import (
     XYPoint,
+    _sigma_element,
     eval_uvw,
     eval_xy,
+    extract_uvw,
     map_a_uvw,
     map_a_xy,
     map_b_uvw,
@@ -27,7 +29,7 @@ from .dynamics import (
 )
 from .region import Membership, _classify, membership
 from .scalar import Mode, Scalar
-from .words import SigmaWord, balanced_word, sigma_to_rword, word_map_a, word_map_b
+from .words import SigmaWord, balanced_word, word_map_a, word_map_b
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -206,7 +208,7 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     limit_xy = XYPoint(third, third)
     for n in range(1, n_max + 1):
         w = balanced_word(n, mode)
-        element = lie_core.evaluate_word(sigma_to_rword(w))
+        element = _sigma_element(w)
         gap = lie_core.distance_squared(element, limit)
         bound = Scalar.lift(9, mode, n * n)
         if gap > bound:
@@ -214,7 +216,7 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
         if previous is not None and gap > previous:
             monotone_ok = False
         previous = gap
-        point = eval_xy(w)
+        point = project(extract_uvw(element))
         dx = point.x - third
         dy = point.y - third
         if dx * dx + dy * dy > bound:

@@ -9,9 +9,11 @@ length 2 whose image under the group's abelianization map is (1, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple, Union
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .scalar import Mode, Scalar
 
@@ -66,9 +68,10 @@ class RWord:
     letters: Tuple[Letter, ...]
 
     def __post_init__(self):
-        modes = {letter.exponent.mode for letter in self.letters}
-        if len(modes) > 1:
-            raise ValueError("all exponents in a word must share one arithmetic mode")
+        if self.letters:
+            mode = self.letters[0].exponent.mode
+            if any(letter.exponent.mode is not mode for letter in self.letters):
+                raise ValueError("all exponents in a word must share one arithmetic mode")
 
     def mode(self, default: Mode = Mode.FLOAT) -> Mode:
         return self.letters[0].exponent.mode if self.letters else default
@@ -185,28 +188,47 @@ class SigmaWord:
     blocks: Tuple[Tuple[Scalar, Scalar], ...]
 
     def __post_init__(self):
+        # Checked on the raw values, because this runs for every word a map
+        # or a search builds; a Scalar is made only for a failure message.
         if not self.blocks:
             raise SigmaValidationError("a Sigma word needs at least one block")
-        modes = {part.mode for block in self.blocks for part in block}
-        if len(modes) > 1:
+        mode = self.blocks[0][0].mode
+        if not all(s.mode is mode and t.mode is mode for s, t in self.blocks):
             raise SigmaValidationError("all block exponents must share one mode")
-        mode = next(iter(modes))
-        x_sum = Scalar.zero(mode)
-        y_sum = Scalar.zero(mode)
-        for s, t in self.blocks:
-            # Written so that a NaN exponent fails the test.
-            if not (s >= 0 and t >= 0):
-                raise SigmaValidationError("negative or NaN block exponent")
-            x_sum = x_sum + s
-            y_sum = y_sum + t
-        for label, total in (("X", x_sum), ("Y", y_sum)):
-            if not total.close_to(1, SUM_TOLERANCE):
+        xs = [s.value for s, _ in self.blocks]
+        ys = [t.value for _, t in self.blocks]
+        # Written so that a NaN exponent fails the test.
+        if not all(s >= 0 and t >= 0 for s, t in zip(xs, ys)):
+            raise SigmaValidationError("negative or NaN block exponent")
+        unit_mass = _unit_mass_exact if mode is Mode.EXACT else _unit_mass_float
+        for label, values in (("X", xs), ("Y", ys)):
+            total = unit_mass(values)
+            if total is not None:
                 raise SigmaValidationError(
-                    f"{label}-exponents sum to {total}, expected 1"
+                    f"{label}-exponents sum to {Scalar(mode, total)}, expected 1"
                 )
 
     def mode(self) -> Mode:
         return self.blocks[0][0].mode
+
+
+def _unit_mass_exact(values: list) -> Optional[Fraction]:
+    """None if the rationals sum to exactly 1, else their sum.  The check
+    scales the numerators to the lcm L of the denominators and compares
+    their integer sum with L; the Fraction sum is built only on failure."""
+    den = math.lcm(*(v.denominator for v in values))
+    if sum(v.numerator * (den // v.denominator) for v in values) == den:
+        return None
+    return sum(values, Fraction(0))
+
+
+def _unit_mass_float(values: list) -> Optional[float]:
+    """None if the left-to-right double sum is within SUM_TOLERANCE of 1
+    (never for NaN), else that sum."""
+    total = 0.0
+    for v in values:
+        total += v
+    return None if abs(total - 1) <= SUM_TOLERANCE else total
 
 
 def sigma_to_rword(w: SigmaWord) -> RWord:

@@ -4,11 +4,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import nilwords
 from nilwords.cli import _build_parser, main
 from nilwords.verify import SUITE_NAMES
 
@@ -156,6 +160,28 @@ class TestMember:
         code, _, err = run(capsys, "member", "abc", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("x", ["-1/3", "-1e-3", "-.5", "-0.5"])
+    def test_negative_coordinate_reads_as_a_number(self, capsys, x):
+        plain = run(capsys, "member", x, "0.5")
+        assert plain == run(capsys, "member", "--", x, "0.5")
+        code, out, _ = plain
+        assert code == 1
+        assert "status: Outside" in out
+
+    def test_negative_eps_is_a_margin_error(self, capsys):
+        # -1e-3 reaches --eps as its value, which is then rejected as a
+        # negative margin, not read as an unknown flag.
+        for argv in (("--eps", "-1e-3"), ("--eps=-1e-3",)):
+            code, out, err = run(capsys, "member", "0.2", "0.3", *argv)
+            assert code == 2
+            assert out == ""
+            assert "usage error: margin must be a finite nonnegative number" in err
+
+    def test_unknown_flag_still_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["member", "-x", "0.5"])
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps(self, capsys, eps):
         code, out, err = run(capsys, "member", "0.36", "0.36", "--eps", eps)
@@ -277,14 +303,13 @@ class TestProfile:
         assert out == ""
         assert "overflows" in err
 
-    def test_negative_coordinate_follows_a_double_dash(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--objective", "uvw", "-1e-3", "1", "1", "1"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-        code, out, _ = run(capsys, "profile", "--objective", "uvw", "--", "-1e-3", "1", "1", "1")
-        assert code == 0
-        assert out.startswith("k,distance,pattern,t_vector\n1,")
+    @pytest.mark.parametrize("value", ["-1e-3", "-1/1000"])
+    def test_negative_coordinate_reads_as_a_number(self, capsys, value):
+        plain = run(capsys, "profile", "--objective", "uvw", value, "1", "1", "1")
+        dashed = run(capsys, "profile", "--objective", "uvw", "--", value, "1", "1", "1")
+        assert plain == dashed
+        assert plain[0] == 0
+        assert plain[1].startswith("k,distance,pattern,t_vector\n1,")
 
 
 class TestSynth:
@@ -487,6 +512,19 @@ class TestParser:
             if not isinstance(action, argparse._HelpAction)
         }
         assert dests - args._reads == set()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # Only the benchmark's tracer reads `search.optimize`; importing the
+        # CLI must not pay for scipy.
+        src = str(Path(nilwords.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, nilwords.cli; print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_flags_accepted_after_subcommand(self, capsys):
         code, _, _ = run(

@@ -27,6 +27,7 @@ from nilwords.words import (
     SigmaWord,
     balanced_word,
     parse_word,
+    sigma_to_rword,
     word_map_a,
     word_map_b,
 )
@@ -167,6 +168,82 @@ class TestProjection:
     def test_intertwines_map_b(self, t, p):
         s = Scalar.exact(t)
         assert project(map_b_uvw(s, p)) == map_b_xy(s, project(p))
+
+
+def _lifted_sigma_word(mode, int_blocks):
+    """Integer block weights scaled to unit mass in the given mode; zero
+    weights give zero blocks."""
+    sx = sum(s for s, _ in int_blocks)
+    sy = sum(t for _, t in int_blocks)
+    return SigmaWord(
+        tuple((Scalar.lift(s, mode, sx), Scalar.lift(t, mode, sy)) for s, t in int_blocks)
+    )
+
+
+lifted_sigma_words = st.builds(
+    _lifted_sigma_word,
+    st.sampled_from(Mode),
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=8
+    ).filter(lambda bs: sum(s for s, _ in bs) and sum(t for _, t in bs)),
+)
+
+
+def _double_sigma_word(xs, ys):
+    """Random doubles divided by their sum: unit mass up to a few ulps."""
+    sx, sy = sum(xs), sum(ys)
+    return SigmaWord(
+        tuple((Scalar.of_float(s / sx), Scalar.of_float(t / sy)) for s, t in zip(xs, ys))
+    )
+
+
+double_sigma_words = st.integers(1, 8).flatmap(
+    lambda n: st.builds(
+        _double_sigma_word,
+        *(st.lists(st.floats(0, 1), min_size=n, max_size=n).filter(
+            lambda v: sum(v) >= 1e-3) for _ in range(2)),
+    )
+)
+
+
+def bits(point):
+    """Coordinates compared bit for bit: floats by their hex form."""
+    return tuple(
+        (c.mode, c.value.hex() if c.mode is Mode.FLOAT else c.value) for c in point.coords()
+    )
+
+
+class TestBlockEvaluation:
+    """`eval_uvw` evaluates the blocks' raw values; it must agree bit for bit
+    with evaluating the explicit letter form."""
+
+    @staticmethod
+    def via_letters(w):
+        return extract_uvw(evaluate_word(sigma_to_rword(w)))
+
+    @given(st.one_of(lifted_sigma_words, double_sigma_words))
+    @settings(max_examples=300)
+    def test_matches_the_letter_form(self, w):
+        assert bits(eval_uvw(w)) == bits(self.via_letters(w))
+        assert bits(eval_xy(w)) == bits(project(self.via_letters(w)))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("int_blocks", [
+        ((1, 1),),
+        ((0, 1), (1, 0)),
+        ((1, 0), (0, 1)),
+        ((0, 0), (2, 1), (0, 0), (1, 0)),
+        ((3, 0), (0, 0), (0, 5)),
+    ], ids=str)
+    def test_one_block_and_zero_blocks(self, mode, int_blocks):
+        w = _lifted_sigma_word(mode, int_blocks)
+        assert bits(eval_uvw(w)) == bits(self.via_letters(w))
+
+    def test_seed_values(self):
+        for mode in Mode:
+            assert vals(eval_uvw(balanced_word(1, mode))) == (1, 1, 1)
+            yx = _lifted_sigma_word(mode, ((0, 1), (1, 0)))
+            assert vals(eval_uvw(yx)) == (-1, 1, 1)
 
 
 class TestWordSpaceCommutation:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from nilwords.lie_core import evaluate_word
 from nilwords.scalar import Mode, Scalar
 from nilwords.words import (
+    SUM_TOLERANCE,
     Generator,
     Letter,
     RWord,
@@ -318,3 +319,101 @@ class TestBalancedWord:
         w = balanced_word(4, Mode.FLOAT)
         assert w.mode() is Mode.FLOAT
         assert blocks(w) == ((0.25, 0.25),) * 4
+
+
+E, F = Scalar.exact, Scalar.of_float
+
+
+def rejection(blocks_):
+    with pytest.raises(SigmaValidationError) as excinfo:
+        SigmaWord(tuple(blocks_))
+    return str(excinfo.value)
+
+
+class TestSigmaConstructorChecks:
+    """The constructor checks raw values; each rejection keeps its message."""
+
+    def test_empty(self):
+        assert rejection(()) == "a Sigma word needs at least one block"
+
+    @pytest.mark.parametrize("blocks_", [
+        ((E(1), F(1.0)),),
+        ((F(1.0), E(1)),),
+        ((E(1, 2), E(1)), (E(1, 2), F(0.0))),
+        # the mode check comes before the sign check
+        ((E(-1), E(1)), (F(2.0), E(0))),
+    ], ids=str)
+    def test_mixed_modes(self, blocks_):
+        assert rejection(blocks_) == "all block exponents must share one mode"
+
+    @pytest.mark.parametrize("bad", [E(-1, 2), F(-0.5), F(math.nan), F(-math.inf)], ids=str)
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_negative_or_nan_in_either_slot(self, bad, slot):
+        good = E(3, 2) if bad.mode is Mode.EXACT else F(1.5)
+        pair = [good, good]
+        pair[slot] = bad
+        assert rejection([tuple(pair)]) == "negative or NaN block exponent"
+
+    @pytest.mark.parametrize("blocks_, message", [
+        (((E(1, 2), E(1)),), "X-exponents sum to 1/2, expected 1"),
+        (((E(1), E(1, 3)), (E(0), E(1, 3))), "Y-exponents sum to 2/3, expected 1"),
+        (((E(2, 3), E(1)), (E(2, 3), E(1))), "X-exponents sum to 4/3, expected 1"),
+        (((F(0.5), F(1.0)),), "X-exponents sum to 0.5, expected 1"),
+        (((F(1.0), F(0.1)), (F(0.0), F(0.2))), f"Y-exponents sum to {0.1 + 0.2!r}, expected 1"),
+        (((F(math.inf), F(1.0)),), "X-exponents sum to inf, expected 1"),
+        # X is checked before Y
+        (((E(2), E(2)),), "X-exponents sum to 2, expected 1"),
+    ], ids=str)
+    def test_mass_off(self, blocks_, message):
+        assert rejection(blocks_) == message
+
+    @pytest.mark.parametrize("offset", [0.9e-12, -0.9e-12])
+    def test_float_mass_just_inside_tolerance(self, offset):
+        near = F(1.0 + offset)
+        assert abs(near.value - 1) <= SUM_TOLERANCE
+        SigmaWord(((near, F(1.0)),))
+        SigmaWord(((F(1.0), near),))
+
+    @pytest.mark.parametrize("offset", [1.1e-12, -1.1e-12])
+    def test_float_mass_just_outside_tolerance(self, offset):
+        near = F(1.0 + offset)
+        assert rejection([(near, F(1.0))]) == f"X-exponents sum to {near.value!r}, expected 1"
+        assert rejection([(F(1.0), near)]) == f"Y-exponents sum to {near.value!r}, expected 1"
+
+    def test_float_sum_is_taken_left_to_right(self):
+        # Each 2e-17 vanishes when added to 1.0, so X^1 first sums to exactly
+        # 1; the tiny blocks first add up to 2e-12 before the 1 arrives,
+        # which leaves the sum outside the tolerance.
+        one, zero, tiny = F(1.0), F(0.0), F(2e-17)
+        SigmaWord(((one, one),) + ((tiny, zero),) * 100_000)
+        message = rejection(((tiny, zero),) * 100_000 + ((one, one),))
+        assert message.startswith("X-exponents sum to 1.000000000002")
+
+    def test_exact_masses_with_large_coprime_denominators(self):
+        p, q = 2**61 - 1, 2**89 - 1  # Mersenne primes
+        xs = [Fraction(1, p), Fraction(1, q), 1 - Fraction(1, p) - Fraction(1, q)]
+        ys = [Fraction(p - 1, p), Fraction(0), Fraction(1, p)]
+        w = SigmaWord(tuple((E(x), E(y)) for x, y in zip(xs, ys)))
+        assert sum((s.value for s, _ in w.blocks), Fraction(0)) == 1
+        off = Fraction(1, p * q)
+        xs[2] += off
+        assert rejection([(E(x), E(y)) for x, y in zip(xs, ys)]) == (
+            f"X-exponents sum to {1 + off}, expected 1"
+        )
+
+    @given(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=10**30),
+            min_size=1, max_size=6,
+        ).filter(lambda v: sum(v) > 0),
+        st.integers(1, 10**30),
+    )
+    def test_exact_mass_is_exactly_one(self, weights, shift):
+        total = sum(weights)
+        xs = [w / total for w in weights]
+        ones = [E(1)] + [E(0)] * (len(xs) - 1)
+        SigmaWord(tuple((E(x), y) for x, y in zip(xs, ones)))
+        xs[-1] += Fraction(1, shift)
+        assert rejection([(E(x), y) for x, y in zip(xs, ones)]) == (
+            f"X-exponents sum to {sum(xs)}, expected 1"
+        )
