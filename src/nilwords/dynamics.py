@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .lie_core import GroupElement, _evaluate
-from .scalar import Mode, Scalar
+from .scalar import Mode, ModeMismatchError, Scalar
 from .words import SigmaWord, _check_parameter, balanced_word
 
 __all__ = [
@@ -85,41 +85,89 @@ def extract_uvw(g: GroupElement) -> UVWPoint:
     return UVWPoint(g.c3, g.c4, g.c5)
 
 
+def _values(mode: Mode, p) -> tuple:
+    """The raw coordinates of p, which must all be in the given mode."""
+    for c in p.coords():
+        if c.mode is not mode:
+            raise ModeMismatchError(
+                f"cannot combine {mode.value} and {c.mode.value} scalars"
+            )
+    return tuple(c.value for c in p.coords())
+
+
 def map_a_uvw(t: Scalar, p: UVWPoint) -> UVWPoint:
     _check_parameter(t)
-    r = 1 - t
-    return UVWPoint(
-        r * p.u - t,
-        r * r * p.v - 3 * t * r * p.u + t * (2 * t - 1),
-        r * p.w + t,
-    )
+    image = _map_a_uvw(t.value, 1, *_values(t.mode, p), 1)
+    return UVWPoint(*(Scalar(t.mode, v) for v in image))
 
 
 def map_b_uvw(t: Scalar, p: UVWPoint) -> UVWPoint:
     _check_parameter(t)
-    r = 1 - t
-    return UVWPoint(
-        r * p.u + t,
-        r * p.v + t,
-        r * r * p.w + 3 * t * r * p.u + t * (2 * t - 1),
-    )
+    image = _map_b_uvw(t.value, 1, *_values(t.mode, p), 1)
+    return UVWPoint(*(Scalar(t.mode, v) for v in image))
 
 
 def project(p: UVWPoint) -> XYPoint:
     """Affine projection x = (v + 3u + 2)/6, y = (w - 3u + 2)/6."""
-    return XYPoint((p.v + 3 * p.u + 2) / 6, (p.w - 3 * p.u + 2) / 6)
+    x, y, d = _project(*_values(p.mode, p), 1)
+    return XYPoint(Scalar(p.mode, x / d), Scalar(p.mode, y / d))
 
 
 def map_a_xy(t: Scalar, p: XYPoint) -> XYPoint:
     _check_parameter(t)
-    r = 1 - t
-    return XYPoint(r * r * p.x, r * p.y + t)
+    x, y, _ = _map_a_xy(t.value, 1, *_values(t.mode, p), 1)
+    return XYPoint(Scalar(t.mode, x), Scalar(t.mode, y))
 
 
 def map_b_xy(t: Scalar, p: XYPoint) -> XYPoint:
     _check_parameter(t)
-    r = 1 - t
-    return XYPoint(r * p.x + t, r * r * p.y)
+    x, y, _ = _map_b_xy(t.value, 1, *_values(t.mode, p), 1)
+    return XYPoint(Scalar(t.mode, x), Scalar(t.mode, y))
+
+
+# The point maps on raw values with t = k/q, one copy each: the public maps
+# above call them with (k, q) = (t, 1) and scale 1, where the factors 1 leave
+# every double unchanged, and the commutation and invariance suites call them
+# on ints.  A (u, v, w) point is given scaled, as (u L^2, v L^3, w L^3) and L,
+# the weights under which the group law is homogeneous; its image comes
+# scaled by q L.  A planar point (x/d, y/d) is given as the triple (x, y, d),
+# and so is its image.  Every formula is homogeneous under these scalings.
+def _map_a_uvw(k, q, u, v, w, scale) -> tuple:
+    r = q - k
+    s2 = scale * scale
+    s3 = s2 * scale
+    return (
+        q * (r * u - k * s2),
+        q * (r * r * v - 3 * k * r * u * scale + k * (2 * k - q) * s3),
+        q * q * (r * w + k * s3),
+    )
+
+
+def _map_b_uvw(k, q, u, v, w, scale) -> tuple:
+    r = q - k
+    s2 = scale * scale
+    s3 = s2 * scale
+    return (
+        q * (r * u + k * s2),
+        q * q * (r * v + k * s3),
+        q * (r * r * w + 3 * k * r * u * scale + k * (2 * k - q) * s3),
+    )
+
+
+def _project(u, v, w, scale) -> tuple:
+    """`project` of the scaled point (u, v, w), as a planar triple."""
+    s3 = scale * scale * scale
+    return (v + 3 * u * scale + 2 * s3, w - 3 * u * scale + 2 * s3, 6 * s3)
+
+
+def _map_a_xy(k, q, x, y, d) -> tuple:
+    r = q - k
+    return (r * r * x, r * q * y + k * q * d, q * q * d)
+
+
+def _map_b_xy(k, q, x, y, d) -> tuple:
+    r = q - k
+    return (r * q * x + k * q * d, r * r * y, q * q * d)
 
 
 def _sigma_element(w: SigmaWord) -> GroupElement:

@@ -137,6 +137,7 @@ def _from_integers(den: int, scaled: tuple) -> tuple:
 
 
 def _product(a: tuple, b: tuple) -> tuple:
+    """The group law behind `multiply` and the algebra suite, on raw values."""
     a1, a2, a3, a4, a5 = a
     b1, b2, b3, b4, b5 = b
     d = a1 * b2 - a2 * b1
@@ -150,6 +151,7 @@ def _product(a: tuple, b: tuple) -> tuple:
 
 
 def _bracket(a: tuple, b: tuple) -> tuple:
+    """The Lie bracket behind `bracket` and the algebra suite, on raw values."""
     a1, a2, a3 = a[:3]
     b1, b2, b3 = b[:3]
     return (
@@ -227,16 +229,29 @@ def evaluate_word(w: RWord, mode: Optional[Mode] = None) -> GroupElement:
 def _evaluate(is_x: Sequence[bool], ts: Sequence, mode: Mode) -> GroupElement:
     """Product of X^t (where is_x) and Y^t powers of the raw values ts.
 
-    Each letter applies the group law specialised to X^t = (t, 0, 0, 0, 0)
-    or Y^t = (0, t, 0, 0, 0).  Exact exponents are scaled to integers by
-    their common denominator L, the state by (L, L, L^2, L^3, L^3).
+    Exact exponents are scaled to integers by their common denominator L,
+    so `_letters` returns the state scaled by (L, L, L^2, L^3, L^3).
     """
     if mode is Mode.EXACT:
         den = math.lcm(*(t.denominator for t in ts))
         ts = [t.numerator * (den // t.denominator) for t in ts]
-        c1 = c2 = c3 = c4 = c5 = 0
+        state = _from_integers(den, _letters(is_x, ts, 0))
     else:
-        c1 = c2 = c3 = c4 = c5 = 0.0
+        state = _letters(is_x, ts, 0.0)
+    return AlgebraVector(*(Scalar(mode, v) for v in state))
+
+
+def _letters(is_x: Sequence[bool], ts: Sequence, zero) -> tuple:
+    """The letter-by-letter group law behind `evaluate_word`, `eval_uvw` and
+    the commutation suite: the raw state (c1, ..., c5) of the product of X^t
+    (where is_x) and Y^t, starting from the identity (zero, ..., zero).
+
+    Each letter applies the group law specialised to X^t = (t, 0, 0, 0, 0)
+    or Y^t = (0, t, 0, 0, 0).  The law is weighted-homogeneous, so exponents
+    given as integers over a common denominator L give the state scaled by
+    (L, L, L^2, L^3, L^3).
+    """
+    c1 = c2 = c3 = c4 = c5 = zero
     for x, t in zip(is_x, ts):
         if x:
             c1, c3, c4, c5 = (
@@ -252,10 +267,7 @@ def _evaluate(is_x: Sequence[bool], ts: Sequence, mode: Mode) -> GroupElement:
                 c4 + c1 * c1 * t,
                 c5 + (3 * c3 - (c2 - t) * c1) * t,
             )
-    state = (c1, c2, c3, c4, c5)
-    if mode is Mode.EXACT:
-        state = _from_integers(den, state)
-    return AlgebraVector(*(Scalar(mode, v) for v in state))
+    return (c1, c2, c3, c4, c5)
 
 
 def abelianization_lower_bound(g: GroupElement) -> Scalar:

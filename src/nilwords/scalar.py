@@ -166,10 +166,7 @@ class Scalar:
     def close_to(self, other: NumberLike, tol: float) -> bool:
         """Equality in exact mode, where tol is ignored; |self - other| <= tol
         in float mode, which never holds for NaN."""
-        value = self._coerce(other)
-        if self.mode is Mode.EXACT:
-            return self.value == value
-        return abs(self.value - value) <= tol
+        return _close(self.mode, self.value, self._coerce(other), tol)
 
     def __hash__(self) -> int:
         return hash((self.mode, self.value))
@@ -205,6 +202,14 @@ class Scalar:
 
     def __str__(self) -> str:
         return self.as_json()
+
+
+def _close(mode: Mode, a, b, tol: float) -> bool:
+    """`Scalar.close_to` on raw values: a == b in exact mode, where tol is
+    ignored; |a - b| <= tol in float mode, which never holds for NaN."""
+    if mode is Mode.EXACT:
+        return a == b
+    return abs(a - b) <= tol
 
 
 # The largest diagonal coordinate of the admissible planar region: the root

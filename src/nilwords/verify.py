@@ -5,31 +5,33 @@ axioms), `commutation` (word-level maps against the induced point maps),
 `invariance` (the region is closed under the maps for t < 1), and
 `convergence` (the balanced words approach the limit element at rate 3/n).
 Exact mode demands equality; float mode uses the documented tolerances.
+
+The algebra, commutation and invariance trials run on raw values, through
+the private kernels that the public functions wrap, so each law has one
+copy: `lie_core._product` and `_bracket` (`multiply`, `bracket`),
+`lie_core._letters` (`evaluate_word`, `eval_uvw`), `words._word_map_a`,
+`_word_map_b` and `_check_sigma` (`word_map_a`, `word_map_b`, `SigmaWord`),
+`dynamics._map_a_uvw`, `_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy`
+(the point maps and `project`), and `region._classify` (`membership`).
+Exact trials run them on ints scaled by a common denominator, so every
+exact check is an integer equality; float trials run them on the doubles
+the public functions would see.  Each suite looks up the laws and maps it
+checks in their modules when it starts, so a test can replace one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from . import lie_core
-from .dynamics import (
-    XYPoint,
-    _sigma_element,
-    eval_uvw,
-    eval_xy,
-    extract_uvw,
-    map_a_uvw,
-    map_a_xy,
-    map_b_uvw,
-    map_b_xy,
-    project,
-)
-from .region import Membership, _classify, membership
-from .scalar import Mode, Scalar
-from .words import SigmaWord, balanced_word, word_map_a, word_map_b
+from . import dynamics, lie_core, words
+from .dynamics import _sigma_element, eval_xy, extract_uvw, project
+from .region import Membership, _classify
+from .scalar import Mode, Scalar, _close
+from .words import balanced_word
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -54,25 +56,33 @@ class SuiteResult:
     seconds: float
 
 
-def _rand_scalar(rnd: random.Random, mode: Mode) -> Scalar:
+def _tuples_close(mode: Mode, tol: float) -> Callable[[tuple, tuple], bool]:
+    """Coordinatewise `Scalar.close_to` of two raw tuples."""
+    return lambda a, b: all(_close(mode, x, y, tol) for x, y in zip(a, b))
+
+
+# Exact algebra draws are p/q with q <= 8, and 840 = lcm(1..8), so scaling a
+# draw of weight w by 840**w gives an int.
+_ALGEBRA_SCALES = (840, 840, 840**2, 840**3, 840**3)
+
+
+def _rand_vector(rnd: random.Random, mode: Mode) -> tuple:
+    """Five raw coordinates: p/q with p in -12..12 and q in 1..8, scaled by
+    (L, L, L^2, L^3, L^3) with L = 840, or five doubles from [-1, 1]."""
     if mode is Mode.EXACT:
-        return Scalar.exact(rnd.randint(-12, 12), rnd.randint(1, 8))
-    return Scalar.of_float(rnd.uniform(-1.0, 1.0))
-
-
-def _rand_vector(rnd: random.Random, mode: Mode) -> lie_core.AlgebraVector:
-    return lie_core.AlgebraVector(*(_rand_scalar(rnd, mode) for _ in range(5)))
-
-
-def _vectors_close(a, b, tol: float) -> bool:
-    """Coordinatewise `Scalar.close_to` of two algebra vectors or points."""
-    return all(x.close_to(y, tol) for x, y in zip(a.coords(), b.coords()))
+        return tuple(rnd.randint(-12, 12) * (s // rnd.randint(1, 8)) for s in _ALGEBRA_SCALES)
+    return tuple(rnd.uniform(-1.0, 1.0) for _ in range(5))
 
 
 def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
+    """The group and bracket axioms on `_product` and `_bracket`.  Both laws
+    are weighted-homogeneous, so exact draws scaled by a common L stay ints
+    under every product, bracket, sum and negation, and each exact check is
+    the equality of the scaled results."""
     rnd = random.Random(seed)
-    tol = FLOAT_ALGEBRA_TOL
-    zero = lie_core.zero_element(mode)
+    product, bracket = lie_core._product, lie_core._bracket
+    close = _tuples_close(mode, FLOAT_ALGEBRA_TOL)
+    zero = (0, 0, 0, 0, 0)
     failures = {"associativity": 0, "jacobi": 0, "step3": 0, "abelianization": 0,
                 "identity-inverse": 0}
     for _ in range(trials):
@@ -80,30 +90,23 @@ def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
         b = _rand_vector(rnd, mode)
         c = _rand_vector(rnd, mode)
         d = _rand_vector(rnd, mode)
-        left = lie_core.multiply(lie_core.multiply(a, b), c)
-        right = lie_core.multiply(a, lie_core.multiply(b, c))
-        if not _vectors_close(left, right, tol):
+        if not close(product(product(a, b), c), product(a, product(b, c))):
             failures["associativity"] += 1
-        jac = lie_core.add(
-            lie_core.add(
-                lie_core.bracket(a, lie_core.bracket(b, c)),
-                lie_core.bracket(b, lie_core.bracket(c, a)),
-            ),
-            lie_core.bracket(c, lie_core.bracket(a, b)),
+        jac = tuple(
+            x + y + z
+            for x, y, z in zip(
+                bracket(a, bracket(b, c)), bracket(b, bracket(c, a)), bracket(c, bracket(a, b))
+            )
         )
-        if not _vectors_close(jac, zero, tol):
+        if not close(jac, zero):
             failures["jacobi"] += 1
-        deep = lie_core.bracket(a, lie_core.bracket(b, lie_core.bracket(c, d)))
-        if deep != zero:
+        if bracket(a, bracket(b, bracket(c, d))) != zero:
             failures["step3"] += 1
-        product = lie_core.multiply(a, b)
-        if not (
-            product.c1.close_to(a.c1 + b.c1, tol) and product.c2.close_to(a.c2 + b.c2, tol)
-        ):
+        ab = product(a, b)
+        if not close(ab[:2], (a[0] + b[0], a[1] + b[1])):
             failures["abelianization"] += 1
-        unit = lie_core.multiply(a, lie_core.inverse(a))
-        ident = lie_core.multiply(zero, a)
-        if not (_vectors_close(unit, zero, tol) and _vectors_close(ident, a, tol)):
+        unit = product(a, tuple(-x for x in a))
+        if not (close(unit, zero) and close(product(zero, a), a)):
             failures["identity-inverse"] += 1
     return [
         CheckResult(name, count == 0, f"{count} violations in {trials} trials")
@@ -111,7 +114,9 @@ def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     ]
 
 
-def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> SigmaWord:
+def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> tuple:
+    """Block exponents (xs, ys, d) of a random Sigma word, each exponent over
+    d: ints over the lcm of the two sums in exact mode, doubles over 1."""
     n = rnd.randint(1, max_blocks)
     xs = [rnd.randint(0, 9) for _ in range(n)]
     ys = [rnd.randint(0, 9) for _ in range(n)]
@@ -120,36 +125,63 @@ def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> 
     if sum(ys) == 0:
         ys[rnd.randrange(n)] = 1
     sx, sy = sum(xs), sum(ys)
-    return SigmaWord(
-        tuple((Scalar.lift(a, mode, sx), Scalar.lift(b, mode, sy)) for a, b in zip(xs, ys))
-    )
+    if mode is Mode.EXACT:
+        d = math.lcm(sx, sy)
+        return [a * (d // sx) for a in xs], [b * (d // sy) for b in ys], d
+    return [a / sx for a in xs], [b / sy for b in ys], 1
 
 
-def _rand_parameter(rnd: random.Random, mode: Mode, include_one: bool = False) -> Scalar:
-    hi = 97 if include_one else 96
-    return Scalar.lift(rnd.randint(0, hi), mode, 97)
+def _rand_parameter(rnd: random.Random, mode: Mode) -> tuple:
+    """A map parameter t = k/97, k in 0..96, as (k, 97) in exact mode and as
+    (t, 1) in float mode."""
+    k = rnd.randint(0, 96)
+    return (k, 97) if mode is Mode.EXACT else (k / 97, 1)
 
 
 def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
+    """Word maps against the (u, v, w) maps, and those against the planar
+    maps under `project`.  A word (xs, ys, d) and its images are checked by
+    the Sigma rules, as `SigmaWord` checks them, and evaluated by `_letters`
+    to their (u, v, w) scaled by d; the unit masses that `extract_uvw`
+    checks on the element follow from those rules.  Exact images of scale d under t = k/q
+    have scale q d on both routes, so they compare as ints; planar triples
+    compare by cross-multiplying.  Float triples are divided out first, as
+    `project` does, so each float check sees the public functions' doubles."""
     rnd = random.Random(seed)
-    tol = FLOAT_COMMUTATION_TOL
+    check_sigma, letters = words._check_sigma, lie_core._letters
+    word_map_a, word_map_b = words._word_map_a, words._word_map_b
+    map_a_uvw, map_b_uvw = dynamics._map_a_uvw, dynamics._map_b_uvw
+    to_plane, map_a_xy, map_b_xy = dynamics._project, dynamics._map_a_xy, dynamics._map_b_xy
+    close = _tuples_close(mode, FLOAT_COMMUTATION_TOL)
+    divide = mode is Mode.FLOAT
+
+    def uvw(xs, ys, d):
+        check_sigma(xs, ys, d, mode)
+        return letters((True, False) * len(xs), [v for pair in zip(xs, ys) for v in pair], 0)[2:]
+
+    def plane(p, scale):
+        x, y, d = to_plane(*p, scale)
+        return (x / d, y / d, 1) if divide else (x, y, d)
+
+    def same_point(a, b):
+        return close((a[0] * b[2], a[1] * b[2]), (b[0] * a[2], b[1] * a[2]))
+
     failures = {"word-vs-space-a": 0, "word-vs-space-b": 0, "projection-a": 0,
                 "projection-b": 0}
     for _ in range(trials):
-        w = _random_sigma_word(rnd, mode)
-        t = _rand_parameter(rnd, mode)
-        p = eval_uvw(w)
-        via_word_a = eval_uvw(word_map_a(w, t))
-        via_space_a = map_a_uvw(t, p)
-        if not _vectors_close(via_word_a, via_space_a, tol):
+        xs, ys, d = _random_sigma_word(rnd, mode)
+        k, q = _rand_parameter(rnd, mode)
+        p = uvw(xs, ys, d)
+        via_space_a = map_a_uvw(k, q, *p, d)
+        if not close(uvw(*word_map_a(xs, ys, k, q, d)), via_space_a):
             failures["word-vs-space-a"] += 1
-        via_word_b = eval_uvw(word_map_b(w, t))
-        via_space_b = map_b_uvw(t, p)
-        if not _vectors_close(via_word_b, via_space_b, tol):
+        via_space_b = map_b_uvw(k, q, *p, d)
+        if not close(uvw(*word_map_b(xs, ys, k, q, d)), via_space_b):
             failures["word-vs-space-b"] += 1
-        if not _vectors_close(project(via_space_a), map_a_xy(t, project(p)), tol):
+        p_xy = plane(p, d)
+        if not same_point(plane(via_space_a, q * d), map_a_xy(k, q, *p_xy)):
             failures["projection-a"] += 1
-        if not _vectors_close(project(via_space_b), map_b_xy(t, project(p)), tol):
+        if not same_point(plane(via_space_b, q * d), map_b_xy(k, q, *p_xy)):
             failures["projection-b"] += 1
     return [
         CheckResult(name, count == 0, f"{count} violations in {trials} trials")
@@ -157,32 +189,31 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     ]
 
 
-def _random_interior_point(rnd: random.Random, mode: Mode) -> XYPoint:
-    """Draw candidates until one is an interior member.  An exact candidate
-    (px/1024, py/1024) is classified as the integer triple (px, py, 1024),
-    which gets the verdict of its reduced Fractions, so Fractions are built
-    only for the accepted point."""
+def _random_interior_point(rnd: random.Random, mode: Mode) -> tuple:
+    """Draw candidates until one is an interior member, as a planar triple:
+    (px, py, 1024) for an exact candidate (px/1024, py/1024), (x, y, 1) for
+    a float one.  A triple gets the verdict of the point it stands for."""
     while True:
         if mode is Mode.EXACT:
             x, y, d = rnd.randint(1, 1023), rnd.randint(1, 1023), 1024
         else:
             x, y, d = rnd.random(), rnd.random(), 1
         if _classify(x, y, d, 0).status is Membership.INTERIOR_MEMBER:
-            if mode is Mode.EXACT:
-                return XYPoint(Scalar.exact(x, d), Scalar.exact(y, d))
-            return XYPoint.of_floats(x, y)
+            return x, y, d
 
 
 def _suite_invariance(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
+    """The planar maps' images of interior points, classified as triples."""
     rnd = random.Random(seed)
+    map_a_xy, map_b_xy = dynamics._map_a_xy, dynamics._map_b_xy
     violations_a = 0
     violations_b = 0
     for _ in range(trials):
         p = _random_interior_point(rnd, mode)
-        t = _rand_parameter(rnd, mode, include_one=False)
-        if membership(map_a_xy(t, p)).status is Membership.OUTSIDE:
+        k, q = _rand_parameter(rnd, mode)
+        if _classify(*map_a_xy(k, q, *p), 0).status is Membership.OUTSIDE:
             violations_a += 1
-        if membership(map_b_xy(t, p)).status is Membership.OUTSIDE:
+        if _classify(*map_b_xy(k, q, *p), 0).status is Membership.OUTSIDE:
             violations_b += 1
     return [
         CheckResult(
@@ -205,7 +236,6 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     xy_rate_ok = True
     previous: Optional[Scalar] = None
     third = Scalar.lift(1, mode, 3)
-    limit_xy = XYPoint(third, third)
     for n in range(1, n_max + 1):
         w = balanced_word(n, mode)
         element = _sigma_element(w)
@@ -223,12 +253,9 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
             xy_rate_ok = False
     # The balanced words for n = 2, 3 land at (5, 1)/8 and (14, 5)/27.
     checkpoint_ok = all(
-        _vectors_close(
-            eval_xy(balanced_word(n, mode)),
-            XYPoint(Scalar.lift(x, mode, n**3), Scalar.lift(y, mode, n**3)),
-            1e-12,
-        )
+        c.close_to(Scalar.lift(v, mode, n**3), 1e-12)
         for n, x, y in ((2, 5, 1), (3, 14, 5))
+        for c, v in zip(eval_xy(balanced_word(n, mode)).coords(), (x, y))
     )
     checks.append(CheckResult("rate-3-over-n", rate_ok, f"n up to {n_max}"))
     checks.append(CheckResult("monotone-norm", monotone_ok, f"n up to {n_max}"))
@@ -265,6 +292,8 @@ def run_suite(
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     count = trials if trials is not None else _DEFAULT_TRIALS[name]
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"trials must be an int >= 1, got {count!r}")
     started = time.perf_counter()
     checks = _SUITES[name](mode, count, seed)
     elapsed = time.perf_counter() - started

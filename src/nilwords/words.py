@@ -9,13 +9,14 @@ length 2 whose image under the group's abelianization map is (1, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalar import Mode, Scalar
+from .scalar import Mode, ModeMismatchError, Scalar
 
 __all__ = [
     "Generator",
@@ -188,46 +189,55 @@ class SigmaWord:
     blocks: Tuple[Tuple[Scalar, Scalar], ...]
 
     def __post_init__(self):
-        # Checked on the raw values, because this runs for every word a map
-        # or a search builds; a Scalar is made only for a failure message.
         if not self.blocks:
             raise SigmaValidationError("a Sigma word needs at least one block")
         mode = self.blocks[0][0].mode
         if not all(s.mode is mode and t.mode is mode for s, t in self.blocks):
             raise SigmaValidationError("all block exponents must share one mode")
-        xs = [s.value for s, _ in self.blocks]
-        ys = [t.value for _, t in self.blocks]
-        # Written so that a NaN exponent fails the test.
-        if not all(s >= 0 and t >= 0 for s, t in zip(xs, ys)):
-            raise SigmaValidationError("negative or NaN block exponent")
-        unit_mass = _unit_mass_exact if mode is Mode.EXACT else _unit_mass_float
-        for label, values in (("X", xs), ("Y", ys)):
-            total = unit_mass(values)
-            if total is not None:
-                raise SigmaValidationError(
-                    f"{label}-exponents sum to {Scalar(mode, total)}, expected 1"
-                )
+        _check_sigma(
+            [s.value for s, _ in self.blocks], [t.value for _, t in self.blocks], 1, mode
+        )
 
     def mode(self) -> Mode:
         return self.blocks[0][0].mode
 
 
-def _unit_mass_exact(values: list) -> Optional[Fraction]:
-    """None if the rationals sum to exactly 1, else their sum.  The check
-    scales the numerators to the lcm L of the denominators and compares
-    their integer sum with L; the Fraction sum is built only on failure."""
-    den = math.lcm(*(v.denominator for v in values))
-    if sum(v.numerator * (den // v.denominator) for v in values) == den:
+def _check_sigma(xs: Sequence, ys: Sequence, den, mode: Mode) -> None:
+    """The Sigma rules on raw block exponents x/den and y/den, for every
+    `SigmaWord` and for the words the commutation suite maps: raise
+    SigmaValidationError unless all are nonnegative and each generator's
+    sum to 1.  Exact exponents are rationals, or ints over an int den; a
+    Scalar is made only for a failure message."""
+    # Written so that a NaN exponent fails the test.
+    if not all(s >= 0 and t >= 0 for s, t in zip(xs, ys)):
+        raise SigmaValidationError("negative or NaN block exponent")
+    unit_mass = _unit_mass_exact if mode is Mode.EXACT else _unit_mass_float
+    for label, values in (("X", xs), ("Y", ys)):
+        total = unit_mass(values, den)
+        if total is not None:
+            raise SigmaValidationError(
+                f"{label}-exponents sum to {Scalar(mode, total)}, expected 1"
+            )
+
+
+def _unit_mass_exact(values: Sequence, den: int) -> Optional[Fraction]:
+    """None if the rationals over den sum to exactly 1, else their sum.  The
+    check scales the numerators to the lcm L of the denominators and
+    compares their integer sum with den * L; the Fraction sum is built only
+    on failure."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    if sum(v.numerator * (lcm // v.denominator) for v in values) == den * lcm:
         return None
-    return sum(values, Fraction(0))
+    return sum(values, Fraction(0)) / den
 
 
-def _unit_mass_float(values: list) -> Optional[float]:
-    """None if the left-to-right double sum is within SUM_TOLERANCE of 1
-    (never for NaN), else that sum."""
+def _unit_mass_float(values: Sequence, den) -> Optional[float]:
+    """None if the left-to-right double sum over den is within SUM_TOLERANCE
+    of 1 (never for NaN), else that quotient."""
     total = 0.0
     for v in values:
         total += v
+    total /= den
     return None if abs(total - 1) <= SUM_TOLERANCE else total
 
 
@@ -296,23 +306,48 @@ def _check_parameter(t: Scalar) -> None:
         raise ValueError(f"map parameter {t} outside [0, 1]")
 
 
+def _block_values(w: SigmaWord, t: Scalar) -> Tuple[list, list]:
+    """The raw X- and Y-exponents of w, which must share t's mode."""
+    if w.mode() is not t.mode:
+        raise ModeMismatchError(
+            f"cannot combine {w.mode().value} and {t.mode.value} scalars"
+        )
+    return [s.value for s, _ in w.blocks], [y.value for _, y in w.blocks]
+
+
+def _from_values(xs: Sequence, ys: Sequence, mode: Mode) -> SigmaWord:
+    scalar = functools.partial(Scalar, mode)
+    return SigmaWord(tuple(zip(map(scalar, xs), map(scalar, ys))))
+
+
 def word_map_a(w: SigmaWord, t: Scalar) -> SigmaWord:
     """Rescale every X-exponent by 1-t and append X^t."""
     _check_parameter(t)
-    scale = 1 - t
-    zero = Scalar.zero(t.mode)
-    blocks = tuple((s * scale, ty) for s, ty in w.blocks) + ((t, zero),)
-    return SigmaWord(blocks)
+    xs, ys, _ = _word_map_a(*_block_values(w, t), t.value, 1, Scalar.one(t.mode).value)
+    return _from_values(xs, ys, t.mode)
 
 
 def word_map_b(w: SigmaWord, t: Scalar) -> SigmaWord:
     """Rescale every Y-exponent by 1-t and append Y^t."""
     _check_parameter(t)
-    scale = 1 - t
-    scaled = [(s, ty * scale) for s, ty in w.blocks]
-    last_s, last_t = scaled[-1]
-    scaled[-1] = (last_s, last_t + t)
-    return SigmaWord(tuple(scaled))
+    xs, ys, _ = _word_map_b(*_block_values(w, t), t.value, 1, Scalar.one(t.mode).value)
+    return _from_values(xs, ys, t.mode)
+
+
+# The word maps on raw exponents x/d and y/d with t = k/q.  The image's
+# exponents are given over q*d, so exact words map on ints.  `word_map_a`
+# and `word_map_b` call them with (k, q) = (t, 1) and d the mode's 1, whose
+# type the appended zero takes; the commutation suite calls them on ints.
+def _word_map_a(xs: Sequence, ys: Sequence, k, q, d) -> Tuple[list, list, object]:
+    r = q - k
+    return [s * r for s in xs] + [k * d], [y * q for y in ys] + [0 * d], q * d
+
+
+def _word_map_b(xs: Sequence, ys: Sequence, k, q, d) -> Tuple[list, list, object]:
+    r = q - k
+    ys = [y * r for y in ys]
+    ys[-1] = ys[-1] + k * d
+    return [s * q for s in xs], ys, q * d
 
 
 def balanced_word(n: int, mode: Mode = Mode.EXACT) -> SigmaWord:

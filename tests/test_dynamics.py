@@ -7,6 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilwords.dynamics import (
+    _map_a_uvw,
+    _map_a_xy,
+    _map_b_uvw,
+    _map_b_xy,
+    _project,
     UnitMassError,
     UVWPoint,
     XYPoint,
@@ -21,7 +26,7 @@ from nilwords.dynamics import (
     project,
     xy_distance,
 )
-from nilwords.lie_core import evaluate_word
+from nilwords.lie_core import _letters, evaluate_word
 from nilwords.scalar import Mode, Scalar
 from nilwords.words import (
     SigmaWord,
@@ -287,3 +292,73 @@ class TestBalancedTrajectory:
 
     def test_distance_helper(self):
         assert xy_distance(xy(0, 0), xy(3, 4)) == 5.0
+
+
+float_parameters = st.floats(min_value=0, max_value=1)
+float_coordinates = st.floats(min_value=-4, max_value=4)
+PLANAR = {"a": (map_a_xy, _map_a_xy), "b": (map_b_xy, _map_b_xy)}
+SPACE = {"a": (map_a_uvw, _map_a_uvw), "b": (map_b_uvw, _map_b_uvw)}
+
+
+def hexes(values):
+    return tuple(v.hex() for v in values)
+
+
+class TestOneLawTwoDoors:
+    """Each public point map, `project` and `eval_uvw` is its raw kernel on
+    the inputs' values, bit for bit.  Exact inputs also give the same point
+    through the integer forms the verify suites use: planar points as
+    triples (x, y, d), (u, v, w) points scaled by (L^2, L^3, L^3)."""
+
+    @given(st.sampled_from("ab"), float_parameters, float_coordinates, float_coordinates)
+    def test_planar_float(self, kind, t, x, y):
+        public, kernel = PLANAR[kind]
+        image = public(Scalar.of_float(t), XYPoint.of_floats(x, y))
+        assert hexes(vals(image)) == hexes(kernel(t, 1, x, y, 1)[:2])
+
+    @given(st.sampled_from("ab"), parameters, coordinates, coordinates)
+    def test_planar_exact(self, kind, t, x, y):
+        public, kernel = PLANAR[kind]
+        image = vals(public(Scalar.exact(t), xy(x, y)))
+        assert image == kernel(t, 1, x, y, 1)[:2]
+        qx, qy = x.denominator, y.denominator
+        ix, iy, d = kernel(t.numerator, t.denominator, x.numerator * qy, y.numerator * qx, qx * qy)
+        assert image == (Fraction(ix, d), Fraction(iy, d))
+
+    @given(st.sampled_from("ab"), float_parameters, *([float_coordinates] * 3))
+    def test_space_and_projection_float(self, kind, t, u, v, w):
+        public, kernel = SPACE[kind]
+        p = UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w))
+        assert hexes(vals(public(Scalar.of_float(t), p))) == hexes(kernel(t, 1, u, v, w, 1))
+        x, y, d = _project(u, v, w, 1)
+        assert hexes(vals(project(p))) == hexes((x / d, y / d))
+
+    @given(st.sampled_from("ab"), parameters, coordinates, coordinates, coordinates)
+    def test_space_and_projection_exact(self, kind, t, u, v, w):
+        public, kernel = SPACE[kind]
+        p = uvw(u, v, w)
+        image = vals(public(Scalar.exact(t), p))
+        assert image == kernel(t, 1, u, v, w, 1)
+        L = math.lcm(u.denominator, v.denominator, w.denominator)
+        scaled = (int(u * L**2), int(v * L**3), int(w * L**3))
+        iu, iv, iw = kernel(t.numerator, t.denominator, *scaled, L)
+        s = t.denominator * L
+        assert image == (Fraction(iu, s**2), Fraction(iv, s**3), Fraction(iw, s**3))
+        x, y, d = _project(*scaled, L)
+        assert vals(project(p)) == (Fraction(x, d), Fraction(y, d))
+
+    @given(double_sigma_words)
+    def test_block_values_float(self, w):
+        values = [part.value for block in w.blocks for part in block]
+        state = _letters((True, False) * len(w.blocks), values, 0)
+        assert hexes(vals(eval_uvw(w))) == hexes(state[2:])
+
+    @given(sigma_words)
+    def test_block_values_over_one_denominator(self, w):
+        values = [part.value for block in w.blocks for part in block]
+        d = math.lcm(*(v.denominator for v in values))
+        state = _letters((True, False) * len(w.blocks), [int(v * d) for v in values], 0)
+        assert state[:2] == (d, d)
+        assert vals(eval_uvw(w)) == (
+            Fraction(state[2], d**2), Fraction(state[3], d**3), Fraction(state[4], d**3)
+        )

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from nilwords.lie_core import (
     AlgebraVector,
+    _bracket,
+    _from_integers,
+    _product,
     abelianization_lower_bound,
     add,
     basis,
@@ -37,6 +40,25 @@ def vec(values):
 
 def raw(v):
     return tuple(c.value for c in v.coords())
+
+
+def fvec(values):
+    return AlgebraVector(*(Scalar.of_float(v) for v in values))
+
+
+def hexes(values):
+    return tuple(v.hex() for v in values)
+
+
+float_vectors = st.tuples(*([st.floats(min_value=-12, max_value=12)] * 5))
+
+# Coordinates with denominators up to 8 become ints when scaled by
+# (L, L, L^2, L^3, L^3) with L = 840 = lcm(1..8), as in the algebra suite.
+SCALES = (840, 840, 840**2, 840**3, 840**3)
+
+
+def scaled(values):
+    return tuple(int(v * s) for v, s in zip(values, SCALES))
 
 
 X = vec((1, 0, 0, 0, 0))
@@ -190,3 +212,25 @@ class TestSerialization:
     def test_random_round_trip(self, a):
         v = vec(a)
         assert element_from_json(element_to_json(v), Mode.EXACT) == v
+
+
+class TestOneLawTwoDoors:
+    """`multiply` and `bracket` are the raw laws on their inputs' values, bit
+    for bit; exact inputs also give the same element through the scaled
+    integers the algebra suite runs the laws on."""
+
+    @given(vectors, vectors)
+    def test_exact_scaled_integers(self, a, b):
+        assert raw(multiply(vec(a), vec(b))) == _from_integers(
+            840, _product(scaled(a), scaled(b))
+        )
+        assert raw(bracket(vec(a), vec(b))) == _from_integers(
+            840, _bracket(scaled(a), scaled(b))
+        )
+
+    @given(float_vectors, float_vectors)
+    def test_float_bits(self, a, b):
+        assert hexes(raw(multiply(fvec(a), fvec(b)))) == hexes(_product(a, b))
+        assert hexes(raw(bracket(fvec(a), fvec(b)))) == (
+            (0.0).hex(), (0.0).hex(), *hexes(_bracket(a, b)[2:])
+        )

@@ -1,13 +1,17 @@
 """The randomized verification suites at reduced trial counts."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
+from nilwords import dynamics, lie_core, words
 from nilwords.dynamics import XYPoint
 from nilwords.region import EpsilonPolicy, Membership, membership
 from nilwords.scalar import Mode, Scalar
 from nilwords.verify import SUITE_NAMES, _random_interior_point, run_suite
+from nilwords.words import SigmaValidationError
 
 
 def test_suite_names():
@@ -58,8 +62,128 @@ def test_interior_points_match_the_membership_loop(mode):
 
     new, old = random.Random(11), random.Random(11)
     for _ in range(300):
-        p, q = _random_interior_point(new, mode), by_membership(old)
-        assert p.mode is q.mode is mode
-        assert (p.x.value, p.y.value) == (q.x.value, q.y.value)
-        assert type(p.x.value) is type(q.x.value)
+        (x, y, d), q = _random_interior_point(new, mode), by_membership(old)
+        assert q.mode is mode
+        point = (Fraction(x, d), Fraction(y, d)) if mode is Mode.EXACT else (x / d, y / d)
+        assert point == (q.x.value, q.y.value)
+        assert type(point[0]) is type(q.x.value)
     assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+@pytest.mark.parametrize("trials", (-5, 0, True, 2.0, "3"))
+def test_trials_must_be_a_positive_int(suite, trials):
+    with pytest.raises(ValueError, match=re.escape(repr(trials))):
+        run_suite(suite, Mode.EXACT, trials, 1)
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+def test_one_trial_runs(mode):
+    for suite in SUITE_NAMES:
+        assert run_suite(suite, mode, 1, 1).passed
+
+
+# Each mutant adds a small wrong term to one kernel a suite checks, keeping
+# the law's weights so that exact trials still run on ints.
+def _product_mutant(product):
+    def mutant(a, b):
+        c1, c2, c3, c4, c5 = product(a, b)
+        return (c1, c2, c3, c4 + a[0] * b[0] * b[1], c5)
+    return mutant
+
+
+def _bracket_mutant(bracket):
+    def mutant(a, b):
+        c1, c2, c3, c4, c5 = bracket(a, b)
+        return (c1, c2, c3 + a[0] * b[0], c4, c5)
+    return mutant
+
+
+def _uvw_mutant(map_uvw):
+    def mutant(k, q, u, v, w, scale):
+        u, v, w = map_uvw(k, q, u, v, w, scale)
+        return (u, v, w + k * q * q * scale**3)
+    return mutant
+
+
+def _word_mutant(word_map):
+    # Still a Sigma word, but with the Y-blocks in reverse order.
+    def mutant(xs, ys, k, q, d):
+        xs, ys, d = word_map(xs, ys, k, q, d)
+        return xs, ys[::-1], d
+    return mutant
+
+
+def _planar_mutant(map_xy):
+    # Adds t to y, which sends points near y = 1 out of the region.
+    def mutant(k, q, x, y, d):
+        image_x, image_y, image_d = map_xy(k, q, x, y, d)
+        return (image_x, image_y + k * q * d, image_d)
+    return mutant
+
+
+def _project_mutant(to_plane):
+    def mutant(u, v, w, scale):
+        x, y, d = to_plane(u, v, w, scale)
+        return (x + d, y, d)
+    return mutant
+
+
+MUTANTS = [
+    ("algebra", lie_core, "_product", _product_mutant, {"associativity", "identity-inverse"}),
+    ("algebra", lie_core, "_bracket", _bracket_mutant, {"jacobi"}),
+    ("commutation", dynamics, "_map_a_uvw", _uvw_mutant, {"word-vs-space-a", "projection-a"}),
+    ("commutation", words, "_word_map_b", _word_mutant, {"word-vs-space-b"}),
+    ("invariance", dynamics, "_map_a_xy", _planar_mutant, {"invariance-a"}),
+    ("convergence", dynamics, "_project", _project_mutant, {"planar-rate", "checkpoints-n2-n3"}),
+]
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+@pytest.mark.parametrize(
+    "suite, module, kernel, mutate, tripped", MUTANTS, ids=[m[2] for m in MUTANTS]
+)
+def test_every_suite_catches_a_broken_kernel(
+    monkeypatch, mode, suite, module, kernel, mutate, tripped
+):
+    monkeypatch.setattr(module, kernel, mutate(getattr(module, kernel)))
+    result = run_suite(suite, mode, 60, 7)
+    assert not result.passed
+    failed = {c.name for c in result.checks if not c.passed}
+    assert failed == tripped
+    for check in result.checks:
+        if check.name in tripped:
+            assert not check.detail.startswith("0 ")
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+def test_commutation_checks_the_sigma_rules_of_mapped_words(monkeypatch, mode):
+    word_map = words._word_map_a
+
+    def heavy(xs, ys, k, q, d):
+        xs, ys, d = word_map(xs, ys, k, q, d)
+        return xs[:-1] + [2 * xs[-1]], ys, d
+
+    monkeypatch.setattr(words, "_word_map_a", heavy)
+    with pytest.raises(SigmaValidationError, match="X-exponents sum to"):
+        run_suite("commutation", mode, 60, 7)
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+@pytest.mark.parametrize("suite", ("algebra", "commutation", "invariance"))
+def test_no_scalar_is_made_per_trial(monkeypatch, suite, mode):
+    made = 0
+    init = Scalar.__init__
+
+    def counting(self, *args):
+        nonlocal made
+        made += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counting)
+    counts = []
+    for trials in (10, 60):
+        made = 0
+        run_suite(suite, mode, trials, 3)
+        counts.append(made)
+    assert counts[0] == counts[1]

@@ -9,6 +9,9 @@ from hypothesis import given, strategies as st
 from nilwords.lie_core import evaluate_word
 from nilwords.scalar import Mode, Scalar
 from nilwords.words import (
+    _check_sigma,
+    _word_map_a,
+    _word_map_b,
     SUM_TOLERANCE,
     Generator,
     Letter,
@@ -417,3 +420,61 @@ class TestSigmaConstructorChecks:
         assert rejection([(E(x), y) for x, y in zip(xs, ones)]) == (
             f"X-exponents sum to {sum(xs)}, expected 1"
         )
+
+
+int_blocks = st.lists(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=8
+).filter(lambda bs: sum(s for s, _ in bs) and sum(t for _, t in bs))
+WORD_MAPS = {"a": (word_map_a, _word_map_a), "b": (word_map_b, _word_map_b)}
+
+
+def lifted(mode, bs):
+    sx, sy = sum(s for s, _ in bs), sum(t for _, t in bs)
+    return SigmaWord(tuple((Scalar.lift(s, mode, sx), Scalar.lift(t, mode, sy)) for s, t in bs))
+
+
+class TestOneLawTwoDoors:
+    """`word_map_a` and `word_map_b` are their raw kernels on the blocks'
+    values, bit for bit.  Exact words also map through the ints over one
+    common denominator that the commutation suite uses, and the image there
+    passes the same Sigma check."""
+
+    @given(st.sampled_from("ab"), int_blocks, st.floats(min_value=0, max_value=1))
+    def test_float_bits(self, kind, bs, t):
+        public, kernel = WORD_MAPS[kind]
+        w = lifted(Mode.FLOAT, bs)
+        values = [s.value for s, _ in w.blocks], [y.value for _, y in w.blocks]
+        xs, ys, d = kernel(*values, t, 1, 1.0)
+        image = public(w, Scalar.of_float(t))
+        assert [(s.value.hex(), y.value.hex()) for s, y in image.blocks] == [
+            (s.hex(), y.hex()) for s, y in zip(xs, ys)
+        ]
+        assert d == 1
+
+    @given(
+        st.sampled_from("ab"),
+        int_blocks,
+        st.fractions(min_value=0, max_value=1, max_denominator=97),
+    )
+    def test_exact_over_one_denominator(self, kind, bs, t):
+        public, kernel = WORD_MAPS[kind]
+        w = lifted(Mode.EXACT, bs)
+        d = math.lcm(*(v.value.denominator for block in w.blocks for v in block))
+        xs, ys, image_d = kernel(
+            [int(s.value * d) for s, _ in w.blocks],
+            [int(y.value * d) for _, y in w.blocks],
+            t.numerator,
+            t.denominator,
+            d,
+        )
+        _check_sigma(xs, ys, image_d, Mode.EXACT)
+        assert blocks(public(w, Scalar.exact(t))) == tuple(
+            (Fraction(s, image_d), Fraction(y, image_d)) for s, y in zip(xs, ys)
+        )
+
+    def test_sigma_check_on_ints_over_a_denominator(self):
+        _check_sigma([1, 2], [0, 3], 3, Mode.EXACT)
+        with pytest.raises(SigmaValidationError, match="X-exponents sum to 2/3"):
+            _check_sigma([1, 1], [3, 0], 3, Mode.EXACT)
+        with pytest.raises(SigmaValidationError, match="negative"):
+            _check_sigma([4, -1], [3, 0], 3, Mode.EXACT)
