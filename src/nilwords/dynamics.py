@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from . import lie_core, words
 from .lie_core import GroupElement, _evaluate
-from .scalar import Mode, ModeMismatchError, Scalar
-from .words import SigmaWord, _check_parameter, balanced_word
+from .scalar import Mode, ModeMismatchError, Scalar, _close
+from .words import SigmaWord, _check_parameter
 
 __all__ = [
     "UVWPoint",
@@ -196,17 +197,41 @@ def xy_distance(p: XYPoint, q: XYPoint) -> float:
     )
 
 
+def _balanced_state(n: int, mode: Mode) -> Tuple[tuple, object]:
+    """The raw state (c1, ..., c5) of `balanced_word(n, mode)` and its scale
+    s, the state being scaled by (s, s, s^2, s^3, s^3): ints and s = n in
+    exact mode, where every block is 1 over n, and in float mode the doubles
+    `_sigma_element` gives, with s = 1.  The blocks pass `_check_sigma` as
+    `SigmaWord` checks them, and the state must have the unit masses
+    `extract_uvw` checks.  `_check_sigma` and `_letters` are read from their
+    modules at each call, so a test can replace them."""
+    if mode is Mode.EXACT:
+        share, scale, zero = 1, n, 0
+    else:
+        share, scale, zero = 1 / n, 1, 0.0
+    blocks = [share] * n
+    words._check_sigma(blocks, blocks, scale, mode)
+    state = lie_core._letters((True, False) * n, blocks * 2, zero)
+    if not all(_close(mode, c, scale, ABELIANIZATION_TOLERANCE) for c in state[:2]):
+        masses = ", ".join(str(Scalar.lift(c, mode, scale)) for c in state[:2])
+        raise UnitMassError(f"generator masses ({masses}) are not (1, 1)")
+    return state, scale
+
+
 def balanced_trajectory(n_max: int, mode: Mode = Mode.EXACT) -> List[dict]:
     """Planar images of the balanced words for n = 1..n_max.
 
     Rows carry n, the point, and its distance to the limit (1/3, 1/3);
-    suitable for CSV emission.
+    suitable for CSV emission.  Each word's point is `_project` of its
+    `_balanced_state`, the same point as `eval_xy(balanced_word(n, mode))`.
     """
     third = Scalar.lift(1, mode, 3)
     limit = XYPoint(third, third)
     rows = []
     for n in range(1, n_max + 1):
-        point = eval_xy(balanced_word(n, mode))
+        (_, _, u, v, w), scale = _balanced_state(n, mode)
+        x, y, d = _project(u, v, w, scale)
+        point = XYPoint(Scalar.lift(x, mode, d), Scalar.lift(y, mode, d))
         rows.append(
             {
                 "n": n,

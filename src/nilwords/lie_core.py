@@ -29,7 +29,6 @@ __all__ = [
     "generator_power",
     "evaluate_word",
     "abelianization_lower_bound",
-    "distance_squared",
     "element_to_json",
     "element_from_json",
 ]
@@ -274,14 +273,6 @@ def abelianization_lower_bound(g: GroupElement) -> Scalar:
     """|c1| + |c2|: no word shorter than this evaluates to g, because the
     quotient by the commutator subgroup adds exponents per generator."""
     return abs(g.c1) + abs(g.c2)
-
-
-def distance_squared(a: AlgebraVector, b: AlgebraVector) -> Scalar:
-    total = Scalar.zero(a.mode)
-    for x, y in zip(a.coords(), b.coords()):
-        d = x - y
-        total = total + d * d
-    return total
 
 
 def element_to_json(g: AlgebraVector) -> list:

@@ -106,30 +106,44 @@ def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerd
     return _classify(x, y, 1, policy.eps.value if policy is not None else 0.0)
 
 
+# The verdicts `_classify` returns, built once: RegionVerdict is frozen, so
+# every call that ends the same way can share one.
+_ENDPOINT = RegionVerdict(Membership.ENDPOINT_MEMBER)
+_INTERIOR = RegionVerdict(Membership.INTERIOR_MEMBER)
+_OUTSIDE_X, _OUTSIDE_Y, _OUTSIDE_QX, _OUTSIDE_QY = (
+    {tie: RegionVerdict(Membership.OUTSIDE, name, tie) for tie in (False, True)}
+    for name in CONDITIONS[:4]
+)
+_OUTSIDE_OR = RegionVerdict(Membership.OUTSIDE, CONDITIONS[4], False)
+
+
 def _classify(x, y, d, eps) -> RegionVerdict:
     """`membership` of the point (x/d, y/d), d > 0, given as the homogeneous
     triple (x, y, d) of ints or floats.  Scaling the triple by a positive
     factor keeps every sign and every tie, so with eps = 0 any such triple
-    of a point gets the same verdict."""
+    of a point gets the same verdict.
+
+    The conditions are tested in their fixed order and each margin is
+    computed only once the conditions before it hold, so the function stops
+    at the first failure.  It returns one of the shared, immutable verdicts
+    above rather than building a new one."""
     if (x == d and y == 0) or (x == 0 and y == d):
-        return RegionVerdict(Membership.ENDPOINT_MEMBER)
+        return _ENDPOINT
     d_minus_x = d - x
+    if not d_minus_x > eps:
+        return _OUTSIDE_X[d_minus_x == 0]
     d_minus_y = d - y
-    strict_margins = (
-        ("x<1", d_minus_x),
-        ("y<1", d_minus_y),
-        ("4x>3(1-y)^2", 4 * x * d - 3 * d_minus_y * d_minus_y),
-        ("4y>3(1-x)^2", 4 * y * d - 3 * d_minus_x * d_minus_x),
-    )
-    for name, margin in strict_margins:
-        if not (margin > eps):
-            return RegionVerdict(Membership.OUTSIDE, name, margin == 0)
-    or_holds = (d_minus_y * d_minus_y - x * d >= 0) or (
-        d_minus_x * d_minus_x - y * d >= 0
-    )
-    if not or_holds:
-        return RegionVerdict(Membership.OUTSIDE, "or-clause", False)
-    return RegionVerdict(Membership.INTERIOR_MEMBER)
+    if not d_minus_y > eps:
+        return _OUTSIDE_Y[d_minus_y == 0]
+    margin = 4 * x * d - 3 * d_minus_y * d_minus_y
+    if not margin > eps:
+        return _OUTSIDE_QX[margin == 0]
+    margin = 4 * y * d - 3 * d_minus_x * d_minus_x
+    if not margin > eps:
+        return _OUTSIDE_QY[margin == 0]
+    if d_minus_y * d_minus_y - x * d >= 0 or d_minus_x * d_minus_x - y * d >= 0:
+        return _INTERIOR
+    return _OUTSIDE_OR
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,11 @@ class Scalar:
     value: Union[Fraction, float]
 
     def __init__(self, mode: Mode, value: Union[Fraction, float]):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", value)
+        # The slots' own descriptors get past the guard below.
+        _set_mode(self, mode)
+        _set_value(self, value)
 
-    def __setattr__(self, name, val):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, val):
         raise AttributeError("Scalar is immutable")
 
     # construction -----------------------------------------------------
@@ -81,7 +82,8 @@ class Scalar:
     @staticmethod
     def lift(num: int, mode: Mode, den: int = 1) -> "Scalar":
         """The rational num/den of two ints in the given mode: exact, or the
-        correctly rounded double (int true division rounds once)."""
+        correctly rounded double (int true division rounds once).  In float
+        mode num may also be a double, which is divided once."""
         return Scalar(mode, Fraction(num, den) if mode is Mode.EXACT else num / den)
 
     @staticmethod
@@ -202,6 +204,10 @@ class Scalar:
 
     def __str__(self) -> str:
         return self.as_json()
+
+
+_set_mode = Scalar.__dict__["mode"].__set__
+_set_value = Scalar.__dict__["value"].__set__
 
 
 def _close(mode: Mode, a, b, tol: float) -> bool:

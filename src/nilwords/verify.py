@@ -6,32 +6,36 @@ axioms), `commutation` (word-level maps against the induced point maps),
 `convergence` (the balanced words approach the limit element at rate 3/n).
 Exact mode demands equality; float mode uses the documented tolerances.
 
-The algebra, commutation and invariance trials run on raw values, through
-the private kernels that the public functions wrap, so each law has one
-copy: `lie_core._product` and `_bracket` (`multiply`, `bracket`),
-`lie_core._letters` (`evaluate_word`, `eval_uvw`), `words._word_map_a`,
-`_word_map_b` and `_check_sigma` (`word_map_a`, `word_map_b`, `SigmaWord`),
-`dynamics._map_a_uvw`, `_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy`
-(the point maps and `project`), and `region._classify` (`membership`).
-Exact trials run them on ints scaled by a common denominator, so every
-exact check is an integer equality; float trials run them on the doubles
-the public functions would see.  Each suite looks up the laws and maps it
-checks in their modules when it starts, so a test can replace one.
+All four suites run on raw values, through the private kernels that the
+public functions wrap, so each law has one copy: `lie_core._product` and
+`_bracket` (`multiply`, `bracket`), `lie_core._letters` (`evaluate_word`,
+`eval_uvw`), `words._word_map_a`, `_word_map_b` and `_check_sigma`
+(`word_map_a`, `word_map_b`, `SigmaWord`), `dynamics._map_a_uvw`,
+`_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy` (the point maps and
+`project`), and `region._classify` (`membership`).  The convergence suite's
+kernels are `_letters`, `_check_sigma` and `_project`: it evaluates each
+balanced word through `dynamics._balanced_state`, the state behind
+`balanced_trajectory`.  Exact trials run the kernels on ints scaled by a
+common denominator, so every exact check compares ints; float trials run
+them on the doubles the public functions would see.  Each suite looks up
+the laws and maps it checks in their modules when it starts (and
+`_balanced_state` reads `_letters` and `_check_sigma` at each call), so a
+test can replace one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import dynamics, lie_core, words
-from .dynamics import _sigma_element, eval_xy, extract_uvw, project
 from .region import Membership, _classify
-from .scalar import Mode, Scalar, _close
-from .words import balanced_word
+from .scalar import Mode, _close
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -228,42 +232,64 @@ def _suite_invariance(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
 
 def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
+    """Balanced words against the limit element (1, 1, 0, 0, 0) and its
+    planar image (1/3, 1/3).  `dynamics._balanced_state` gives word n's
+    state through `_check_sigma` and `_letters`, scaled by (s, s, s^2, s^3,
+    s^3), and `_project` its planar triple (x, y, d).  In exact mode s = n,
+    so the checks multiply out the powers of n and compare ints: the gap to
+    the limit times n^6 is G = ((c1 - n)^2 + (c2 - n)^2) n^4 + c3^2 n^2 +
+    c4^2 + c5^2, the rate check is G > 9 n^4, the monotone check compares
+    G_n (n-1)^6 with G_(n-1) n^6, and the planar one is ((3x - d)^2 +
+    (3y - d)^2) n^2 > 81 d^2.  Float checks run on the doubles of the
+    public path (s = 1), summed in its order."""
     del seed  # deterministic suite
-    limit = lie_core.AlgebraVector.of_ints(1, 1, 0, 0, 0, mode=mode)
-    checks = []
-    rate_ok = True
-    monotone_ok = True
-    xy_rate_ok = True
-    previous: Optional[Scalar] = None
-    third = Scalar.lift(1, mode, 3)
+    balanced_state, to_plane = dynamics._balanced_state, dynamics._project
+    exact = mode is Mode.EXACT
+    ratio = Fraction if exact else operator.truediv
+    third = 1 / 3
+    rate_ok = monotone_ok = xy_rate_ok = True
+    previous = None
     for n in range(1, n_max + 1):
-        w = balanced_word(n, mode)
-        element = _sigma_element(w)
-        gap = lie_core.distance_squared(element, limit)
-        bound = Scalar.lift(9, mode, n * n)
-        if gap > bound:
-            rate_ok = False
-        if previous is not None and gap > previous:
-            monotone_ok = False
-        previous = gap
-        point = project(extract_uvw(element))
-        dx = point.x - third
-        dy = point.y - third
-        if dx * dx + dy * dy > bound:
-            xy_rate_ok = False
+        (c1, c2, c3, c4, c5), s = balanced_state(n, mode)
+        x, y, d = to_plane(c3, c4, c5, s)
+        if exact:
+            n2 = n * n
+            n6 = n2 * n2 * n2
+            gap = ((c1 - n) ** 2 + (c2 - n) ** 2) * n2 * n2 + c3 * c3 * n2 + c4 * c4 + c5 * c5
+            far = gap > 9 * n2 * n2
+            rose = previous is not None and gap * previous[1] > previous[0] * n6
+            off = ((3 * x - d) ** 2 + (3 * y - d) ** 2) * n2 > 81 * d * d
+            previous = (gap, n6)
+        else:
+            bound = 9 / (n * n)
+            e1, e2 = c1 - 1, c2 - 1
+            gap = e1 * e1 + e2 * e2 + c3 * c3 + c4 * c4 + c5 * c5
+            far = gap > bound
+            rose = previous is not None and gap > previous
+            dx, dy = x / d - third, y / d - third
+            off = dx * dx + dy * dy > bound
+            previous = gap
+        rate_ok = rate_ok and not far
+        monotone_ok = monotone_ok and not rose
+        xy_rate_ok = xy_rate_ok and not off
+
     # The balanced words for n = 2, 3 land at (5, 1)/8 and (14, 5)/27.
+    def point(n):
+        (_, _, u, v, w), s = balanced_state(n, mode)
+        x, y, d = to_plane(u, v, w, s)
+        return ratio(x, d), ratio(y, d)
+
     checkpoint_ok = all(
-        c.close_to(Scalar.lift(v, mode, n**3), 1e-12)
+        _close(mode, c, ratio(v, n**3), 1e-12)
         for n, x, y in ((2, 5, 1), (3, 14, 5))
-        for c, v in zip(eval_xy(balanced_word(n, mode)).coords(), (x, y))
+        for c, v in zip(point(n), (x, y))
     )
-    checks.append(CheckResult("rate-3-over-n", rate_ok, f"n up to {n_max}"))
-    checks.append(CheckResult("monotone-norm", monotone_ok, f"n up to {n_max}"))
-    checks.append(CheckResult("planar-rate", xy_rate_ok, f"n up to {n_max}"))
-    checks.append(
-        CheckResult("checkpoints-n2-n3", checkpoint_ok, "exact small cases")
-    )
-    return checks
+    return [
+        CheckResult("rate-3-over-n", rate_ok, f"n up to {n_max}"),
+        CheckResult("monotone-norm", monotone_ok, f"n up to {n_max}"),
+        CheckResult("planar-rate", xy_rate_ok, f"n up to {n_max}"),
+        CheckResult("checkpoints-n2-n3", checkpoint_ok, "exact small cases"),
+    ]
 
 
 _SUITES: Dict[str, Callable[[Mode, int, int], List[CheckResult]]] = {

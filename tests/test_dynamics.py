@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilwords.dynamics import (
+    _balanced_state,
     _map_a_uvw,
     _map_a_xy,
     _map_b_uvw,
     _map_b_xy,
     _project,
+    _sigma_element,
     UnitMassError,
     UVWPoint,
     XYPoint,
@@ -26,7 +28,7 @@ from nilwords.dynamics import (
     project,
     xy_distance,
 )
-from nilwords.lie_core import _letters, evaluate_word
+from nilwords.lie_core import _from_integers, _letters, evaluate_word
 from nilwords.scalar import Mode, Scalar
 from nilwords.words import (
     SigmaWord,
@@ -292,6 +294,35 @@ class TestBalancedTrajectory:
 
     def test_distance_helper(self):
         assert xy_distance(xy(0, 0), xy(3, 4)) == 5.0
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_rows_match_the_word_route(self, mode):
+        # Each row as evaluated through the Scalar word: the point
+        # `eval_xy(balanced_word(n))` and its distance to (1/3, 1/3).
+        third = Scalar.lift(1, mode, 3)
+        limit = XYPoint(third, third)
+        rows = balanced_trajectory(64, mode)
+        for n, row in enumerate(rows, start=1):
+            point = eval_xy(balanced_word(n, mode))
+            assert row["n"] == n
+            assert bits(XYPoint(row["x"], row["y"])) == bits(point)
+            assert row["distance"].hex() == xy_distance(point, limit).hex()
+
+
+class TestBalancedState:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_is_the_state_of_the_word(self, mode):
+        # Exact: ints scaled by (n, n, n^2, n^3, n^3).  Float: the doubles
+        # `_sigma_element` gives, bit for bit.
+        for n in range(1, 61):
+            state, scale = _balanced_state(n, mode)
+            want = tuple(c.value for c in _sigma_element(balanced_word(n, mode)).coords())
+            if mode is Mode.EXACT:
+                assert scale == n and all(type(c) is int for c in state)
+                assert _from_integers(n, state) == want
+            else:
+                assert scale == 1
+                assert hexes(state) == hexes(want)
 
 
 float_parameters = st.floats(min_value=0, max_value=1)

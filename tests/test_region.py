@@ -1,6 +1,8 @@
 """Region membership, the diagonal slice, boundary sampling, rendering."""
 
 import xml.etree.ElementTree as ET
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from nilwords.region import (
     CONDITIONS,
     EpsilonPolicy,
     Membership,
+    RegionVerdict,
+    _classify,
     boundary_sample,
     diagonal_interval,
     membership,
@@ -148,6 +152,104 @@ class TestMembership:
         # denominators up to 64 keep every float computation exact too
         approx = classify(float(x), float(y))
         assert approx.status is exact.status
+
+
+def eager_classify(x, y, d, eps):
+    """The classification that builds all four strict margins and a new
+    verdict on every call: `_classify` must agree with it everywhere."""
+    if (x == d and y == 0) or (x == 0 and y == d):
+        return RegionVerdict(Membership.ENDPOINT_MEMBER)
+    d_minus_x = d - x
+    d_minus_y = d - y
+    strict_margins = (
+        ("x<1", d_minus_x),
+        ("y<1", d_minus_y),
+        ("4x>3(1-y)^2", 4 * x * d - 3 * d_minus_y * d_minus_y),
+        ("4y>3(1-x)^2", 4 * y * d - 3 * d_minus_x * d_minus_x),
+    )
+    for name, margin in strict_margins:
+        if not (margin > eps):
+            return RegionVerdict(Membership.OUTSIDE, name, margin == 0)
+    or_holds = (d_minus_y * d_minus_y - x * d >= 0) or (
+        d_minus_x * d_minus_x - y * d >= 0
+    )
+    if not or_holds:
+        return RegionVerdict(Membership.OUTSIDE, "or-clause", False)
+    return RegionVerdict(Membership.INTERIOR_MEMBER)
+
+
+def int_triples(rnd):
+    """Every triple with d <= 24 and coordinates in -1..d+1, which holds
+    ties on every curve (the limit point (1, 1, 3) among them), and seeded
+    triples on and next to each boundary curve for large d."""
+    for d in range(1, 25):
+        for x in range(-1, d + 2):
+            for y in range(-1, d + 2):
+                yield x, y, d
+    for _ in range(3000):
+        d = rnd.randint(1, 10**6)
+        y = rnd.randint(-2, d + 2)
+        near = (
+            d,  # x = 1
+            3 * (d - y) ** 2 // (4 * d),  # 4x = 3(1-y)^2
+            (d - y) ** 2 // d,  # x = (1-y)^2
+            math.isqrt(max(0, 4 * y * d // 3)),  # 4y = 3(1-x)^2, as d - x
+        )
+        for i, x in enumerate(near):
+            x = d - x if i == 3 else x
+            for step in (-1, 0, 1):
+                yield x + step, y, d
+                yield y, x + step, d
+    for d in (1, 3, 97 * 97 * 1024):
+        yield d, 0, d
+        yield 0, d, d
+
+
+def float_triples(rnd):
+    """Seeded doubles in and around the unit square, points on the curves
+    to the last bit, and non-finite and huge values."""
+    for _ in range(5000):
+        yield rnd.uniform(-0.1, 1.1), rnd.uniform(-0.1, 1.1), 1.0
+        t = rnd.random()
+        for on in (0.75 * (1 - t) ** 2, (1 - t) ** 2, 1.0):
+            for x in (math.nextafter(on, -1), on, math.nextafter(on, 2)):
+                yield x, t, 1.0
+                yield t, x, 1.0
+    special = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1.0, 0.5)
+    for x in special:
+        for y in special:
+            yield x, y, 1.0
+    yield 1.0, 0.0, 1.0
+    yield 0.0, 1.0, 1.0
+
+
+class TestFirstFailureClassify:
+    def check(self, x, y, d, eps):
+        got, want = _classify(x, y, d, eps), eager_classify(x, y, d, eps)
+        assert got == want, (x, y, d, eps)
+        assert (got.status, got.failed_condition, got.boundary_equality) == (
+            want.status, want.failed_condition, want.boundary_equality
+        )
+        return got
+
+    def test_int_triples(self):
+        seen = set()
+        for x, y, d in int_triples(random.Random(19)):
+            v = self.check(x, y, d, 0)
+            seen.add((v.status, v.failed_condition, v.boundary_equality))
+        # every verdict but a tie on the or-clause, which has none
+        assert len(seen) == 2 + 4 * 2 + 1
+
+    @pytest.mark.parametrize("eps", (0.0, 1e-3))
+    def test_float_triples(self, eps):
+        for x, y, d in float_triples(random.Random(23)):
+            self.check(x, y, d, eps)
+
+    def test_verdicts_are_shared(self):
+        assert _classify(1, 1, 3, 0) is _classify(2, 2, 6, 0)
+        assert _classify(1, 0, 1, 0) is _classify(3, 0, 3, 0)
+        assert _classify(1, 1, 2, 0) is _classify(0.5, 0.5, 1.0, 0.0)
+        assert _classify(1, 1, 3, 0) is not _classify(1, 2, 3, 0)
 
 
 class TestDiagonal:

@@ -65,6 +65,20 @@ class TestExactField:
         assert Scalar.exact(2, 6).to_float() == Scalar.exact(1, 3).to_float()
 
 
+class TestImmutability:
+    @pytest.mark.parametrize("name", ["mode", "value", "other"])
+    def test_assignment_raises(self, name):
+        for a in (Scalar.exact(1, 3), Scalar.of_float(0.5)):
+            before = (a.mode, a.value)
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(a, name, 2)
+            assert (a.mode, a.value) == before
+
+    def test_construction_sets_both_slots(self):
+        a = Scalar(Mode.FLOAT, 0.25)
+        assert a.mode is Mode.FLOAT and a.value == 0.25
+
+
 class TestModeDiscipline:
     def test_mode_mismatch_raises(self):
         with pytest.raises(ModeMismatchError):

@@ -129,6 +129,14 @@ def _project_mutant(to_plane):
     return mutant
 
 
+def _letters_mutant(letters):
+    # Adds 1 to w = c5 of every unit-mass state, as c1^2 c2 of weight 3.
+    def mutant(is_x, ts, zero):
+        c1, c2, c3, c4, c5 = letters(is_x, ts, zero)
+        return (c1, c2, c3, c4, c5 + c1 * c1 * c2)
+    return mutant
+
+
 MUTANTS = [
     ("algebra", lie_core, "_product", _product_mutant, {"associativity", "identity-inverse"}),
     ("algebra", lie_core, "_bracket", _bracket_mutant, {"jacobi"}),
@@ -136,6 +144,8 @@ MUTANTS = [
     ("commutation", words, "_word_map_b", _word_mutant, {"word-vs-space-b"}),
     ("invariance", dynamics, "_map_a_xy", _planar_mutant, {"invariance-a"}),
     ("convergence", dynamics, "_project", _project_mutant, {"planar-rate", "checkpoints-n2-n3"}),
+    ("convergence", lie_core, "_letters", _letters_mutant,
+     {"rate-3-over-n", "planar-rate", "checkpoints-n2-n3"}),
 ]
 
 
@@ -170,7 +180,20 @@ def test_commutation_checks_the_sigma_rules_of_mapped_words(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
-@pytest.mark.parametrize("suite", ("algebra", "commutation", "invariance"))
+def test_convergence_checks_the_unit_mass_of_the_states(monkeypatch, mode):
+    letters = lie_core._letters
+
+    def heavy(is_x, ts, zero):
+        c1, c2, c3, c4, c5 = letters(is_x, ts, zero)
+        return (2 * c1, c2, c3, c4, c5)
+
+    monkeypatch.setattr(lie_core, "_letters", heavy)
+    with pytest.raises(dynamics.UnitMassError, match=r"masses \(2(\.0)?, 1(\.0)?\)"):
+        run_suite("convergence", mode, 60, 7)
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+@pytest.mark.parametrize("suite", ("algebra", "commutation", "invariance", "convergence"))
 def test_no_scalar_is_made_per_trial(monkeypatch, suite, mode):
     made = 0
     init = Scalar.__init__
