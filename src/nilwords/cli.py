@@ -120,7 +120,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     mode = Mode(args.arith)
     word = parse_word(args.word, mode)
     element = evaluate_word(word, mode)
-    ell = length(word)
+    # An empty word has no letter to take the mode from.
+    ell = length(word) if word.letters else Scalar.zero(mode)
     ell_prime = coarse_length(word)
     uvw = xy = None
     try:

@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from . import lie_core, words
 from .lie_core import GroupElement, _evaluate
-from .scalar import Mode, ModeMismatchError, Scalar, _close
+from .scalar import Mode, Scalar, _cleared, _close, _lift, _raw
 from .words import SigmaWord, _check_parameter
 
 __all__ = [
@@ -86,43 +86,33 @@ def extract_uvw(g: GroupElement) -> UVWPoint:
     return UVWPoint(g.c3, g.c4, g.c5)
 
 
-def _values(mode: Mode, p) -> tuple:
-    """The raw coordinates of p, which must all be in the given mode."""
-    for c in p.coords():
-        if c.mode is not mode:
-            raise ModeMismatchError(
-                f"cannot combine {mode.value} and {c.mode.value} scalars"
-            )
-    return tuple(c.value for c in p.coords())
-
-
 def map_a_uvw(t: Scalar, p: UVWPoint) -> UVWPoint:
     _check_parameter(t)
-    image = _map_a_uvw(t.value, 1, *_values(t.mode, p), 1)
+    image = _map_a_uvw(t.value, 1, *_raw(t.mode, p.coords()), 1)
     return UVWPoint(*(Scalar(t.mode, v) for v in image))
 
 
 def map_b_uvw(t: Scalar, p: UVWPoint) -> UVWPoint:
     _check_parameter(t)
-    image = _map_b_uvw(t.value, 1, *_values(t.mode, p), 1)
+    image = _map_b_uvw(t.value, 1, *_raw(t.mode, p.coords()), 1)
     return UVWPoint(*(Scalar(t.mode, v) for v in image))
 
 
 def project(p: UVWPoint) -> XYPoint:
     """Affine projection x = (v + 3u + 2)/6, y = (w - 3u + 2)/6."""
-    x, y, d = _project(*_values(p.mode, p), 1)
+    x, y, d = _project(*_raw(p.mode, p.coords()), 1)
     return XYPoint(Scalar(p.mode, x / d), Scalar(p.mode, y / d))
 
 
 def map_a_xy(t: Scalar, p: XYPoint) -> XYPoint:
     _check_parameter(t)
-    x, y, _ = _map_a_xy(t.value, 1, *_values(t.mode, p), 1)
+    x, y, _ = _map_a_xy(t.value, 1, *_raw(t.mode, p.coords()), 1)
     return XYPoint(Scalar(t.mode, x), Scalar(t.mode, y))
 
 
 def map_b_xy(t: Scalar, p: XYPoint) -> XYPoint:
     _check_parameter(t)
-    x, y, _ = _map_b_xy(t.value, 1, *_values(t.mode, p), 1)
+    x, y, _ = _map_b_xy(t.value, 1, *_raw(t.mode, p.coords()), 1)
     return XYPoint(Scalar(t.mode, x), Scalar(t.mode, y))
 
 
@@ -205,13 +195,10 @@ def _balanced_state(n: int, mode: Mode) -> Tuple[tuple, object]:
     `SigmaWord` checks them, and the state must have the unit masses
     `extract_uvw` checks.  `_check_sigma` and `_letters` are read from their
     modules at each call, so a test can replace them."""
-    if mode is Mode.EXACT:
-        share, scale, zero = 1, n, 0
-    else:
-        share, scale, zero = 1 / n, 1, 0.0
+    scale, (share,) = _cleared(mode, [_lift(mode, 1, n)])
     blocks = [share] * n
     words._check_sigma(blocks, blocks, scale, mode)
-    state = lie_core._letters((True, False) * n, blocks * 2, zero)
+    state = lie_core._letters((True, False) * n, blocks * 2, 0)
     if not all(_close(mode, c, scale, ABELIANIZATION_TOLERANCE) for c in state[:2]):
         masses = ", ".join(str(Scalar.lift(c, mode, scale)) for c in state[:2])
         raise UnitMassError(f"generator masses ({masses}) are not (1, 1)")

@@ -8,12 +8,10 @@ and the group law is the closed degree-3 polynomial below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .scalar import Mode, ModeMismatchError, Scalar
+from .scalar import Mode, Scalar, _cleared, _raw, _restored
 from .words import Generator, RWord
 
 __all__ = [
@@ -84,55 +82,14 @@ def neg(a: AlgebraVector) -> AlgebraVector:
     return AlgebraVector(*(-x for x in a.coords()))
 
 
-def _values(a: AlgebraVector) -> tuple:
-    return tuple(c.value for c in a.coords())
-
-
-def _check_modes(a: AlgebraVector, b: AlgebraVector) -> Mode:
-    if a.mode is not b.mode:
-        raise ModeMismatchError(
-            f"cannot combine {a.mode.value} and {b.mode.value} elements"
-        )
-    return a.mode
-
-
 # The product and the bracket are weighted-homogeneous: with weights 1, 1, 2,
 # 3, 3 on c1..c5, every term of output coordinate i has weight w_i.  Scaling
 # the inputs by L**w_i therefore scales the outputs by L**w_i, for any L.
-# Exact inputs take L = lcm of their denominators, which turns them into
-# ints; the law runs on ints and one Fraction per coordinate is built at the
-# end.  Floats pass L = 1.  A law run through `_on_integers` must keep this
-# homogeneity, or the scaled result is wrong.
-def _scaled(v: tuple, den: int, den2: int, den3: int) -> tuple:
-    c1, c2, c3, c4, c5 = v
-    return (
-        c1.numerator * (den // c1.denominator),
-        c2.numerator * (den // c2.denominator),
-        c3.numerator * (den2 // c3.denominator),
-        c4.numerator * (den3 // c4.denominator),
-        c5.numerator * (den3 // c5.denominator),
-    )
-
-
-def _to_integers(a: tuple, b: tuple) -> Tuple[int, tuple, tuple]:
-    """Common denominator L and both vectors' coordinates times L**weight."""
-    den = math.lcm(*[c.denominator for c in a + b])
-    den2 = den * den
-    den3 = den2 * den
-    return den, _scaled(a, den, den2, den3), _scaled(b, den, den2, den3)
-
-
-def _from_integers(den: int, scaled: tuple) -> tuple:
-    c1, c2, c3, c4, c5 = scaled
-    den2 = den * den
-    den3 = den2 * den
-    return (
-        Fraction(c1, den),
-        Fraction(c2, den),
-        Fraction(c3, den2),
-        Fraction(c4, den3),
-        Fraction(c5, den3),
-    )
+# Exact inputs take L = lcm of their denominators (`scalar._cleared`), which
+# turns them into ints; the law runs on ints and one Fraction per coordinate
+# is built at the end (`scalar._restored`).  Floats pass L = 1.  A law run
+# through `_apply` must keep this homogeneity, or the scaled result is wrong.
+_WEIGHTS = (1, 1, 2, 3, 3)
 
 
 def _product(a: tuple, b: tuple) -> tuple:
@@ -162,12 +119,12 @@ def _bracket(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _on_integers(law, a: tuple, b: tuple) -> tuple:
-    """Apply a weighted-homogeneous law to two coordinate tuples."""
-    if isinstance(a[0], float):
-        return law(a, b)
-    den, sa, sb = _to_integers(a, b)
-    return _from_integers(den, law(sa, sb))
+def _apply(law, a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
+    """A weighted-homogeneous law on two elements of one mode."""
+    mode = a.mode
+    den, ints = _cleared(mode, _raw(mode, a.coords() + b.coords()), _WEIGHTS * 2)
+    raw = _restored(mode, den, law(ints[:5], ints[5:]), _WEIGHTS)
+    return AlgebraVector(*(Scalar(mode, v) for v in raw))
 
 
 def bracket(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
@@ -179,10 +136,7 @@ def bracket(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
     factors 6 and -6.  Like the product, exact coordinates are evaluated on
     ints scaled by (L, L, L^2, L^3, L^3) for a common denominator L.
     """
-    mode = _check_modes(a, b)
-    raw = _on_integers(_bracket, _values(a), _values(b))
-    zero = Scalar.zero(mode)
-    return AlgebraVector(zero, zero, *(Scalar(mode, v) for v in raw[2:]))
+    return _apply(_bracket, a, b)
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -194,9 +148,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     outputs have weights 1, 1, 2, 3, 3, evaluated on integers scaled by
     (L, L, L^2, L^3, L^3) in exact mode.
     """
-    mode = _check_modes(a, b)
-    raw = _on_integers(_product, _values(a), _values(b))
-    return AlgebraVector(*(Scalar(mode, v) for v in raw))
+    return _apply(_product, a, b)
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -228,15 +180,12 @@ def evaluate_word(w: RWord, mode: Optional[Mode] = None) -> GroupElement:
 def _evaluate(is_x: Sequence[bool], ts: Sequence, mode: Mode) -> GroupElement:
     """Product of X^t (where is_x) and Y^t powers of the raw values ts.
 
-    Exact exponents are scaled to integers by their common denominator L,
-    so `_letters` returns the state scaled by (L, L, L^2, L^3, L^3).
+    Exact exponents are scaled to integers by their common denominator L
+    (floats keep L = 1), so `_letters` returns the state scaled by (L, L,
+    L^2, L^3, L^3).
     """
-    if mode is Mode.EXACT:
-        den = math.lcm(*(t.denominator for t in ts))
-        ts = [t.numerator * (den // t.denominator) for t in ts]
-        state = _from_integers(den, _letters(is_x, ts, 0))
-    else:
-        state = _letters(is_x, ts, 0.0)
+    den, ts = _cleared(mode, ts)
+    state = _restored(mode, den, _letters(is_x, ts, 0), _WEIGHTS)
     return AlgebraVector(*(Scalar(mode, v) for v in state))
 
 

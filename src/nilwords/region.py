@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scalar import DIAGONAL_FIXED_POINT, Mode, ModeMismatchError, Scalar
+from .scalar import DIAGONAL_FIXED_POINT, Mode, ModeMismatchError, Scalar, _cleared, _raw
 from .dynamics import XYPoint
 
 __all__ = [
@@ -88,22 +88,18 @@ def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerd
     policy margin, and the disjunction must hold non-strictly.  The verdict
     names the first failure and flags an exact tie on a strict condition.
 
-    Every condition is homogeneous in (x, y, 1), so an exact point
-    (px/qx, py/qy) is tested as the integers (px*qy, py*qx, qx*qy); the
-    signs are unchanged because exact mode only admits eps = 0.  Float
-    points are tested as (x, y, 1).
+    Every condition is homogeneous in (x, y, 1), so an exact point is
+    tested as the ints (x L, y L, L) over the lcm L of its denominators
+    (`scalar._cleared`); the signs are unchanged because exact mode only
+    admits eps = 0.  Float points are tested as (x, y, 1).
     """
     if policy is not None and policy.eps.mode is not p.mode:
         raise ModeMismatchError(
             f"cannot classify a {p.mode.value} point with a "
             f"{policy.eps.mode.value} margin"
         )
-    x, y = p.x.value, p.y.value
-    if p.mode is Mode.EXACT:
-        qx, qy = x.denominator, y.denominator
-        # eps = 0 is the only margin EpsilonPolicy admits in exact mode
-        return _classify(x.numerator * qy, y.numerator * qx, qx * qy, 0)
-    return _classify(x, y, 1, policy.eps.value if policy is not None else 0.0)
+    d, (x, y) = _cleared(p.mode, _raw(p.mode, p.coords()))
+    return _classify(x, y, d, policy.eps.value if policy is not None else 0)
 
 
 # The verdicts `_classify` returns, built once: RegionVerdict is frozen, so

@@ -58,6 +58,9 @@ class Scalar:
     def __setattr__(self, name, val):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     # construction -----------------------------------------------------
 
     @staticmethod
@@ -73,18 +76,18 @@ class Scalar:
 
     @staticmethod
     def zero(mode: Mode) -> "Scalar":
-        return Scalar(mode, Fraction(0) if mode is Mode.EXACT else 0.0)
+        return Scalar(mode, _lift(mode, 0))
 
     @staticmethod
     def one(mode: Mode) -> "Scalar":
-        return Scalar(mode, Fraction(1) if mode is Mode.EXACT else 1.0)
+        return Scalar(mode, _lift(mode, 1))
 
     @staticmethod
     def lift(num: int, mode: Mode, den: int = 1) -> "Scalar":
         """The rational num/den of two ints in the given mode: exact, or the
         correctly rounded double (int true division rounds once).  In float
         mode num may also be a double, which is divided once."""
-        return Scalar(mode, Fraction(num, den) if mode is Mode.EXACT else num / den)
+        return Scalar(mode, _lift(mode, num, den))
 
     @staticmethod
     def parse(text: str, mode: Mode) -> "Scalar":
@@ -208,6 +211,44 @@ class Scalar:
 
 _set_mode = Scalar.__dict__["mode"].__set__
 _set_value = Scalar.__dict__["value"].__set__
+
+
+# The exact-or-float decisions on raw values.  Every module that runs a
+# kernel on raw values unwraps its Scalars with `_raw`, clears exact
+# denominators with `_cleared`, and wraps the results with `_lift` or
+# `_restored`; none of them branches on the mode itself.
+
+
+def _lift(mode: Mode, num, den=1):
+    """`Scalar.lift` on raw values: Fraction(num, den) in exact mode, num / den
+    in float mode, where den = 1 leaves a double unchanged."""
+    return Fraction(num, den) if mode is Mode.EXACT else num / den
+
+
+def _raw(mode: Mode, scalars) -> tuple:
+    """The values of scalars, which must all be in the given mode."""
+    for s in scalars:
+        if s.mode is not mode:
+            raise ModeMismatchError(f"cannot combine {mode.value} and {s.mode.value} scalars")
+    return tuple([s.value for s in scalars])
+
+
+def _cleared(mode: Mode, values, weights=None) -> tuple:
+    """(L, ints) for exact values: L is the lcm of their denominators and each
+    value of weight w (1 when weights is None) is scaled by L**w into an int.
+    A kernel that is weighted-homogeneous in these weights then runs on ints.
+    Float values come back unchanged, with L = 1."""
+    if mode is Mode.FLOAT:
+        return 1, values
+    den = math.lcm(*[v.denominator for v in values])
+    if weights is None:
+        return den, [v.numerator * (den // v.denominator) for v in values]
+    return den, [v.numerator * (den**w // v.denominator) for v, w in zip(values, weights)]
+
+
+def _restored(mode: Mode, den, values, weights) -> tuple:
+    """The inverse of `_cleared`: each value of weight w over den**w."""
+    return tuple(_lift(mode, v, den**w) for v, w in zip(values, weights))
 
 
 def _close(mode: Mode, a, b, tol: float) -> bool:

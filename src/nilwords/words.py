@@ -10,13 +10,11 @@ length 2 whose image under the group's abelianization map is (1, 1).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .scalar import Mode, ModeMismatchError, Scalar
+from .scalar import Mode, Scalar, _cleared, _close, _lift, _raw
 
 __all__ = [
     "Generator",
@@ -206,39 +204,24 @@ def _check_sigma(xs: Sequence, ys: Sequence, den, mode: Mode) -> None:
     """The Sigma rules on raw block exponents x/den and y/den, for every
     `SigmaWord` and for the words the commutation suite maps: raise
     SigmaValidationError unless all are nonnegative and each generator's
-    sum to 1.  Exact exponents are rationals, or ints over an int den; a
-    Scalar is made only for a failure message."""
+    sum to 1.  Exact exponents are rationals, or ints over an int den, and
+    are summed as ints over their common denominator; float exponents come
+    over den = 1 and their sum may miss 1 by SUM_TOLERANCE.  A Scalar is
+    made only for a failure message."""
     # Written so that a NaN exponent fails the test.
     if not all(s >= 0 and t >= 0 for s, t in zip(xs, ys)):
         raise SigmaValidationError("negative or NaN block exponent")
-    unit_mass = _unit_mass_exact if mode is Mode.EXACT else _unit_mass_float
     for label, values in (("X", xs), ("Y", ys)):
-        total = unit_mass(values, den)
-        if total is not None:
+        lcm, ints = _cleared(mode, values)
+        # A left-to-right loop, because sum() of doubles is compensated on
+        # Python 3.12 and later.
+        total = 0
+        for v in ints:
+            total += v
+        if not _close(mode, total, den * lcm, SUM_TOLERANCE):
             raise SigmaValidationError(
-                f"{label}-exponents sum to {Scalar(mode, total)}, expected 1"
+                f"{label}-exponents sum to {Scalar.lift(total, mode, den * lcm)}, expected 1"
             )
-
-
-def _unit_mass_exact(values: Sequence, den: int) -> Optional[Fraction]:
-    """None if the rationals over den sum to exactly 1, else their sum.  The
-    check scales the numerators to the lcm L of the denominators and
-    compares their integer sum with den * L; the Fraction sum is built only
-    on failure."""
-    lcm = math.lcm(*(v.denominator for v in values))
-    if sum(v.numerator * (lcm // v.denominator) for v in values) == den * lcm:
-        return None
-    return sum(values, Fraction(0)) / den
-
-
-def _unit_mass_float(values: Sequence, den) -> Optional[float]:
-    """None if the left-to-right double sum over den is within SUM_TOLERANCE
-    of 1 (never for NaN), else that quotient."""
-    total = 0.0
-    for v in values:
-        total += v
-    total /= den
-    return None if abs(total - 1) <= SUM_TOLERANCE else total
 
 
 def sigma_to_rword(w: SigmaWord) -> RWord:
@@ -306,15 +289,6 @@ def _check_parameter(t: Scalar) -> None:
         raise ValueError(f"map parameter {t} outside [0, 1]")
 
 
-def _block_values(w: SigmaWord, t: Scalar) -> Tuple[list, list]:
-    """The raw X- and Y-exponents of w, which must share t's mode."""
-    if w.mode() is not t.mode:
-        raise ModeMismatchError(
-            f"cannot combine {w.mode().value} and {t.mode.value} scalars"
-        )
-    return [s.value for s, _ in w.blocks], [y.value for _, y in w.blocks]
-
-
 def _from_values(xs: Sequence, ys: Sequence, mode: Mode) -> SigmaWord:
     scalar = functools.partial(Scalar, mode)
     return SigmaWord(tuple(zip(map(scalar, xs), map(scalar, ys))))
@@ -323,14 +297,16 @@ def _from_values(xs: Sequence, ys: Sequence, mode: Mode) -> SigmaWord:
 def word_map_a(w: SigmaWord, t: Scalar) -> SigmaWord:
     """Rescale every X-exponent by 1-t and append X^t."""
     _check_parameter(t)
-    xs, ys, _ = _word_map_a(*_block_values(w, t), t.value, 1, Scalar.one(t.mode).value)
+    xs, ys = (_raw(t.mode, part) for part in zip(*w.blocks))
+    xs, ys, _ = _word_map_a(xs, ys, t.value, 1, _lift(t.mode, 1))
     return _from_values(xs, ys, t.mode)
 
 
 def word_map_b(w: SigmaWord, t: Scalar) -> SigmaWord:
     """Rescale every Y-exponent by 1-t and append Y^t."""
     _check_parameter(t)
-    xs, ys, _ = _word_map_b(*_block_values(w, t), t.value, 1, Scalar.one(t.mode).value)
+    xs, ys = (_raw(t.mode, part) for part in zip(*w.blocks))
+    xs, ys, _ = _word_map_b(xs, ys, t.value, 1, _lift(t.mode, 1))
     return _from_values(xs, ys, t.mode)
 
 

@@ -76,6 +76,18 @@ class TestEval:
         payload = json.loads(out)
         assert payload["uvw"] is None and payload["xy"] is None
 
+    @pytest.mark.parametrize("arith, zero", [("exact", "0"), ("float", "0.0")])
+    def test_empty_word_length_in_the_requested_mode(self, capsys, arith, zero):
+        # The empty word has no letter to take the mode from.
+        code, out, _ = run(capsys, "eval", "", "--arith", arith)
+        assert code == 0
+        assert f"length: {zero}\n" in out
+        code, out, _ = run(capsys, "eval", "", "--arith", arith, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["length"] == payload["abelianization_lower_bound"] == zero
+        assert payload["element"] == [zero] * 5
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "Z^1")
         assert code == 2

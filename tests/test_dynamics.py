@@ -28,8 +28,8 @@ from nilwords.dynamics import (
     project,
     xy_distance,
 )
-from nilwords.lie_core import _from_integers, _letters, evaluate_word
-from nilwords.scalar import Mode, Scalar
+from nilwords.lie_core import _WEIGHTS, _letters, evaluate_word
+from nilwords.scalar import Mode, Scalar, _restored
 from nilwords.words import (
     SigmaWord,
     balanced_word,
@@ -319,7 +319,7 @@ class TestBalancedState:
             want = tuple(c.value for c in _sigma_element(balanced_word(n, mode)).coords())
             if mode is Mode.EXACT:
                 assert scale == n and all(type(c) is int for c in state)
-                assert _from_integers(n, state) == want
+                assert _restored(mode, n, state, _WEIGHTS) == want
             else:
                 assert scale == 1
                 assert hexes(state) == hexes(want)

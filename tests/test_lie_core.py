@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilwords.lie_core import (
     AlgebraVector,
+    _WEIGHTS,
     _bracket,
-    _from_integers,
     _product,
     abelianization_lower_bound,
     add,
@@ -23,7 +23,7 @@ from nilwords.lie_core import (
     multiply,
     zero_element,
 )
-from nilwords.scalar import Mode, Scalar
+from nilwords.scalar import Mode, Scalar, _restored
 from nilwords.words import Generator, parse_word
 
 from truncated_tensor import oracle_bracket, oracle_evaluate, oracle_multiply
@@ -221,11 +221,11 @@ class TestOneLawTwoDoors:
 
     @given(vectors, vectors)
     def test_exact_scaled_integers(self, a, b):
-        assert raw(multiply(vec(a), vec(b))) == _from_integers(
-            840, _product(scaled(a), scaled(b))
+        assert raw(multiply(vec(a), vec(b))) == _restored(
+            Mode.EXACT, 840, _product(scaled(a), scaled(b)), _WEIGHTS
         )
-        assert raw(bracket(vec(a), vec(b))) == _from_integers(
-            840, _bracket(scaled(a), scaled(b))
+        assert raw(bracket(vec(a), vec(b))) == _restored(
+            Mode.EXACT, 840, _bracket(scaled(a), scaled(b)), _WEIGHTS
         )
 
     @given(float_vectors, float_vectors)

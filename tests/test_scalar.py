@@ -70,9 +70,10 @@ class TestImmutability:
     def test_assignment_raises(self, name):
         for a in (Scalar.exact(1, 3), Scalar.of_float(0.5)):
             before = (a.mode, a.value)
-            with pytest.raises(AttributeError, match="immutable"):
-                setattr(a, name, 2)
-            assert (a.mode, a.value) == before
+            for change in (lambda: setattr(a, name, 2), lambda: delattr(a, name)):
+                with pytest.raises(AttributeError, match="immutable"):
+                    change()
+                assert (a.mode, a.value) == before
 
     def test_construction_sets_both_slots(self):
         a = Scalar(Mode.FLOAT, 0.25)
