@@ -17,7 +17,9 @@ form wins.  A winner shorter than k is padded to k steps with identity
 steps (t = 0) right after its first A step, or by repeating the step of
 the form (B,).  Each form starts from the winner of its seed's form one
 step shorter, an identity step appended, then from four seeded
-Latin-hypercube points.
+Latin-hypercube points.  So a form's solution does not depend on k, and
+each thread keeps the forms of the last problem it searched: a search on
+the same problem, a k-ladder say, solves only the forms past them.
 
 Swapping X and Y is a symmetry of the group: it swaps x and y, the a- and
 b-maps, and the two seeds, so the form (YX; B A B ...) reaches the mirror
@@ -37,11 +39,13 @@ per point, the Jacobian is its backward sweep (Griewank & Walther 2008).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,9 +151,10 @@ DEFAULT_CONFIG = SearchConfig()
 @dataclass(frozen=True)
 class SearchReport:
     """The best sequence found.  `evaluations` counts the residual
-    evaluations of every form solved, k per seed since a first step fixing
-    the seed adds nothing (on a diagonal target only the XY forms), and
-    `converged` is the winning start's `_solve` verdict."""
+    evaluations of the walk on every form of at most k steps, k per seed
+    since a first step fixing the seed adds nothing (on a diagonal target
+    only the XY forms), whichever call paid for them.  `converged` is the
+    winning start's `_solve` verdict."""
 
     best_sequence: MapSequence
     best_point: XYPoint
@@ -519,21 +524,30 @@ def _origin(seed: Seed) -> Tuple[float, float]:
 
 def _start_vectors(dim: int, cfg: SearchConfig) -> np.ndarray:
     """Four deterministic Latin-hypercube start points in [0,1]^dim, which
-    depend only on `cfg.master_seed` and `dim`.
+    depend only on `cfg.master_seed` and `dim`; read-only."""
+    return _latin_hypercube(cfg.master_seed, dim)
+
+
+@functools.lru_cache(maxsize=128)
+def _latin_hypercube(master_seed: int, dim: int) -> np.ndarray:
+    """The points of `_start_vectors`.
 
     Each axis is cut into 4 equal slices, and every row takes one point
     drawn uniformly in its own slice of each axis, the slices shuffled
     independently per axis (McKay, Beckman & Conover 1979).  The draws are
     in the order of scipy's `qmc.LatinHypercube` seeded with the same
-    generator, so the points are bit for bit the ones it gives.
+    generator, so the points are bit for bit the ones it gives.  Cached,
+    as building the generator costs as much as a short solve.
     """
     n = 4
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, dim])).spawn(1)[0]
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, dim])).spawn(1)[0]
     offsets = rng.uniform(size=(n, dim))
     slices = np.tile(np.arange(1, n + 1), (dim, 1))
     for axis in slices:
         rng.shuffle(axis)
-    return (slices.T - offsets) / n
+    points = (slices.T - offsets) / n
+    points.setflags(write=False)
+    return points
 
 
 # The least-squares problem of one form: (seed, kinds) -> (residual, jacobian,
@@ -542,12 +556,25 @@ _Posed = Tuple[_Residual, _Jacobian, int]
 _Problem = Callable[[Seed, Tuple[StepKind, ...]], _Posed]
 
 
+# This thread's last walk, (key, its forms solved so far); see `_solved_forms`.
+_last_walk = threading.local()
+
+
+def _resumed(key: tuple) -> list:
+    """The slot's solved forms if it holds `key`, else a new empty walk."""
+    walk = getattr(_last_walk, "walk", None)
+    if walk is None or walk[0] != key:
+        walk = _last_walk.walk = (key, [])
+    return walk[1]
+
+
 def _solved_forms(
     k_max: int,
     problem_of: _Problem,
     cfg: SearchConfig,
     enough: float = 0.0,
     symmetric: bool = False,
+    key: Optional[tuple] = None,
 ) -> Iterator[Tuple[Seed, Tuple[StepKind, ...], _Solved, int]]:
     """Solve each form of `_forms(k_max, symmetric)` once, continuing along
     its family.
@@ -570,23 +597,33 @@ def _solved_forms(
     forms are skipped.  A planar twin's cost agrees with its XY twin's up
     to the rounding of sums taken in mirrored order; a landing twin's is
     the same bit for bit.
+
+    With a `key` (`_key`; `enough` must be 0) the walk resumes this
+    thread's slot when it holds (key, cfg), solving only the forms past
+    those stored there, and stores each form once solved, so an interrupted
+    walk leaves a valid prefix.  A form's starts depend only on the forms
+    before it, so a resumed walk yields what a cold one does, bit for bit.
     """
+    done = _resumed((key, cfg)) if key is not None and k_max else []
     winners: dict = {}  # seed -> its latest form's winning point
-    for seed, kinds in _forms(k_max, symmetric):
-        residual, jacobian, dim = problem_of(seed, kinds)
-        first = winners[seed] + (0.0,) if seed in winners else (0.5,) * dim
-        best: Optional[_Solved] = None
-        evaluations = 0
-        for start in [first, *_start_vectors(dim, cfg)] if dim else [first]:
-            solved = _solve(residual, jacobian, start, cfg.max_iterations)
-            evaluations += solved.evaluations
-            if best is None or solved.cost < best.cost:
-                best = solved
-            if solved.cost <= enough:
-                break
-        assert best is not None
-        winners[seed] = best.point
-        yield seed, kinds, best, evaluations
+    for index, (seed, kinds) in enumerate(_forms(k_max, symmetric)):
+        if index == len(done):
+            residual, jacobian, dim = problem_of(seed, kinds)
+            first = winners[seed] + (0.0,) if seed in winners else (0.5,) * dim
+            best: Optional[_Solved] = None
+            evaluations = 0
+            for start in [first, *_start_vectors(dim, cfg)] if dim else [first]:
+                solved = _solve(residual, jacobian, start, cfg.max_iterations)
+                evaluations += solved.evaluations
+                if best is None or solved.cost < best.cost:
+                    best = solved
+                if solved.cost <= enough:
+                    break
+            assert best is not None
+            done.append((seed, kinds, best, evaluations))
+        form = done[index]
+        winners[seed] = form[2].point
+        yield form
 
 
 # the search walk ----------------------------------------------------------
@@ -618,9 +655,10 @@ def _padded(
 
 
 def _walk(
-    k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+    key: tuple, k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
 ) -> List[_Winner]:
-    """Keep a running best over `_solved_forms(k_max, symmetric=symmetric)`.
+    """Keep a running best over `_solved_forms(k_max, symmetric=symmetric)`,
+    resuming this thread's walk of the problem `key`.
 
     Returns one winner per budget k (k = 0 alone for k_max = 0, else
     k = 1..k_max), counting the residual evaluations spent on all forms of
@@ -631,7 +669,7 @@ def _walk(
     winners: List[_Winner] = []
     best: Optional[Tuple[_Solved, Seed, Tuple[StepKind, ...]]] = None
     evaluations = 0
-    solved_forms = _solved_forms(k_max, problem_of, cfg, symmetric=symmetric)
+    solved_forms = _solved_forms(k_max, problem_of, cfg, symmetric=symmetric, key=key)
     for length, forms in itertools.groupby(solved_forms, key=lambda form: len(form[1])):
         for seed, kinds, solved, spent in forms:
             evaluations += spent
@@ -653,6 +691,11 @@ def _finite_target(names: str, target: Sequence[float]) -> Sequence[float]:
         if not math.isfinite(value):
             raise ValueError(f"target coordinate {name} = {value} is not finite")
     return target
+
+
+def _key(kind: str, target: Iterable[float]) -> tuple:
+    """A problem's kind and target doubles, by `float.hex`: 0.0 != -0.0."""
+    return (kind, *map(float.hex, target))
 
 
 def _xy_problem(target: Tuple[float, float]) -> _Problem:
@@ -714,13 +757,17 @@ def nearest_reachable(
     XY-seeded and `evaluations` about halves.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
-    form (B,).  The returned distance is always an upper bound on the true
-    minimum.
+    form (B,).  The returned distance is the float norm of fold - target
+    at the returned parameters.  It is not certified: rounding can put it
+    below the exact distance of those doubles (in 20 of the 32 rows of the
+    (1/3, 1/3) profile to k = 32, the square by up to 3.7e-13 relative).
+    Calls on one target and `cfg` in a thread extend one walk.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
     tx, ty = target.to_floats()
-    winner = _walk(k, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)[-1]
+    key = _key("xy", (tx, ty))
+    winner = _walk(key, k, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)[-1]
     (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
@@ -736,13 +783,14 @@ def nearest_reachable_uvw(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    winner = _walk(k, _uvw_problem(target), cfg)[-1]
+    key = _key("uvw", (c.to_float() for c in target.coords()))
+    winner = _walk(key, k, _uvw_problem(target), cfg)[-1]
     (u, v, w), _ = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
     return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
 
 
 def _profile(
-    k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+    key: tuple, k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
 ) -> List[ProfileRow]:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -754,7 +802,7 @@ def _profile(
             t_values=winner.ts,
             converged=winner.converged,
         )
-        for k, winner in enumerate(_walk(k_max, problem_of, cfg, symmetric=symmetric), start=1)
+        for k, winner in enumerate(_walk(key, k_max, problem_of, cfg, symmetric), start=1)
     ]
 
 
@@ -767,7 +815,8 @@ def coarse_length_profile(
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
     tx, ty = target.to_floats()
-    return _profile(k_max, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)
+    key = _key("xy", (tx, ty))
+    return _profile(key, k_max, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)
 
 
 def coarse_length_profile_uvw(
@@ -778,7 +827,8 @@ def coarse_length_profile_uvw(
     Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
     experiments targeting a group element rather than its planar shadow.
     """
-    return _profile(k_max, _uvw_problem(target), cfg)
+    key = _key("uvw", (c.to_float() for c in target.coords()))
+    return _profile(key, k_max, _uvw_problem(target), cfg)
 
 
 def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
@@ -870,7 +920,7 @@ def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")
-    solved_forms = _solved_forms(k, _landing_problem, cfg, symmetric=True)
+    solved_forms = _solved_forms(k, _landing_problem, cfg, symmetric=True, key=("landing",))
     costs = (solved.cost for _, _, solved, _ in solved_forms)
     return Scalar.of_float(min(costs))
 

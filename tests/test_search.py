@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -273,6 +275,13 @@ class TestStartVectors:
         assert points.shape == (4, 5)
         for axis in points.T:
             assert sorted(int(v * 4) for v in axis) == [0, 1, 2, 3]
+
+    def test_built_once_per_seed_and_dimension_and_read_only(self):
+        points = _start_vectors(3, DEFAULT_CONFIG)
+        assert _start_vectors(3, SearchConfig(max_iterations=7)) is points
+        assert _start_vectors(3, SearchConfig(master_seed=0)) is not points
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 0.5
 
 
 class TestSearchConfig:
@@ -922,6 +931,179 @@ class TestSharedWalk:
         assert two.best_sequence.pattern() == "BB"
         assert two.best_sequence.steps[0] == one.best_sequence.steps[0]
         assert two.best_sequence.steps[1][1].to_float() == 0.0
+
+
+def fingerprint(result):
+    """A search result by the bits of every field."""
+    if isinstance(result, Scalar):
+        return result.to_float().hex()
+    if isinstance(result, list):
+        return [
+            (row.k, row.distance.hex(), row.pattern, [t.hex() for t in row.t_values], row.converged)
+            for row in result
+        ]
+    seq = result.best_sequence
+    return (
+        seq.seed,
+        seq.pattern(),
+        [t.to_float().hex() for _, t in seq.steps],
+        [c.to_float().hex() for c in result.best_point.coords()],
+        result.distance.to_float().hex(),
+        result.evaluations,
+        result.converged,
+    )
+
+
+def cold(call):
+    """`call()` from an empty search slot."""
+    vars(search._last_walk).clear()
+    return call()
+
+
+class TestResumedWalk:
+    """Searches on one problem in one thread extend one walk: a call solves
+    only the forms no earlier call solved, and reports what a call from an
+    empty slot reports, bit for bit, `evaluations` included."""
+
+    LIMIT = target(1 / 3, 1 / 3)
+    UVW = eval_uvw(balanced_word(8, Mode.FLOAT))
+
+    @staticmethod
+    def forms_solved(monkeypatch):
+        """A function giving the number of forms `_solve` has been run on."""
+        residuals = []  # kept alive, so that their ids stay distinct
+        solve = search._solve
+
+        def counted_solve(residual, *args):
+            residuals.append(residual)
+            return solve(residual, *args)
+
+        monkeypatch.setattr(search, "_solve", counted_solve)
+        return lambda: len({id(residual) for residual in residuals})
+
+    @staticmethod
+    def assert_same_as_cold(calls):
+        vars(search._last_walk).clear()
+        warm = [fingerprint(call()) for call in calls]
+        assert warm == [fingerprint(cold(call)) for call in calls]
+
+    def test_a_ladder_solves_each_form_once(self, monkeypatch):
+        solved = self.forms_solved(monkeypatch)
+        for k in range(1, 9):
+            diagonal_gap(k)
+        assert solved() == 8  # 36 when every call walks from length 1
+        for k in range(1, 9):
+            nearest_reachable(self.LIMIT, k)
+        assert solved() == 16
+
+    def test_descending_budgets(self):
+        self.assert_same_as_cold(
+            [lambda k=k: nearest_reachable(self.LIMIT, k) for k in range(8, 0, -1)]
+            + [lambda k=k: diagonal_gap(k) for k in range(8, 0, -1)]
+        )
+
+    def test_repeated_budget_solves_nothing_more(self, monkeypatch):
+        goal = target(0.41, 0.37)
+        self.assert_same_as_cold([lambda: nearest_reachable(goal, 5, FAST)] * 3)
+        solved = self.forms_solved(monkeypatch)
+        nearest_reachable(goal, 5, FAST)
+        nearest_reachable(goal, 0, FAST)  # the empty forms bypass the slot
+        assert solved() == 2
+
+    def test_interleaved_ladders(self):
+        a, b = target(0.41, 0.37), target(0.38, 0.38)
+        calls = []
+        for k in range(1, 5):
+            calls += [
+                lambda k=k: nearest_reachable(a, k, FAST),
+                lambda k=k: nearest_reachable(b, k, FAST),
+                lambda k=k: nearest_reachable(a, k + 1, FAST),
+                lambda k=k: diagonal_gap(k, FAST),
+                lambda k=k: nearest_reachable_uvw(self.UVW, k, FAST),
+                lambda k=k: nearest_reachable(a, k, SearchConfig(max_iterations=20)),
+            ]
+        self.assert_same_as_cold(calls)
+
+    def test_profile_then_single_calls(self):
+        goal = target(0.38, 0.36)
+        self.assert_same_as_cold(
+            [lambda: coarse_length_profile(goal, 4, FAST)]
+            + [lambda k=k: nearest_reachable(goal, k, FAST) for k in (4, 2, 6, 3)]
+            + [lambda: coarse_length_profile(goal, 6, FAST)]
+            + [lambda: coarse_length_profile_uvw(self.UVW, 2, FAST)]
+            + [lambda k=k: nearest_reachable_uvw(self.UVW, k, FAST) for k in (3, 1)]
+        )
+
+    def test_signed_zero_targets(self):
+        assert search._key("xy", (0.0, 0.4)) != search._key("xy", (-0.0, 0.4))
+        plus, minus = target(0.0, 0.4), target(-0.0, 0.4)
+        self.assert_same_as_cold(
+            [lambda k=k, goal=goal: nearest_reachable(goal, k, FAST)
+             for k in (2, 3) for goal in (plus, minus, plus)]
+            + [lambda: nearest_reachable(target(0.0, -0.0), 2, FAST)]
+            + [lambda: nearest_reachable(target(-0.0, 0.0), 3, FAST)]
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: nearest_reachable(target(1 / 3, 1 / 3), 6), lambda: diagonal_gap(6)],
+        ids=["ladder", "gap"],
+    )
+    def test_an_interrupted_walk_leaves_a_valid_prefix(self, monkeypatch, call):
+        expected = fingerprint(cold(call))
+        vars(search._last_walk).clear()
+        solve = search._solve
+        calls = []
+
+        def interrupted_solve(*args):
+            calls.append(args)
+            if len(calls) == 13:  # partway through the walk, inside a form
+                raise KeyboardInterrupt
+            return solve(*args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(search, "_solve", interrupted_solve)
+            with pytest.raises(KeyboardInterrupt):
+                call()
+        solved = self.forms_solved(monkeypatch)
+        assert fingerprint(call()) == expected
+        assert 0 < solved() < 6  # the forms solved before the interrupt were kept
+
+    def test_synthesis_leaves_the_slot_alone(self, monkeypatch):
+        nearest_reachable(self.LIMIT, 4)
+        walk = search._last_walk.walk
+        forms = list(walk[1])
+        assert synthesize_word(target(0.6, 0.2)).stage == "direct"
+        assert search._last_walk.walk is walk and walk[1] == forms
+        solved = self.forms_solved(monkeypatch)
+        nearest_reachable(self.LIMIT, 4)
+        assert solved() == 0
+
+    def test_threads_keep_their_own_walks(self):
+        # three threads per target: a slot shared between threads would let
+        # two walks of one problem append the same form twice
+        goals = [target(0.41, 0.37), target(0.38, 0.38)] * 3
+
+        def ladder(goal):
+            return [fingerprint(nearest_reachable(goal, k, FAST)) for k in (1, 3, 2, 5, 4, 6)]
+
+        expected = [ladder(goal) for goal in goals]
+        results = {}
+        threads = [
+            threading.Thread(target=lambda i=i: results.__setitem__(i, ladder(goals[i])))
+            for i in range(len(goals))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results.get(i) for i in range(len(goals))] == expected
 
 
 class TestDiagonalGap:
