@@ -31,13 +31,10 @@ from .lie_core import (
     AlgebraVector,
     GroupElement,
     abelianization_lower_bound,
-    basis,
     bracket,
     evaluate_word,
-    generator_power,
     inverse,
     multiply,
-    zero_element,
 )
 from .dynamics import (
     UVWPoint,
@@ -57,7 +54,6 @@ from .region import (
     Membership,
     RegionVerdict,
     boundary_sample,
-    diagonal_interval,
     membership,
     render_region,
 )

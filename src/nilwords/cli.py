@@ -15,13 +15,13 @@ import re
 import sys
 from typing import Callable, Iterator, List, Optional
 
-from .dynamics import UVWPoint, UnitMassError, XYPoint, eval_xy, extract_uvw, project
+from .dynamics import UVWPoint, UnitMassError, XYPoint, extract_uvw, project
 from .lie_core import (
     abelianization_lower_bound,
     element_to_json,
     evaluate_word,
 )
-from .region import EpsilonPolicy, Membership, membership, render_region
+from .region import EpsilonPolicy, membership, render_region
 from .scalar import Mode, Scalar
 from .search import (
     SearchConfig,
@@ -105,7 +105,7 @@ def _positive_float(text: str) -> float:
 def _parse_scalar(text: str, mode: Mode, what: str) -> Scalar:
     try:
         return Scalar.parse(text, mode)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad {what} {text!r}: {exc}") from exc
 
 
@@ -119,9 +119,8 @@ def _policy(mode: Mode, eps: float) -> EpsilonPolicy:
 def _cmd_eval(args: argparse.Namespace) -> int:
     mode = Mode(args.arith)
     word = parse_word(args.word, mode)
-    element = evaluate_word(word, mode)
-    # An empty word has no letter to take the mode from.
-    ell = length(word) if word.letters else Scalar.zero(mode)
+    element = evaluate_word(word)
+    ell = length(word)
     ell_prime = coarse_length(word)
     uvw = xy = None
     try:
@@ -430,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "values", nargs="+",
         help="target coordinates: X Y (planar) or U V W (with --objective uvw)",
     )
-    p.add_argument("k_max", type=int, help="largest step budget")
+    p.add_argument("k_max", type=_int_between(1), help="largest step budget, at least 1")
     p.add_argument(
         "--objective", choices=("xy", "uvw"), default="xy",
         help="score sequences in the plane or against full (u,v,w)",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from . import lie_core, words
 from .lie_core import GroupElement, _evaluate
@@ -32,7 +32,6 @@ __all__ = [
     "eval_uvw",
     "eval_xy",
     "xy_distance",
-    "balanced_trajectory",
 ]
 
 # Float-mode slack when checking that a word has unit mass on each generator.
@@ -204,27 +203,3 @@ def _balanced_state(n: int, mode: Mode) -> Tuple[tuple, object]:
         raise UnitMassError(f"generator masses ({masses}) are not (1, 1)")
     return state, scale
 
-
-def balanced_trajectory(n_max: int, mode: Mode = Mode.EXACT) -> List[dict]:
-    """Planar images of the balanced words for n = 1..n_max.
-
-    Rows carry n, the point, and its distance to the limit (1/3, 1/3);
-    suitable for CSV emission.  Each word's point is `_project` of its
-    `_balanced_state`, the same point as `eval_xy(balanced_word(n, mode))`.
-    """
-    third = Scalar.lift(1, mode, 3)
-    limit = XYPoint(third, third)
-    rows = []
-    for n in range(1, n_max + 1):
-        (_, _, u, v, w), scale = _balanced_state(n, mode)
-        x, y, d = _project(u, v, w, scale)
-        point = XYPoint(Scalar.lift(x, mode, d), Scalar.lift(y, mode, d))
-        rows.append(
-            {
-                "n": n,
-                "x": point.x,
-                "y": point.y,
-                "distance": xy_distance(point, limit),
-            }
-        )
-    return rows

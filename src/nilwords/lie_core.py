@@ -9,7 +9,7 @@ and the group law is the closed degree-3 polynomial below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .scalar import Mode, Scalar, _cleared, _raw, _restored
 from .words import Generator, RWord
@@ -17,18 +17,12 @@ from .words import Generator, RWord
 __all__ = [
     "AlgebraVector",
     "GroupElement",
-    "zero_element",
-    "basis",
-    "add",
-    "neg",
     "bracket",
     "multiply",
     "inverse",
-    "generator_power",
     "evaluate_word",
     "abelianization_lower_bound",
     "element_to_json",
-    "element_from_json",
 ]
 
 
@@ -52,34 +46,9 @@ class AlgebraVector:
     def mode(self) -> Mode:
         return self.c1.mode
 
-    @staticmethod
-    def of_ints(c1: int, c2: int, c3: int, c4: int, c5: int, mode: Mode) -> "AlgebraVector":
-        return AlgebraVector(*(Scalar.lift(c, mode) for c in (c1, c2, c3, c4, c5)))
-
 
 # Group elements in exponential coordinates are the same data.
 GroupElement = AlgebraVector
-
-
-def zero_element(mode: Mode) -> AlgebraVector:
-    z = Scalar.zero(mode)
-    return AlgebraVector(z, z, z, z, z)
-
-
-def basis(mode: Mode) -> Tuple[AlgebraVector, ...]:
-    """The five basis vectors, in coordinate order."""
-    return tuple(
-        AlgebraVector.of_ints(*(1 if j == i else 0 for j in range(5)), mode=mode)
-        for i in range(5)
-    )
-
-
-def add(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
-    return AlgebraVector(*(x + y for x, y in zip(a.coords(), b.coords())))
-
-
-def neg(a: AlgebraVector) -> AlgebraVector:
-    return AlgebraVector(*(-x for x in a.coords()))
 
 
 # The product and the bracket are weighted-homogeneous: with weights 1, 1, 2,
@@ -153,27 +122,20 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def inverse(a: GroupElement) -> GroupElement:
     """Componentwise negation: a and -a commute, so BCH collapses."""
-    return neg(a)
+    return AlgebraVector(*(-x for x in a.coords()))
 
 
-def generator_power(g: Generator, t: Scalar) -> GroupElement:
-    zero = Scalar.zero(t.mode)
-    if g is Generator.X:
-        return AlgebraVector(t, zero, zero, zero, zero)
-    return AlgebraVector(zero, t, zero, zero, zero)
-
-
-def evaluate_word(w: RWord, mode: Optional[Mode] = None) -> GroupElement:
-    """Left-to-right product of the letter powers; empty word gives 0.
+def evaluate_word(w: RWord) -> GroupElement:
+    """Left-to-right product of the letter powers, in the word's mode; the
+    empty word gives the identity 0.
 
     The letters' generators and raw exponent values go to `_evaluate`, the
-    one copy of the letter-by-letter group law.  The mode argument only
-    matters for the empty word, whose letters cannot reveal one.
+    one copy of the letter-by-letter group law.
     """
     return _evaluate(
         [letter.generator is Generator.X for letter in w.letters],
         [letter.exponent.value for letter in w.letters],
-        w.mode(mode if mode is not None else Mode.FLOAT),
+        w.mode,
     )
 
 
@@ -227,9 +189,3 @@ def abelianization_lower_bound(g: GroupElement) -> Scalar:
 def element_to_json(g: AlgebraVector) -> list:
     """Five scalars in basis order, in the scalar wire format."""
     return [c.as_json() for c in g.coords()]
-
-
-def element_from_json(data: Sequence, mode: Mode = Mode.FLOAT) -> AlgebraVector:
-    if len(data) != 5:
-        raise ValueError(f"expected 5 coordinates, got {len(data)}")
-    return AlgebraVector(*(Scalar.parse(str(item), mode) for item in data))

@@ -11,7 +11,7 @@ endpoints are deliberately classified outside rather than adjudicated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,8 +26,6 @@ __all__ = [
     "EpsilonPolicy",
     "CONDITIONS",
     "membership",
-    "DiagonalInterval",
-    "diagonal_interval",
     "BoundaryCurve",
     "boundary_sample",
     "RenderSummary",
@@ -140,26 +138,6 @@ def _classify(x, y, d, eps) -> RegionVerdict:
     if d_minus_y * d_minus_y - x * d >= 0 or d_minus_x * d_minus_x - y * d >= 0:
         return _INTERIOR
     return _OUTSIDE_OR
-
-
-@dataclass(frozen=True)
-class DiagonalInterval:
-    """The diagonal slice of the region: the half-open interval (1/3, s].
-
-    On x = y the strict conditions reduce to 3x^2 - 10x + 3 < 0, whose root
-    in (0, 1) is 1/3, and the disjunction to x^2 - 3x + 1 >= 0, whose root
-    is the diagonal fixed point s.  The upper end is irrational, so both
-    ends are reported as float-mode scalars.
-    """
-
-    lower: Scalar = field(default_factory=lambda: Scalar.of_float(1 / 3))
-    upper: Scalar = DIAGONAL_FIXED_POINT
-    lower_open: bool = True
-    upper_closed: bool = True
-
-
-def diagonal_interval() -> DiagonalInterval:
-    return DiagonalInterval()
 
 
 @dataclass(frozen=True)

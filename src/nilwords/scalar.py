@@ -12,15 +12,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 __all__ = [
     "Mode",
     "ModeMismatchError",
     "Scalar",
     "DIAGONAL_FIXED_POINT",
-    "fixed_point_residual",
-    "is_fixed_point_root",
 ]
 
 
@@ -94,19 +92,21 @@ class Scalar:
         """Parse "p/q" or decimal notation into the requested mode.
 
         Raises ValueError for text that is no finite number in the mode:
-        "nan" and "inf" always, and in float mode also values that overflow
-        a double, such as "1e400".
+        "nan" and "inf" always, a zero denominator such as "1/0", and in
+        float mode also values that overflow a double, such as "1e400".
         """
         text = text.strip()
-        if mode is Mode.EXACT:
-            return Scalar(Mode.EXACT, Fraction(text))
         try:
-            value = float(text)
-        except ValueError:
+            if mode is Mode.EXACT:
+                return Scalar(Mode.EXACT, Fraction(text))
             try:
+                value = float(text)
+            except ValueError:
                 value = float(Fraction(text))
-            except OverflowError:
-                value = math.inf
+        except ZeroDivisionError:
+            raise ValueError(f"{text!r} has a zero denominator") from None
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"{text!r} is not a finite number")
         return Scalar(Mode.FLOAT, value)
@@ -251,6 +251,18 @@ def _restored(mode: Mode, den, values, weights) -> tuple:
     return tuple(_lift(mode, v, den**w) for v, w in zip(values, weights))
 
 
+def _mode_of(scalars, mode: Optional[Mode], what: str) -> Mode:
+    """The mode of a container of scalars: the given mode, else its first
+    scalar's.  An empty container must be given a mode; every scalar must be
+    in the container's mode, or ModeMismatchError is raised."""
+    if mode is None:
+        if not scalars:
+            raise ValueError(f"an empty {what} must be given a mode")
+        mode = scalars[0].mode
+    _raw(mode, scalars)
+    return mode
+
+
 def _close(mode: Mode, a, b, tol: float) -> bool:
     """`Scalar.close_to` on raw values: a == b in exact mode, where tol is
     ignored; |a - b| <= tol in float mode, which never holds for NaN."""
@@ -261,19 +273,7 @@ def _close(mode: Mode, a, b, tol: float) -> bool:
 
 # The largest diagonal coordinate of the admissible planar region: the root
 # of x^2 - 3x + 1 in (0, 1), i.e. (3 - sqrt 5)/2, correctly rounded.
-# Irrational, so it exists only as a float-mode constant; exact-mode boundary
-# tests use the defining quadratic below instead.
+# Irrational, so it exists only as a float-mode constant.
 DIAGONAL_FIXED_POINT = Scalar.of_float(0.38196601125010515)
-
-
-def fixed_point_residual(x: Scalar) -> Scalar:
-    """Value of x^2 - 3x + 1, the quadratic whose (0,1) root is the diagonal
-    fixed point; vanishes exactly iff x is that point or its conjugate."""
-    return x * x - 3 * x + 1
-
-
-def is_fixed_point_root(x: Scalar) -> bool:
-    return fixed_point_residual(x) == 0
-
 
 assert abs((3 - math.sqrt(5)) / 2 - DIAGONAL_FIXED_POINT.value) <= math.ulp(0.382)

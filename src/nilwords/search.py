@@ -51,7 +51,7 @@ import numpy as np
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
-from .scalar import Mode, Scalar
+from .scalar import Mode, Scalar, _mode_of
 from .words import SigmaWord, _check_parameter, word_map_a, word_map_b
 
 __all__ = [
@@ -112,11 +112,17 @@ class SynthesisDomainError(ValueError):
 
 @dataclass(frozen=True)
 class MapSequence:
+    """A seed, its steps and their arithmetic mode.  The mode is the step
+    parameters' mode, so it may be left out unless there are no steps."""
+
     seed: Seed
     steps: Tuple[Tuple[StepKind, Scalar], ...]
+    mode: Optional[Mode] = None
 
     def __post_init__(self):
-        for _, t in self.steps:
+        ts = [t for _, t in self.steps]
+        object.__setattr__(self, "mode", _mode_of(ts, self.mode, "map sequence"))
+        for t in ts:
             _check_parameter(t)
 
     def pattern(self) -> str:
@@ -175,7 +181,7 @@ class ProfileRow:
 # seeds and folds --------------------------------------------------------
 
 
-def seed_point(seed: Seed, mode: Mode = Mode.FLOAT) -> XYPoint:
+def seed_point(seed: Seed, mode: Mode) -> XYPoint:
     one = Scalar.one(mode)
     zero = Scalar.zero(mode)
     return XYPoint(one, zero) if seed is Seed.XY else XYPoint(zero, one)
@@ -185,7 +191,7 @@ def seed_uvw(seed: Seed) -> Tuple[float, float, float]:
     return (1.0, 1.0, 1.0) if seed is Seed.XY else (-1.0, 1.0, 1.0)
 
 
-def seed_sigma_word(seed: Seed, mode: Mode = Mode.FLOAT) -> SigmaWord:
+def seed_sigma_word(seed: Seed, mode: Mode) -> SigmaWord:
     one = Scalar.one(mode)
     zero = Scalar.zero(mode)
     if seed is Seed.XY:
@@ -195,16 +201,14 @@ def seed_sigma_word(seed: Seed, mode: Mode = Mode.FLOAT) -> SigmaWord:
 
 
 def apply_sequence(seq: MapSequence) -> XYPoint:
-    mode = seq.steps[0][1].mode if seq.steps else Mode.FLOAT
-    point = seed_point(seq.seed, mode)
+    point = seed_point(seq.seed, seq.mode)
     for kind, t in seq.steps:
         point = map_a_xy(t, point) if kind is StepKind.A else map_b_xy(t, point)
     return point
 
 
 def seq_to_word(seq: MapSequence) -> SigmaWord:
-    mode = seq.steps[0][1].mode if seq.steps else Mode.FLOAT
-    word = seed_sigma_word(seq.seed, mode)
+    word = seed_sigma_word(seq.seed, seq.mode)
     for kind, t in seq.steps:
         word = word_map_a(word, t) if kind is StepKind.A else word_map_b(word, t)
     return word
@@ -733,7 +737,7 @@ def _uvw_problem(target: UVWPoint) -> _Problem:
 def _report(winner: _Winner, point) -> SearchReport:
     steps = tuple((kind, Scalar.of_float(t)) for kind, t in zip(winner.kinds, winner.ts))
     return SearchReport(
-        best_sequence=MapSequence(winner.seed, steps),
+        best_sequence=MapSequence(winner.seed, steps, Mode.FLOAT),
         best_point=point,
         distance=Scalar.of_float(winner.distance),
         evaluations=winner.evaluations,
@@ -941,7 +945,7 @@ class SynthesisResult:
 
 def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], stage: str) -> SynthesisResult:
     sequence = MapSequence(
-        seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps)
+        seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps), Mode.FLOAT
     )
     achieved = apply_sequence(sequence)
     word = seq_to_word(sequence)

@@ -14,28 +14,28 @@ public functions wrap, so each law has one copy: `lie_core._product` and
 `_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy` (the point maps and
 `project`), and `region._classify` (`membership`).  The convergence suite's
 kernels are `_letters`, `_check_sigma` and `_project`: it evaluates each
-balanced word through `dynamics._balanced_state`, the state behind
-`balanced_trajectory`.  Exact trials run the kernels on ints scaled by a
+balanced word through `dynamics._balanced_state`, the state of
+`balanced_word(n)`.  Exact trials run the kernels on ints scaled by a
 common denominator, so every exact check compares ints; float trials run
-them on the doubles the public functions would see.  Each suite looks up
-the laws and maps it checks in their modules when it starts (and
-`_balanced_state` reads `_letters` and `_check_sigma` at each call), so a
-test can replace one.
+them on the doubles the public functions would see.  Only the samplers,
+which draw different inputs per mode, and the float division of the
+commutation suite test the mode; every check is one computation for both
+modes.  Each suite looks up the laws and maps it checks in their modules
+when it starts (and `_balanced_state` reads `_letters` and `_check_sigma`
+at each call), so a test can replace one.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import dynamics, lie_core, words
 from .region import Membership, _classify
-from .scalar import Mode, _close
+from .scalar import Mode, _close, _lift
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -235,40 +235,29 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     """Balanced words against the limit element (1, 1, 0, 0, 0) and its
     planar image (1/3, 1/3).  `dynamics._balanced_state` gives word n's
     state through `_check_sigma` and `_letters`, scaled by (s, s, s^2, s^3,
-    s^3), and `_project` its planar triple (x, y, d).  In exact mode s = n,
-    so the checks multiply out the powers of n and compare ints: the gap to
-    the limit times n^6 is G = ((c1 - n)^2 + (c2 - n)^2) n^4 + c3^2 n^2 +
-    c4^2 + c5^2, the rate check is G > 9 n^4, the monotone check compares
-    G_n (n-1)^6 with G_(n-1) n^6, and the planar one is ((3x - d)^2 +
-    (3y - d)^2) n^2 > 81 d^2.  Float checks run on the doubles of the
-    public path (s = 1), summed in its order."""
+    s^3) with s = n in exact mode and s = 1 in float mode, and `_project`
+    its planar triple (x, y, d).  One computation serves both modes: the gap
+    to the limit times s^6 is G = ((c1 - s)^2 + (c2 - s)^2) s^4 + c3^2 s^2 +
+    c4^2 + c5^2, the rate check fails when G n^2 > 9 s^6, the monotone check
+    when G s_prev^6 > G_prev s^6, and the planar one when ((3x - d)^2 +
+    (3y - d)^2) n^2 > 81 d^2.  Exact checks compare ints; float checks run
+    on the doubles of the public path."""
     del seed  # deterministic suite
     balanced_state, to_plane = dynamics._balanced_state, dynamics._project
-    exact = mode is Mode.EXACT
-    ratio = Fraction if exact else operator.truediv
-    third = 1 / 3
     rate_ok = monotone_ok = xy_rate_ok = True
     previous = None
     for n in range(1, n_max + 1):
         (c1, c2, c3, c4, c5), s = balanced_state(n, mode)
         x, y, d = to_plane(c3, c4, c5, s)
-        if exact:
-            n2 = n * n
-            n6 = n2 * n2 * n2
-            gap = ((c1 - n) ** 2 + (c2 - n) ** 2) * n2 * n2 + c3 * c3 * n2 + c4 * c4 + c5 * c5
-            far = gap > 9 * n2 * n2
-            rose = previous is not None and gap * previous[1] > previous[0] * n6
-            off = ((3 * x - d) ** 2 + (3 * y - d) ** 2) * n2 > 81 * d * d
-            previous = (gap, n6)
-        else:
-            bound = 9 / (n * n)
-            e1, e2 = c1 - 1, c2 - 1
-            gap = e1 * e1 + e2 * e2 + c3 * c3 + c4 * c4 + c5 * c5
-            far = gap > bound
-            rose = previous is not None and gap > previous
-            dx, dy = x / d - third, y / d - third
-            off = dx * dx + dy * dy > bound
-            previous = gap
+        s2 = s * s
+        s6 = s2 * s2 * s2
+        e1, e2 = c1 - s, c2 - s
+        gap = (e1 * e1 + e2 * e2) * s2 * s2 + c3 * c3 * s2 + c4 * c4 + c5 * c5
+        far = gap * n * n > 9 * s6
+        rose = previous is not None and gap * previous[1] > previous[0] * s6
+        ex, ey = 3 * x - d, 3 * y - d
+        off = (ex * ex + ey * ey) * n * n > 81 * d * d
+        previous = (gap, s6)
         rate_ok = rate_ok and not far
         monotone_ok = monotone_ok and not rose
         xy_rate_ok = xy_rate_ok and not off
@@ -277,10 +266,10 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     def point(n):
         (_, _, u, v, w), s = balanced_state(n, mode)
         x, y, d = to_plane(u, v, w, s)
-        return ratio(x, d), ratio(y, d)
+        return _lift(mode, x, d), _lift(mode, y, d)
 
     checkpoint_ok = all(
-        _close(mode, c, ratio(v, n**3), 1e-12)
+        _close(mode, c, _lift(mode, v, n**3), 1e-12)
         for n, x, y in ((2, 5, 1), (3, 14, 5))
         for c, v in zip(point(n), (x, y))
     )

@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
-from .scalar import Mode, Scalar, _cleared, _close, _lift, _raw
+from .scalar import Mode, Scalar, _cleared, _close, _lift, _mode_of, _raw
 
 __all__ = [
     "Generator",
@@ -29,9 +29,7 @@ __all__ = [
     "parse_word",
     "format_word",
     "word_to_json",
-    "word_from_json",
     "sigma_to_rword",
-    "sigma_length",
     "sigma_coarse_length",
     "validate_sigma",
     "word_map_a",
@@ -49,7 +47,7 @@ class Generator(Enum):
 
 
 class WordParseError(ValueError):
-    """Raised when word text or JSON does not follow the letter grammar."""
+    """Raised when word text does not follow the letter grammar."""
 
 
 class SigmaValidationError(ValueError):
@@ -64,25 +62,24 @@ class Letter:
 
 @dataclass(frozen=True)
 class RWord:
+    """A word and its arithmetic mode.  The mode is its exponents' mode, so
+    it may be left out unless the word is empty."""
+
     letters: Tuple[Letter, ...]
+    mode: Optional[Mode] = None
 
     def __post_init__(self):
-        if self.letters:
-            mode = self.letters[0].exponent.mode
-            if any(letter.exponent.mode is not mode for letter in self.letters):
-                raise ValueError("all exponents in a word must share one arithmetic mode")
-
-    def mode(self, default: Mode = Mode.FLOAT) -> Mode:
-        return self.letters[0].exponent.mode if self.letters else default
+        exponents = [letter.exponent for letter in self.letters]
+        object.__setattr__(self, "mode", _mode_of(exponents, self.mode, "word"))
 
 
-def _word(letters: Iterable[Letter]) -> RWord:
-    return RWord(tuple(letters))
+def _word(letters: Iterable[Letter], mode: Mode) -> RWord:
+    return RWord(tuple(letters), mode)
 
 
 def length(w: RWord) -> Scalar:
     """Sum of absolute exponents."""
-    total = Scalar.zero(w.mode())
+    total = Scalar.zero(w.mode)
     for letter in w.letters:
         total = total + abs(letter.exponent)
     return total
@@ -111,7 +108,7 @@ def normalize(w: RWord) -> RWord:
                 continue
             stack.append(current)
             break
-    return _word(stack)
+    return _word(stack, w.mode)
 
 
 # text and JSON forms ---------------------------------------------------
@@ -126,7 +123,7 @@ def _parse_letter(token: str, mode: Mode) -> Letter:
         return Letter(generator, Scalar.one(mode))
     try:
         exponent = Scalar.parse(num, mode)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise WordParseError(f"bad exponent in token {token!r}: {exc}") from exc
     return Letter(generator, exponent)
 
@@ -135,9 +132,9 @@ def parse_word(text: str, mode: Mode = Mode.FLOAT) -> RWord:
     """Parse whitespace-separated tokens `X^<num>` / `Y^<num>`.
 
     Numbers follow the scalar wire format ("p/q" or decimal); a bare X or Y
-    means exponent 1.  The empty string parses to the empty word.
+    means exponent 1.  The empty string parses to the empty word of the mode.
     """
-    return _word(_parse_letter(token, mode) for token in text.split())
+    return _word((_parse_letter(token, mode) for token in text.split()), mode)
 
 
 def _format_exponent(value: Scalar) -> str:
@@ -158,17 +155,6 @@ def format_word(w: RWord) -> str:
 def word_to_json(w: RWord) -> list:
     """JSON form: list of [generator, exponent] pairs."""
     return [[letter.generator.value, letter.exponent.as_json()] for letter in w.letters]
-
-
-def word_from_json(data: Sequence, mode: Mode = Mode.FLOAT) -> RWord:
-    letters = []
-    for item in data:
-        try:
-            name, num = item
-        except (TypeError, ValueError) as exc:
-            raise WordParseError(f"bad letter entry {item!r}") from exc
-        letters.append(_parse_letter(f"{name}^{num}", mode))
-    return _word(letters)
 
 
 # the Sigma constraint ---------------------------------------------------
@@ -230,11 +216,7 @@ def sigma_to_rword(w: SigmaWord) -> RWord:
     for s, t in w.blocks:
         letters.append(Letter(Generator.X, s))
         letters.append(Letter(Generator.Y, t))
-    return _word(letters)
-
-
-def sigma_length(w: SigmaWord) -> Scalar:
-    return length(sigma_to_rword(w))
+    return _word(letters, w.mode())
 
 
 def sigma_coarse_length(w: SigmaWord) -> int:
@@ -250,7 +232,7 @@ def validate_sigma(w: RWord) -> SigmaWord:
     trailing X run an empty Y part).  Raises SigmaValidationError on a
     negative or NaN exponent or when either generator's mass differs from 1.
     """
-    mode = w.mode()
+    mode = w.mode
     for letter in w.letters:
         if not letter.exponent >= 0:
             raise SigmaValidationError(

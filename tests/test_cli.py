@@ -78,7 +78,7 @@ class TestEval:
 
     @pytest.mark.parametrize("arith, zero", [("exact", "0"), ("float", "0.0")])
     def test_empty_word_length_in_the_requested_mode(self, capsys, arith, zero):
-        # The empty word has no letter to take the mode from.
+        # The empty word takes the requested mode.
         code, out, _ = run(capsys, "eval", "", "--arith", arith)
         assert code == 0
         assert f"length: {zero}\n" in out
@@ -92,6 +92,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", "Z^1")
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("arith", ["exact", "float"])
+    def test_zero_denominator(self, capsys, arith):
+        for argv in (("eval", "X^1/0"), ("member", "1/0", "0.5")):
+            code, out, err = run(capsys, *argv, "--arith", arith)
+            assert code == 2
+            assert out == ""
+            assert "zero denominator" in err and "Fraction(1, 0)" not in err
 
     @pytest.mark.parametrize("word", ["X^nan", "X^1 Y^inf", "Y^-1e400"])
     def test_non_finite_exponent(self, capsys, word):
@@ -298,6 +306,16 @@ class TestProfile:
             capsys, "profile", "0.4", "0.3", "2", "--objective", "uvw"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("k_max", ["0", "-1"])
+    @pytest.mark.parametrize("values", [("0.4", "0.3"), ("--objective", "uvw", "0", "0", "0")])
+    def test_k_max_below_one_is_a_usage_error(self, capsys, values, k_max):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", *values, k_max])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument k_max: must be at least 1, got {k_max}" in err
 
     @pytest.mark.parametrize("values", [("nan", "nan"), ("0.38", "inf")])
     def test_non_finite_target(self, capsys, values):

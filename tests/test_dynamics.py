@@ -1,4 +1,4 @@
-"""Induced point dynamics: extraction, the two maps, projection, trajectories."""
+"""Induced point dynamics: extraction, the two maps, projection, balanced words."""
 
 import math
 from fractions import Fraction
@@ -17,7 +17,6 @@ from nilwords.dynamics import (
     UnitMassError,
     UVWPoint,
     XYPoint,
-    balanced_trajectory,
     eval_uvw,
     eval_xy,
     extract_uvw,
@@ -280,33 +279,29 @@ class TestBalancedTrajectory:
         )
 
     def test_rows_and_convergence_bound(self):
-        rows = balanced_trajectory(64)
-        assert [row["n"] for row in rows] == list(range(1, 65))
-        for row in rows:
-            assert row["distance"] <= 3.0 / row["n"] + 1e-12
-        distances = [row["distance"] for row in rows]
+        third = Scalar.exact(1, 3)
+        limit = XYPoint(third, third)
+        distances = [xy_distance(eval_xy(balanced_word(n)), limit) for n in range(1, 65)]
+        for n, distance in enumerate(distances, start=1):
+            assert distance <= 3.0 / n + 1e-12
         assert all(a > b for a, b in zip(distances, distances[1:]))
 
     def test_exact_coordinates_stay_rational(self):
-        rows = balanced_trajectory(8, Mode.EXACT)
-        for row in rows:
-            assert isinstance(row["x"].value, Fraction)
+        for n in range(1, 9):
+            assert isinstance(eval_xy(balanced_word(n, Mode.EXACT)).x.value, Fraction)
 
     def test_distance_helper(self):
         assert xy_distance(xy(0, 0), xy(3, 4)) == 5.0
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_rows_match_the_word_route(self, mode):
-        # Each row as evaluated through the Scalar word: the point
-        # `eval_xy(balanced_word(n))` and its distance to (1/3, 1/3).
-        third = Scalar.lift(1, mode, 3)
-        limit = XYPoint(third, third)
-        rows = balanced_trajectory(64, mode)
-        for n, row in enumerate(rows, start=1):
-            point = eval_xy(balanced_word(n, mode))
-            assert row["n"] == n
-            assert bits(XYPoint(row["x"], row["y"])) == bits(point)
-            assert row["distance"].hex() == xy_distance(point, limit).hex()
+        # `_project` of `_balanced_state`, the route of the convergence
+        # suite, against the point `eval_xy(balanced_word(n))`.
+        for n in range(1, 65):
+            (_, _, u, v, w), scale = _balanced_state(n, mode)
+            x, y, d = _project(u, v, w, scale)
+            point = XYPoint(Scalar.lift(x, mode, d), Scalar.lift(y, mode, d))
+            assert bits(point) == bits(eval_xy(balanced_word(n, mode)))
 
 
 class TestBalancedState:

@@ -12,19 +12,14 @@ from nilwords.lie_core import (
     _bracket,
     _product,
     abelianization_lower_bound,
-    add,
-    basis,
     bracket,
-    element_from_json,
     element_to_json,
     evaluate_word,
-    generator_power,
     inverse,
     multiply,
-    zero_element,
 )
 from nilwords.scalar import Mode, Scalar, _restored
-from nilwords.words import Generator, parse_word
+from nilwords.words import parse_word
 
 from truncated_tensor import oracle_bracket, oracle_evaluate, oracle_multiply
 
@@ -64,7 +59,12 @@ def scaled(values):
 X = vec((1, 0, 0, 0, 0))
 Y = vec((0, 1, 0, 0, 0))
 E3 = vec((0, 0, 1, 0, 0))
-ZERO = zero_element(Mode.EXACT)
+ZERO = vec((0, 0, 0, 0, 0))
+
+
+def generator_power(generator, t):
+    """X^t or Y^t as an element."""
+    return vec((t, 0, 0, 0, 0) if generator == "X" else (0, t, 0, 0, 0))
 
 
 class TestBracket:
@@ -88,11 +88,9 @@ class TestBracket:
     @given(vectors, vectors, vectors)
     def test_jacobi_identity(self, a, b, c):
         va, vb, vc = vec(a), vec(b), vec(c)
-        total = add(
-            add(bracket(va, bracket(vb, vc)), bracket(vb, bracket(vc, va))),
-            bracket(vc, bracket(va, vb)),
-        )
-        assert total == ZERO
+        terms = (bracket(va, bracket(vb, vc)), bracket(vb, bracket(vc, va)),
+                 bracket(vc, bracket(va, vb)))
+        assert [sum(c) for c in zip(*map(raw, terms))] == [0] * 5
 
     @given(vectors, vectors, vectors, vectors)
     def test_step_three_nilpotency(self, a, b, c, d):
@@ -152,18 +150,17 @@ class TestMultiply:
 
 class TestGeneratorPower:
     def test_unit_powers(self):
-        assert generator_power(Generator.X, Scalar.exact(1)) == X
-        assert generator_power(Generator.Y, Scalar.zero(Mode.EXACT)) == ZERO
+        assert evaluate_word(parse_word("X", Mode.EXACT)) == X
+        assert evaluate_word(parse_word("Y^0", Mode.EXACT)) == ZERO
 
     def test_one_parameter_subgroup(self):
-        half = generator_power(Generator.X, Scalar.exact(1, 2))
-        assert multiply(half, half) == generator_power(Generator.X, Scalar.exact(1))
+        half = generator_power("X", Fraction(1, 2))
+        assert multiply(half, half) == X
 
     @given(coordinate, coordinate)
     def test_same_generator_powers_commute_and_add(self, s, t):
-        gs = generator_power(Generator.Y, Scalar.exact(s))
-        gt = generator_power(Generator.Y, Scalar.exact(t))
-        assert multiply(gs, gt) == generator_power(Generator.Y, Scalar.exact(s + t))
+        gs, gt = generator_power("Y", s), generator_power("Y", t)
+        assert multiply(gs, gt) == generator_power("Y", s + t)
 
 
 class TestEvaluateWord:
@@ -172,7 +169,7 @@ class TestEvaluateWord:
         assert raw(evaluate_word(w)) == (1, 1, 1, 1, 1)
 
     def test_empty_word(self):
-        assert evaluate_word(parse_word("", Mode.EXACT), Mode.EXACT) == ZERO
+        assert evaluate_word(parse_word("", Mode.EXACT)) == ZERO
 
     def test_half_conjugate(self):
         w = parse_word("X^1/2 Y^1 X^1/2", Mode.EXACT)
@@ -187,7 +184,7 @@ class TestEvaluateWord:
                 for _ in range(k)
             ]
             text = " ".join(f"{s.upper()}^{e}" for s, e in letters)
-            got = evaluate_word(parse_word(text, Mode.EXACT), Mode.EXACT)
+            got = evaluate_word(parse_word(text, Mode.EXACT))
             assert raw(got) == oracle_evaluate(letters)
 
 
@@ -203,15 +200,20 @@ class TestAbelianizationBound:
         assert abelianization_lower_bound(v) == abelianization_lower_bound(inverse(v))
 
 
+def from_json(data):
+    return AlgebraVector(*(Scalar.parse(item, Mode.EXACT) for item in data))
+
+
 class TestSerialization:
     def test_basis_round_trip(self):
-        for v in basis(Mode.EXACT):
-            assert element_from_json(element_to_json(v), Mode.EXACT) == v
+        for i in range(5):
+            v = vec([1 if j == i else 0 for j in range(5)])
+            assert from_json(element_to_json(v)) == v
 
     @given(vectors)
     def test_random_round_trip(self, a):
         v = vec(a)
-        assert element_from_json(element_to_json(v), Mode.EXACT) == v
+        assert from_json(element_to_json(v)) == v
 
 
 class TestOneLawTwoDoors:

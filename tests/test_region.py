@@ -16,7 +16,6 @@ from nilwords.region import (
     RegionVerdict,
     _classify,
     boundary_sample,
-    diagonal_interval,
     membership,
     render_region,
 )
@@ -253,13 +252,6 @@ class TestFirstFailureClassify:
 
 
 class TestDiagonal:
-    def test_interval_ends(self):
-        interval = diagonal_interval()
-        assert interval.lower.to_float() == pytest.approx(1 / 3, abs=1e-15)
-        assert interval.upper is DIAGONAL_FIXED_POINT
-        assert interval.lower_open
-        assert interval.upper_closed
-
     def test_membership_matches_interval(self):
         inside = (1 / 3 + 1e-6, 0.35, 0.36, 0.38, S)
         outside = (0.0, 0.2, 1 / 3, S + 1e-6, 0.5, 0.9, 1.0)

@@ -23,7 +23,7 @@ from nilwords.dynamics import (
 )
 from nilwords.lie_core import evaluate_word
 from nilwords.region import Membership, membership
-from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
+from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, ModeMismatchError, Scalar
 from nilwords.search import (
     DEFAULT_CONFIG,
     MapSequence,
@@ -85,21 +85,21 @@ def target(x, y):
 
 def sequence(seed, *steps):
     return MapSequence(
-        seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps)
+        seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps), Mode.FLOAT
     )
 
 
 class TestSequences:
     def test_seed_values(self):
-        assert seed_point(Seed.XY).to_floats() == (1.0, 0.0)
-        assert seed_point(Seed.YX).to_floats() == (0.0, 1.0)
+        assert seed_point(Seed.XY, Mode.FLOAT).to_floats() == (1.0, 0.0)
+        assert seed_point(Seed.YX, Mode.FLOAT).to_floats() == (0.0, 1.0)
         assert seed_uvw(Seed.XY) == (1.0, 1.0, 1.0)
         assert seed_uvw(Seed.YX) == (-1.0, 1.0, 1.0)
 
     def test_seed_words_evaluate_to_seed_points(self):
         for seed in Seed:
             w = seed_sigma_word(seed, Mode.EXACT)
-            assert eval_xy(w).to_floats() == seed_point(seed).to_floats()
+            assert eval_xy(w) == seed_point(seed, Mode.EXACT)
 
     def test_yx_seed_block_form(self):
         w = seed_sigma_word(Seed.YX, Mode.EXACT)
@@ -107,6 +107,30 @@ class TestSequences:
 
     def test_empty_sequence_is_seed(self):
         assert apply_sequence(sequence(Seed.XY)).to_floats() == (1.0, 0.0)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("seed", list(Seed))
+    def test_empty_sequence_keeps_its_mode(self, mode, seed):
+        # Scalar equality compares the modes too.
+        seq = MapSequence(seed, (), mode)
+        assert apply_sequence(seq) == seed_point(seed, mode)
+        assert seq_to_word(seq) == seed_sigma_word(seed, mode)
+
+    def test_empty_sequence_needs_a_mode(self):
+        with pytest.raises(ValueError, match="empty map sequence must be given a mode"):
+            MapSequence(Seed.XY, ())
+
+    def test_mode_is_the_steps_mode(self):
+        steps = ((StepKind.A, Scalar.exact(1, 2)),)
+        assert MapSequence(Seed.XY, steps).mode is Mode.EXACT
+        with pytest.raises(ModeMismatchError):
+            MapSequence(Seed.XY, steps, Mode.FLOAT)
+
+    def test_seed_stage_synthesis_is_float(self):
+        result = synthesize_word(target(1.0, 0.0))
+        assert result.stage == "seed" and result.sequence.steps == ()
+        assert result.sequence.mode is Mode.FLOAT
+        assert result.achieved.mode is Mode.FLOAT and result.word.mode() is Mode.FLOAT
 
     def test_pattern_string(self):
         seq = sequence(Seed.XY, (StepKind.A, 0.5), (StepKind.B, 0.25))
@@ -594,9 +618,9 @@ class TestFixedSeedForms:
     def test_word_maps_keep_the_seed_element(self):
         for seed, word_map in ((Seed.XY, word_map_b), (Seed.YX, word_map_a)):
             word = seed_sigma_word(seed, Mode.EXACT)
-            element = evaluate_word(sigma_to_rword(word), Mode.EXACT)
+            element = evaluate_word(sigma_to_rword(word))
             for t in exact_parameters(20, 4):
-                assert evaluate_word(sigma_to_rword(word_map(word, t)), Mode.EXACT) == element
+                assert evaluate_word(sigma_to_rword(word_map(word, t))) == element
 
     @pytest.mark.parametrize(
         "problem_of",

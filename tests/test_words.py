@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nilwords.lie_core import evaluate_word
-from nilwords.scalar import Mode, Scalar
+from nilwords.scalar import Mode, ModeMismatchError, Scalar
 from nilwords.words import (
     _check_sigma,
     _word_map_a,
@@ -26,10 +26,8 @@ from nilwords.words import (
     normalize,
     parse_word,
     sigma_coarse_length,
-    sigma_length,
     sigma_to_rword,
     validate_sigma,
-    word_from_json,
     word_map_a,
     word_map_b,
     word_to_json,
@@ -42,7 +40,7 @@ random_words = st.lists(
     st.tuples(st.sampled_from("XY"), exponents), max_size=12
 ).map(
     lambda pairs: RWord(
-        tuple(Letter(Generator(g), Scalar.exact(e)) for g, e in pairs)
+        tuple(Letter(Generator(g), Scalar.exact(e)) for g, e in pairs), Mode.EXACT
     )
 )
 
@@ -80,6 +78,11 @@ class TestParseAndFormat:
             with pytest.raises(WordParseError):
                 ex(text)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_zero_denominator_is_a_parse_error(self, mode):
+        with pytest.raises(WordParseError, match="zero denominator"):
+            parse_word("X^1 Y^1/0", mode)
+
     def test_format_round_trip_exact(self):
         text = "X^1/2 Y^-3 X^7/5"
         assert format_word(ex(text)) == text
@@ -94,11 +97,7 @@ class TestParseAndFormat:
 
     @given(random_words)
     def test_json_round_trip(self, w):
-        assert word_from_json(word_to_json(w), Mode.EXACT) == w
-
-    def test_json_rejects_bad_entries(self):
-        with pytest.raises(WordParseError):
-            word_from_json([["X"]], Mode.EXACT)
+        assert ex(" ".join(f"{g}^{e}" for g, e in word_to_json(w))) == w
 
 
 class TestLengths:
@@ -113,6 +112,34 @@ class TestLengths:
     @given(random_words)
     def test_coarse_length_is_letter_count(self, w):
         assert coarse_length(w) == len(w.letters)
+
+
+class TestEmptyWords:
+    """An empty word has no exponent to take its mode from, so it is given
+    one, and every result keeps it."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("text", ["", "X^0 Y^0", "X^1 X^-1"])
+    def test_normalized_to_empty_keeps_the_mode(self, mode, text):
+        # Scalar equality compares the modes too.
+        w = normalize(parse_word(text, mode))
+        zero = Scalar.zero(mode)
+        assert w.letters == () and w.mode is mode
+        assert length(w) == zero
+        assert evaluate_word(w).coords() == (zero,) * 5
+
+    def test_empty_word_needs_a_mode(self):
+        with pytest.raises(ValueError, match="empty word must be given a mode"):
+            RWord(())
+        assert RWord((), Mode.EXACT).mode is Mode.EXACT
+
+    def test_mode_is_the_exponents_mode(self):
+        x_exact = Letter(Generator.X, Scalar.exact(1))
+        y_float = Letter(Generator.Y, Scalar.of_float(1.0))
+        assert RWord((x_exact,)).mode is Mode.EXACT
+        for letters, mode in (((x_exact,), Mode.FLOAT), ((x_exact, y_float), None)):
+            with pytest.raises(ModeMismatchError):
+                RWord(letters, mode)
 
 
 class TestNormalize:
@@ -131,7 +158,7 @@ class TestNormalize:
 
     @given(random_words)
     def test_preserves_evaluation(self, w):
-        assert evaluate_word(normalize(w), Mode.EXACT) == evaluate_word(w, Mode.EXACT)
+        assert evaluate_word(normalize(w)) == evaluate_word(w)
 
     @given(random_words)
     def test_never_increases_coarse_length(self, w):
@@ -211,12 +238,12 @@ class TestSigmaWord:
                 (Scalar.exact(1), Scalar.zero(Mode.EXACT)),
             )
         )
-        assert sigma_length(w).value == 2
+        assert length(sigma_to_rword(w)).value == 2
         assert sigma_coarse_length(w) == 2
 
     def test_lengths(self):
         w = balanced_word(3)
-        assert sigma_length(w).value == 2
+        assert length(sigma_to_rword(w)).value == 2
         assert sigma_coarse_length(w) == 6
 
     def test_coarse_length_skips_degenerate_blocks(self):
@@ -311,7 +338,7 @@ class TestBalancedWord:
     def test_lengths(self):
         for n in (1, 2, 5, 16):
             w = balanced_word(n)
-            assert sigma_length(w).value == 2
+            assert length(sigma_to_rword(w)).value == 2
             assert sigma_coarse_length(w) == 2 * n
 
     def test_rejects_nonpositive(self):
