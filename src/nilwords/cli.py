@@ -336,11 +336,10 @@ _FLAGS = {
         type=_positive_float, default=1e-9,
         help="synthesis residual tolerance (default 1e-9)",
     ),
-    # SearchConfig.master_seed seeds numpy's start vectors, which take no
-    # negative seed; `verify` declares its own --seed.
     "--seed": dict(
-        type=_int_between(0), default=1729,
-        help="master seed of the search's start vectors (default 1729)",
+        type=int, default=1729,
+        help="seed of the search's start points or of the suite's trials, "
+        "any integer (default 1729)",
     ),
     "--pattern-cap": dict(
         type=_int_between(1), default=12,
@@ -409,8 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "render the region as SVG, or its boundary curves as CSV",
         ("--eps",), ("svg", "csv"),
     )
-    # The upper bounds keep a plot to a few seconds and a few hundred MB: at
-    # resolution 4096 the process peaks near 380 MB.
+    # The upper bounds keep a plot to about a second and under 100 MB: at
+    # resolution 4096 with 65536 samples per curve the process peaks near
+    # 78 MB.
     p.add_argument(
         "--count", type=_int_between(2, 65536), default=512,
         help="samples per boundary curve, 2 to 65536",
@@ -445,13 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(
         sub, "verify", _cmd_verify, "run a named verification suite",
-        ("--arith",), text_or_json,
+        ("--arith", "--seed"), text_or_json,
     )
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument(
-        "--seed", type=int, default=1729,
-        help="seed of the suite's random trials, any integer (default 1729)",
-    )
     p.add_argument(
         "--trials", type=_int_between(1), default=None,
         help="override the suite's default trial count",

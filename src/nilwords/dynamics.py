@@ -166,7 +166,7 @@ def _sigma_element(w: SigmaWord) -> GroupElement:
     return _evaluate(
         (True, False) * len(w.blocks),
         [part.value for block in w.blocks for part in block],
-        w.mode(),
+        w.mode,
     )
 
 

@@ -10,12 +10,11 @@ endpoints are deliberately classified outside rather than adjudicated.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .scalar import DIAGONAL_FIXED_POINT, Mode, ModeMismatchError, Scalar, _cleared, _raw
 from .dynamics import XYPoint
@@ -185,56 +184,47 @@ class RenderSummary:
     format: str
     resolution: int
     markers: Tuple[Tuple[str, float, float], ...]
-    inside_mask: np.ndarray
+    shaded_rows: Tuple[range, ...]
 
     def cell_shaded(self, x: float, y: float) -> bool:
         """Whether the shading grid covers the cell containing (x, y)."""
         n = self.resolution
         i = min(n - 1, max(0, int(x * n)))
         j = min(n - 1, max(0, int(y * n)))
-        return bool(self.inside_mask[j, i])
+        return i in self.shaded_rows[j]
 
 
-def _interior_mask(resolution: int, eps: float) -> np.ndarray:
-    """Vectorized interior test on the grid of cell centers.
+# Where a failed condition lies along a grid row: failures of y<1,
+# 4x>3(1-y)^2 and 4y>3(1-x)^2 come before the interior (0), failures of
+# x<1 and the disjunction after it (2).
+_SIDE = dict(zip(CONDITIONS, (2, 0, 0, 0, 2)))
 
-    Mirrors `membership` for float points away from the endpoints; a
-    property test keeps the two in agreement.
+
+def _shaded_rows(resolution: int, eps: float) -> Tuple[range, ...]:
+    """For each grid row j, the columns i whose cell center passes
+    `_classify`.
+
+    A cell center is never an endpoint.  Along a row y is fixed, and for
+    x in (0, 1) every quantity `_classify` tests is monotone in x, in
+    rounded arithmetic too, since correctly rounded + - * are monotone: the
+    failures `_SIDE` puts at 0 form a prefix of the row and those at 2 a
+    suffix.  So the interior cells are one run, found by two bisections on
+    the side of each verdict.
     """
-    centers = (np.arange(resolution) + 0.5) / resolution
-    xs = centers[np.newaxis, :]
-    ys = centers[:, np.newaxis]
-    qx = 4 * xs - 3 * (1 - ys) ** 2
-    qy = 4 * ys - 3 * (1 - xs) ** 2
-    or_clause = (xs <= (1 - ys) ** 2) | (ys <= (1 - xs) ** 2)
-    return (
-        (1 - xs > eps) & (1 - ys > eps) & (qx > eps) & (qy > eps) & or_clause
-    )
+    centers = [(i + 0.5) / resolution for i in range(resolution)]
+    rows = []
+    for y in centers:
+        def side(x: float) -> int:
+            verdict = _classify(x, y, 1.0, eps)
+            return 1 if verdict is _INTERIOR else _SIDE[verdict.failed_condition]
+
+        start = bisect.bisect_left(centers, 1, key=side)
+        rows.append(range(start, bisect.bisect_left(centers, 2, lo=start, key=side)))
+    return tuple(rows)
 
 
-def _svg_rects(mask: np.ndarray) -> List[str]:
-    """Run-length encode each grid row into shaded rectangles."""
-    n = mask.shape[0]
-    h = 1.0 / n
-    rects = []
-    for j in range(n):
-        row = mask[j]
-        i = 0
-        while i < n:
-            if row[i]:
-                start = i
-                while i < n and row[i]:
-                    i += 1
-                rects.append(
-                    f'<rect x="{start * h:.8f}" y="{j * h:.8f}" '
-                    f'width="{(i - start) * h:.8f}" height="{h:.8f}"/>'
-                )
-            else:
-                i += 1
-    return rects
-
-
-def _svg_document(mask: np.ndarray, curves: Sequence[BoundaryCurve]) -> str:
+def _svg_document(shaded_rows: Sequence[range], curves: Sequence[BoundaryCurve]) -> str:
+    h = 1.0 / len(shaded_rows)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -244,7 +234,12 @@ def _svg_document(mask: np.ndarray, curves: Sequence[BoundaryCurve]) -> str:
         '<g transform="matrix(1 0 0 -1 0 1)">',
         '<g id="shading" fill="#9ecae1" stroke="none">',
     ]
-    lines.extend(_svg_rects(mask))
+    lines.extend(
+        f'<rect x="{row.start * h:.8f}" y="{j * h:.8f}" '
+        f'width="{len(row) * h:.8f}" height="{h:.8f}"/>'
+        for j, row in enumerate(shaded_rows)
+        if row
+    )
     lines.append("</g>")
     lines.append(
         '<g id="boundary" fill="none" stroke="#1f3552" stroke-width="0.004">'
@@ -284,9 +279,9 @@ def render_region(
     excluded limit point, and the diagonal fixed point.
     """
     curves = boundary_sample(count)
-    mask = _interior_mask(resolution, eps)
+    shaded_rows = _shaded_rows(resolution, eps)
     if format == "svg":
-        text = _svg_document(mask, curves)
+        text = _svg_document(shaded_rows, curves)
     elif format == "csv":
         rows = ["curve_label,x,y"]
         for curve in curves:
@@ -301,5 +296,5 @@ def render_region(
         format=format,
         resolution=resolution,
         markers=MARKERS,
-        inside_mask=mask,
+        shaded_rows=shaded_rows,
     )

@@ -26,8 +26,9 @@ b-maps, and the two seeds, so the form (YX; B A B ...) reaches the mirror
 image of what (XY; A B A ...) reaches.  On a target with x = y, and for
 the diagonal landing, the two forms of a mirror pair pose the same
 problem, with the same parameters, and only the XY forms are solved: half
-the work, every winner XY-seeded, and about half the evaluations
-reported.  The (u, v, w) searches solve both seeds.
+the forms, every winner XY-seeded, and none of the twins' evaluations;
+their share varies with the target, as a planar twin's solve rounds its
+own way.  The (u, v, w) searches solve both seeds.
 
 Every search, and the numeric reach inside word synthesis, runs one solver:
 `_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
@@ -42,12 +43,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
@@ -143,7 +143,6 @@ class SearchConfig:
                 ("max_iterations >= 1", self.max_iterations >= 1),
                 ("0 < synthesis_tolerance < inf", 0.0 < self.synthesis_tolerance < math.inf),
                 ("max_synthesis_steps >= 0", self.max_synthesis_steps >= 0),
-                ("master_seed >= 0", self.master_seed >= 0),
             )
             if not holds
         ]
@@ -222,9 +221,12 @@ def _fold_xy(
     point `_solve` evaluates, every winner and every padded step does."""
     x, y = point
     tape = []
+    # A local, since looking up an Enum member costs about as much as the
+    # arithmetic of a step.
+    step_a = StepKind.A
     for kind, t in zip(kinds, ts):
         r = 1.0 - t
-        is_a = kind is StepKind.A
+        is_a = kind is step_a
         tape.append((is_a, r, x, y))
         if is_a:
             x, y = r * r * x, r * y + t
@@ -259,9 +261,10 @@ def _fold_uvw(
     """The (u, v, w) fold and its tape, as in `_fold_xy` but with t too."""
     u, v, w = point
     tape = []
+    step_a = StepKind.A
     for kind, t in zip(kinds, ts):
         r = 1.0 - t
-        is_a = kind is StepKind.A
+        is_a = kind is step_a
         tape.append((is_a, t, r, u, v, w))
         if is_a:
             u, v, w = r * u - t, r * r * v - 3 * t * r * u + t * (2 * t - 1), r * w + t
@@ -328,8 +331,9 @@ class _Solved(NamedTuple):
 # bound whose gradient J^T r points out of the box, and its Gram sums.  Returns
 # None when J_f^T r = 0, else the trial step as a function of mu and the
 # largest diagonal entry of J_f J_f^T, which sets the first mu.  Each is
-# written out for its m, and clips its trial point to the box inline: generic
-# loops over m, or a call per coordinate, cost more than the residuals.
+# written out for its m, and clips its trial point to the box inline, in a
+# plain loop (a list comprehension is a call of its own before Python 3.12):
+# generic loops over m, or a call per coordinate, cost more than the residuals.
 
 
 def _linearize_1(
@@ -352,7 +356,11 @@ def _linearize_1(
         if not det > 0.0:
             return None
         z0 = r0 / det
-        return [0.0 if (v := t - p * z0) < 0.0 else 1.0 if v > 1.0 else v for t, p in zip(x, free)]
+        trial = []
+        for t, p in zip(x, free):
+            v = t - p * z0
+            trial.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        return trial
 
     return step, a
 
@@ -381,10 +389,11 @@ def _linearize_2(
             return None
         z0 = ((c + mu) * r0 - b * r1) / det
         z1 = ((a + mu) * r1 - b * r0) / det
-        return [
-            0.0 if (v := t - p * z0 - q * z1) < 0.0 else 1.0 if v > 1.0 else v
-            for t, (p, q) in zip(x, free)
-        ]
+        trial = []
+        for t, (p, q) in zip(x, free):
+            v = t - p * z0 - q * z1
+            trial.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        return trial
 
     return step, max(a, c)
 
@@ -431,10 +440,11 @@ def _linearize_3(
         z0 = (k00 * r0 + k01 * r1 + k02 * r2) / det
         z1 = (k01 * r0 + k11 * r1 + k12 * r2) / det
         z2 = (k02 * r0 + k12 * r1 + k22 * r2) / det
-        return [
-            0.0 if (v := t - p * z0 - q * z1 - s * z2) < 0.0 else 1.0 if v > 1.0 else v
-            for t, (p, q, s) in zip(x, free)
-        ]
+        trial = []
+        for t, (p, q, s) in zip(x, free):
+            v = t - p * z0 - q * z1 - s * z2
+            trial.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)
+        return trial
 
     return step, max(a, c, f)
 
@@ -526,32 +536,21 @@ def _origin(seed: Seed) -> Tuple[float, float]:
     return (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
 
 
-def _start_vectors(dim: int, cfg: SearchConfig) -> np.ndarray:
-    """Four deterministic Latin-hypercube start points in [0,1]^dim, which
-    depend only on `cfg.master_seed` and `dim`; read-only."""
-    return _latin_hypercube(cfg.master_seed, dim)
-
-
 @functools.lru_cache(maxsize=128)
-def _latin_hypercube(master_seed: int, dim: int) -> np.ndarray:
-    """The points of `_start_vectors`.
+def _start_vectors(master_seed: int, dim: int) -> Tuple[Tuple[float, ...], ...]:
+    """Four deterministic Latin-hypercube start points in [0,1]^dim, which
+    depend only on the master seed and `dim`.
 
-    Each axis is cut into 4 equal slices, and every row takes one point
+    Each axis is cut into 4 equal slices, and every point takes a value
     drawn uniformly in its own slice of each axis, the slices shuffled
-    independently per axis (McKay, Beckman & Conover 1979).  The draws are
-    in the order of scipy's `qmc.LatinHypercube` seeded with the same
-    generator, so the points are bit for bit the ones it gives.  Cached,
-    as building the generator costs as much as a short solve.
+    independently per axis (McKay, Beckman & Conover 1979).  The generator
+    is seeded with the string "master_seed:dim", which `random.Random`
+    hashes with SHA-512, so the points do not depend on PYTHONHASHSEED.
+    Cached: every form of a walk asks for them again.
     """
-    n = 4
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, dim])).spawn(1)[0]
-    offsets = rng.uniform(size=(n, dim))
-    slices = np.tile(np.arange(1, n + 1), (dim, 1))
-    for axis in slices:
-        rng.shuffle(axis)
-    points = (slices.T - offsets) / n
-    points.setflags(write=False)
-    return points
+    rnd = random.Random(f"{master_seed}:{dim}")
+    slices = [rnd.sample(range(4), 4) for _ in range(dim)]
+    return tuple(tuple((axis[i] + rnd.random()) / 4 for axis in slices) for i in range(4))
 
 
 # The least-squares problem of one form: (seed, kinds) -> (residual, jacobian,
@@ -616,7 +615,7 @@ def _solved_forms(
             first = winners[seed] + (0.0,) if seed in winners else (0.5,) * dim
             best: Optional[_Solved] = None
             evaluations = 0
-            for start in [first, *_start_vectors(dim, cfg)] if dim else [first]:
+            for start in [first, *_start_vectors(cfg.master_seed, dim)] if dim else [first]:
                 solved = _solve(residual, jacobian, start, cfg.max_iterations)
                 evaluations += solved.evaluations
                 if best is None or solved.cost < best.cost:
@@ -758,13 +757,13 @@ def nearest_reachable(
     Latin-hypercube points.  On an exact distance tie the shortest form
     wins, then the XY seed.  On a diagonal target (x == y as floats) the
     YX forms, mirrors of the XY forms, are not solved, so the winner is
-    XY-seeded and `evaluations` about halves.
+    XY-seeded and `evaluations` counts the XY forms alone.
     A winner shorter than k is padded to k steps with identity steps
     (t = 0) right after its first A step, or by repeating the step of the
     form (B,).  The returned distance is the float norm of fold - target
     at the returned parameters.  It is not certified: rounding can put it
-    below the exact distance of those doubles (in 20 of the 32 rows of the
-    (1/3, 1/3) profile to k = 32, the square by up to 3.7e-13 relative).
+    below the exact distance of those doubles (in 19 of the 32 rows of the
+    (1/3, 1/3) profile to k = 32, the square by up to 8.7e-13 relative).
     Calls on one target and `cfg` in a thread extend one walk.
     """
     if k < 0:
@@ -873,7 +872,8 @@ def _lowest_landing(
     partials are F_base = (1 - t)^2 and F_other = -(1 - t), gives the
     gradient; at a double root (F_t = 0) it is infinite and reported as 0.
     """
-    base, other = (x0, y0) if kind is StepKind.A else (y0, x0)
+    is_a = kind is StepKind.A
+    base, other = (x0, y0) if is_a else (y0, x0)
     slope = other - 2 * base - 1
     lowest: Optional[Tuple[float, float]] = None
     for t in _quadratic_roots(base, slope, base - other):
@@ -890,7 +890,7 @@ def _lowest_landing(
         return d, 0.0, 0.0
     d_base = r * r + 2.0 * r * r * r * base / f_t
     d_other = -2.0 * r * r * base / f_t
-    return (d, d_base, d_other) if kind is StepKind.A else (d, d_other, d_base)
+    return (d, d_base, d_other) if is_a else (d, d_other, d_base)
 
 
 def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:

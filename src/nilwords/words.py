@@ -182,6 +182,7 @@ class SigmaWord:
             [s.value for s, _ in self.blocks], [t.value for _, t in self.blocks], 1, mode
         )
 
+    @property
     def mode(self) -> Mode:
         return self.blocks[0][0].mode
 
@@ -216,7 +217,7 @@ def sigma_to_rword(w: SigmaWord) -> RWord:
     for s, t in w.blocks:
         letters.append(Letter(Generator.X, s))
         letters.append(Letter(Generator.Y, t))
-    return _word(letters, w.mode())
+    return _word(letters, w.mode)
 
 
 def sigma_coarse_length(w: SigmaWord) -> int:

@@ -349,16 +349,22 @@ class TestRender:
         assert not summary.cell_shaded(0.5, 0.5)
         assert not summary.cell_shaded(0.1, 0.1)
 
-    def test_mask_agrees_with_membership(self, tmp_path):
+    # eps = 1 fails x < 1 at every cell center, so every row is empty.
+    @pytest.mark.parametrize(
+        "resolution, eps", [(64, 0.0), (37, 0.01), (5, 0.3), (1, 0.0), (16, 1.0)]
+    )
+    def test_shading_agrees_with_membership(self, tmp_path, resolution, eps):
         out = tmp_path / "region.svg"
-        resolution = 64
-        summary = render_region(str(out), count=16, resolution=resolution)
+        summary = render_region(str(out), count=16, resolution=resolution, eps=eps)
+        policy = EpsilonPolicy.for_mode(Mode.FLOAT, eps)
         for j in range(resolution):
             for i in range(resolution):
                 cx = (i + 0.5) / resolution
                 cy = (j + 0.5) / resolution
-                expected = classify(cx, cy).status is Membership.INTERIOR_MEMBER
-                assert bool(summary.inside_mask[j, i]) == expected, (cx, cy)
+                expected = membership(XYPoint.of_floats(cx, cy), policy).is_member()
+                assert summary.cell_shaded(cx, cy) == expected, (cx, cy)
+        if eps >= 1:
+            assert not any(summary.shaded_rows)
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "region.csv"

@@ -130,7 +130,7 @@ class TestSequences:
         result = synthesize_word(target(1.0, 0.0))
         assert result.stage == "seed" and result.sequence.steps == ()
         assert result.sequence.mode is Mode.FLOAT
-        assert result.achieved.mode is Mode.FLOAT and result.word.mode() is Mode.FLOAT
+        assert result.achieved.mode is Mode.FLOAT and result.word.mode is Mode.FLOAT
 
     def test_pattern_string(self):
         seq = sequence(Seed.XY, (StepKind.A, 0.5), (StepKind.B, 0.25))
@@ -280,32 +280,40 @@ class TestLowestLanding:
 
 class TestStartVectors:
     def test_pinned_latin_hypercube_points(self):
-        # Values from scipy's qmc.LatinHypercube on the same seeds.
-        assert _start_vectors(2, DEFAULT_CONFIG).tolist() == [
-            [0.7320255513166098, 0.30674476537237827],
-            [0.8617196321265712, 0.1524300052825009],
-            [0.31425160720381895, 0.6729122158934786],
-            [0.2047955203518499, 0.8828788421285712],
-        ]
-        assert _start_vectors(1, SearchConfig(master_seed=0)).ravel().tolist() == [
-            0.774220241350587,
-            0.3930881749988642,
-            0.029947995725691096,
-            0.6792014172516441,
-        ]
+        # random.Random seeded with the str "master_seed:dim", which it
+        # hashes with SHA-512, so the points do not depend on PYTHONHASHSEED.
+        assert _start_vectors(DEFAULT_CONFIG.master_seed, 2) == (
+            (0.6781477578756651, 0.8182342536007858),
+            (0.793915895460378, 0.40090375855422744),
+            (0.3740363437524564, 0.0660519216017679),
+            (0.035526443619755155, 0.5470918423419481),
+        )
+        assert _start_vectors(0, 1) == (
+            (0.377403823963038,),
+            (0.029214478340714167,),
+            (0.5645699237858809,),
+            (0.9622469924091372,),
+        )
+        assert _start_vectors(-1, 1) == (
+            (0.5716658832326658,),
+            (0.01831621342811257,),
+            (0.9785446890745446,),
+            (0.4267496587442299,),
+        )
 
     def test_one_start_per_slice_of_each_axis(self):
-        points = _start_vectors(5, DEFAULT_CONFIG)
-        assert points.shape == (4, 5)
-        for axis in points.T:
+        points = _start_vectors(DEFAULT_CONFIG.master_seed, 5)
+        assert len(points) == 4 and all(len(point) == 5 for point in points)
+        for axis in zip(*points):
             assert sorted(int(v * 4) for v in axis) == [0, 1, 2, 3]
 
     def test_built_once_per_seed_and_dimension_and_read_only(self):
-        points = _start_vectors(3, DEFAULT_CONFIG)
-        assert _start_vectors(3, SearchConfig(max_iterations=7)) is points
-        assert _start_vectors(3, SearchConfig(master_seed=0)) is not points
-        with pytest.raises(ValueError, match="read-only"):
-            points[0, 0] = 0.5
+        points = _start_vectors(1729, 3)
+        assert _start_vectors(1729, 3) is points
+        assert _start_vectors(0, 3) != points
+        assert _start_vectors(1729, 4)[0][:3] != points[0]
+        with pytest.raises(TypeError):
+            points[0][0] = 0.5
 
 
 class TestSearchConfig:
@@ -318,7 +326,6 @@ class TestSearchConfig:
             ("synthesis_tolerance", 0.0),
             ("synthesis_tolerance", math.inf),
             ("max_synthesis_steps", -1),
-            ("master_seed", -1),
         ],
     )
     def test_rejects_values_that_give_wrong_answers(self, field, value):
@@ -748,12 +755,15 @@ class TestMirrorPairs:
         for k in range(1, 6):
             assert nearest_reachable(target(1 / 3, 1 / 3), k, FAST).best_sequence.seed is Seed.XY
 
-    def test_diagonal_search_spends_about_half(self):
+    def test_diagonal_search_spends_only_the_xy_forms(self):
+        # The search reports the XY forms' evaluations and none of their YX
+        # twins'.  A twin's solve rounds its own way, so the share saved
+        # varies: here the XY forms take 40 evaluations and the twins 71.
         goal = (0.38, 0.38)
         both = list(_solved_forms(4, search._xy_problem(goal), FAST))
-        spent = sum(spent for seed, _, _, spent in both if seed is Seed.XY)
-        assert nearest_reachable(target(*goal), 4, FAST).evaluations == spent
-        assert 2 * spent == pytest.approx(sum(spent for *_, spent in both), rel=0.2)
+        spent = {seed: sum(n for s, _, _, n in both if s is seed) for seed in Seed}
+        assert nearest_reachable(target(*goal), 4, FAST).evaluations == spent[Seed.XY]
+        assert spent[Seed.YX] >= 4  # each skipped twin would cost at least one
 
 
 class TestNearestReachable:
@@ -940,12 +950,23 @@ class TestSharedWalk:
             single = self.row_of(nearest_reachable_uvw(goal, row.k, FAST))
             assert (row.distance, row.pattern, row.t_values) == single
 
-    def test_exact_tie_goes_to_the_shortest_form(self):
-        # A(1) maps the XY seed (1, 0) exactly onto the YX seed (0, 1), so
-        # XY.A(1).B(t) reaches what YX.B(t) reaches.  At this target the
-        # optimizer finds both at the same distance for k = 2; the
-        # one-step form comes first and is kept, padded to BB.
-        goal = target(0.6229016948897019, 0.7417869892607294)
+    def test_exact_tie_goes_to_the_shortest_form(self, monkeypatch):
+        # A stub problem whose residual is constant on each form, so the
+        # costs tie exactly by construction: the XY form (A,) costs 1 and
+        # every other form 1/2.  At k = 2 the one-step YX form (B,) ties
+        # with both two-step forms; it comes first and is kept, padded to BB.
+        def constant_problem(target_xy):
+            def problem_of(seed, kinds):
+                r = (1.0, 0.0) if (seed, kinds) == (Seed.XY, (StepKind.A,)) else (0.5, 0.0)
+                zero_columns = [(0.0, 0.0)] * len(kinds)
+                return (lambda ts: (r, None)), (lambda tape: zero_columns), len(kinds)
+
+            return problem_of
+
+        monkeypatch.setattr(search, "_xy_problem", constant_problem)
+        # The stub's walk must not outlive the test in this thread's slot.
+        monkeypatch.setattr(search._last_walk, "walk", None, raising=False)
+        goal = target(0.6, 0.7)
         one = nearest_reachable(goal, 1, FAST)
         two = nearest_reachable(goal, 2, FAST)
         assert one.best_sequence.seed is Seed.YX
@@ -1342,38 +1363,38 @@ class TestPinnedAnswers:
     def test_diagonal_gaps(self):
         assert [diagonal_gap(k).to_float().hex() for k in range(1, 9)] == [
             "0x1.8e661e256c068p-5",
-            "0x1.43cbb5b0e43c0p-6",
-            "0x1.61d2afdd090a0p-7",
+            "0x1.43cbb5b0e43d0p-6",
+            "0x1.61d2afdd09080p-7",
             "0x1.befd5e9bf1680p-8",
             "0x1.343b6720de300p-8",
             "0x1.c301d7a9c5a00p-9",
-            "0x1.585cea0196180p-9",
-            "0x1.0f953b0ed4100p-9",
+            "0x1.585cea0196080p-9",
+            "0x1.0f953b0ed3d80p-9",
         ]
 
     def test_planar_profile_off_the_diagonal(self):
         # Row 1 is the YX form (B,); from k = 2 on, the XY form (A, B) reaches
         # the target and is padded after its A step.
         rows = coarse_length_profile(target(0.38, 0.36), 6)
-        a, b = "0x1.bfadb6df00d33p-2", "0x1.7b1fda4801eabp-4"
+        a, b = "0x1.da52217cb0c76p-1", "0x1.81a9b3467ab60p-2"
         assert [(row.distance.hex(), row.pattern) for row in rows] == [
-            ("0x1.f8d93ecefa189p-7", "B"),
+            ("0x1.f8d93ecefa176p-7", "B"),
             *(("0x0.0p+0", "A" * (k - 1) + "B") for k in range(2, 7)),
         ]
-        assert [t.hex() for t in rows[0].t_values] == ["0x1.914e5d9c99f20p-2"]
+        assert [t.hex() for t in rows[0].t_values] == ["0x1.914e5d9cfc323p-2"]
         for row in rows[1:]:
             assert [t.hex() for t in row.t_values] == [a] + ["0x0.0p+0"] * (row.k - 2) + [b]
 
     @pytest.mark.parametrize(
         "k, distance, evaluations, pattern, ts",
         [
-            (1, "0x1.0ec7589a55419p+0", 233, "A", ["0x1.2337ef0000000p-2"]),
+            (1, "0x1.0ec7589a55419p+0", 202, "A", ["0x1.2337ef0000000p-2"]),
             (
                 2,
-                "0x1.14ea0d4e8cd11p-3",
-                502,
+                "0x1.14ea0d4e8cd0fp-3",
+                479,
                 "AB",
-                ["0x1.5350033c00000p-1", "0x1.595ff98800000p-2"],
+                ["0x1.5350033400001p-1", "0x1.595ff993fffffp-2"],
             ),
         ],
     )
@@ -1400,14 +1421,14 @@ class TestPinnedAnswers:
                 0.46116458327848064,
                 "direct",
                 "ABA",
-                ["0x1.4195ca479a960p-1", "0x1.410f4848f9b99p-2", "0x1.e085bd6735ec8p-3"],
+                ["0x1.4195ca4797e9ep-1", "0x1.410f4848f8543p-2", "0x1.e085bd6738c89p-3"],
             ),
             (
                 0.5152680043143939,
                 0.22323688358029925,
                 "direct",
                 "AB",
-                ["0x1.b1a7ce7af931cp-2", "0x1.1888fab9519fdp-2"],
+                ["0x1.b1a7ce7af9313p-2", "0x1.1888fab9519f5p-2"],
             ),
         ],
     )

@@ -347,7 +347,7 @@ class TestBalancedWord:
 
     def test_float_mode(self):
         w = balanced_word(4, Mode.FLOAT)
-        assert w.mode() is Mode.FLOAT
+        assert w.mode is Mode.FLOAT
         assert blocks(w) == ((0.25, 0.25),) * 4
 
 
