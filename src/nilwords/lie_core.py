@@ -132,8 +132,9 @@ def evaluate_word(w: RWord) -> GroupElement:
     The letters' generators and raw exponent values go to `_evaluate`, the
     one copy of the letter-by-letter group law.
     """
+    generator_x = Generator.X
     return _evaluate(
-        [letter.generator is Generator.X for letter in w.letters],
+        [letter.generator is generator_x for letter in w.letters],
         [letter.exponent.value for letter in w.letters],
         w.mode,
     )

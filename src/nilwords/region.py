@@ -200,27 +200,31 @@ class RenderSummary:
 _SIDE = dict(zip(CONDITIONS, (2, 0, 0, 0, 2)))
 
 
+def _interior_run(columns: Sequence, y, d, eps) -> range:
+    """The indices i, one run, for which the point (columns[i]/d, y/d) passes
+    `_classify`, given the increasing columns of one grid row, all in (0, d)
+    and none an endpoint.
+
+    Along a row y is fixed, and for x in (0, d) every quantity `_classify`
+    tests is monotone in x: exactly on ints, and in rounded arithmetic too,
+    since correctly rounded + - * are monotone.  The failures `_SIDE` puts
+    at 0 form a prefix of the row and those at 2 a suffix, so the interior
+    columns are one run, found by two bisections on the side of each verdict.
+    """
+    def side(x) -> int:
+        verdict = _classify(x, y, d, eps)
+        return 1 if verdict is _INTERIOR else _SIDE[verdict.failed_condition]
+
+    start = bisect.bisect_left(columns, 1, key=side)
+    return range(start, bisect.bisect_left(columns, 2, lo=start, key=side))
+
+
 def _shaded_rows(resolution: int, eps: float) -> Tuple[range, ...]:
     """For each grid row j, the columns i whose cell center passes
-    `_classify`.
-
-    A cell center is never an endpoint.  Along a row y is fixed, and for
-    x in (0, 1) every quantity `_classify` tests is monotone in x, in
-    rounded arithmetic too, since correctly rounded + - * are monotone: the
-    failures `_SIDE` puts at 0 form a prefix of the row and those at 2 a
-    suffix.  So the interior cells are one run, found by two bisections on
-    the side of each verdict.
-    """
+    `_classify`: the `_interior_run` of the row.  A cell center is never an
+    endpoint."""
     centers = [(i + 0.5) / resolution for i in range(resolution)]
-    rows = []
-    for y in centers:
-        def side(x: float) -> int:
-            verdict = _classify(x, y, 1.0, eps)
-            return 1 if verdict is _INTERIOR else _SIDE[verdict.failed_condition]
-
-        start = bisect.bisect_left(centers, 1, key=side)
-        rows.append(range(start, bisect.bisect_left(centers, 2, lo=start, key=side)))
-    return tuple(rows)
+    return tuple(_interior_run(centers, y, 1.0, eps) for y in centers)
 
 
 def _svg_document(shaded_rows: Sequence[range], curves: Sequence[BoundaryCurve]) -> str:

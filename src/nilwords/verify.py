@@ -20,13 +20,19 @@ common denominator, so every exact check compares ints; float trials run
 them on the doubles the public functions would see.  Only the samplers,
 which draw different inputs per mode, and the float division of the
 commutation suite test the mode; every check is one computation for both
-modes.  Each suite looks up the laws and maps it checks in their modules
+modes.  The invariance suite draws an exact point with one `randrange`
+call, an index into a table of the interior run of each row of the grid
+{1..1023}^2 / 1024, built on the first exact draw and cached; float points,
+which have no finite table, are still drawn by rejection from the unit
+square.  Each suite looks up the laws and maps it checks in their modules
 when it starts (and `_balanced_state` reads `_letters` and `_check_sigma`
 at each call), so a test can replace one.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import random
 import time
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from . import dynamics, lie_core, words
-from .region import Membership, _classify
+from .region import _INTERIOR, Membership, _classify, _interior_run
 from .scalar import Mode, _close, _lift
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
@@ -193,31 +199,63 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     ]
 
 
+# Exact invariance points are drawn from the grid {1..1023}^2 / 1024.
+_GRID = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _interior_grid() -> tuple:
+    """The interior points of the exact grid, counted in row-major order, as
+    (firsts, shifts): point u lies in the row j = bisect_right(firsts, u) - 1,
+    whose first point is number firsts[j], and is (u + shifts[j], j + 1) /
+    1024.  Each row's interior points are one run (`region._interior_run`),
+    so the table holds two ints per row and never the points themselves.
+    Built on the first exact draw, not at import."""
+    columns = range(1, _GRID)
+    firsts, shifts = [], []
+    count = 0
+    for y in columns:
+        run = _interior_run(columns, y, _GRID, 0)
+        firsts.append(count)
+        shifts.append(run.start + 1 - count)  # column i is x = i + 1
+        count += len(run)
+    firsts.append(count)  # the number of points, past the last row
+    return tuple(firsts), tuple(shifts)
+
+
 def _random_interior_point(rnd: random.Random, mode: Mode) -> tuple:
-    """Draw candidates until one is an interior member, as a planar triple:
-    (px, py, 1024) for an exact candidate (px/1024, py/1024), (x, y, 1) for
-    a float one.  A triple gets the verdict of the point it stands for."""
+    """A uniformly drawn interior member, as a planar triple: (px, py, 1024)
+    for an exact point (px/1024, py/1024), (x, y, 1) for a float one.  A
+    triple gets the verdict of the point it stands for.
+
+    An exact draw is one `randrange` call u, and the point is the u-th
+    interior point of the grid {1..1023}^2 / 1024 in row-major order,
+    looked up in `_interior_grid`.  Float draws have no finite table: they
+    draw candidates from the unit square until one is an interior member."""
+    if mode is Mode.EXACT:
+        firsts, shifts = _interior_grid()
+        u = rnd.randrange(firsts[-1])
+        row = bisect.bisect_right(firsts, u) - 1
+        return u + shifts[row], row + 1, _GRID
     while True:
-        if mode is Mode.EXACT:
-            x, y, d = rnd.randint(1, 1023), rnd.randint(1, 1023), 1024
-        else:
-            x, y, d = rnd.random(), rnd.random(), 1
-        if _classify(x, y, d, 0).status is Membership.INTERIOR_MEMBER:
-            return x, y, d
+        x, y = rnd.random(), rnd.random()
+        if _classify(x, y, 1, 0) is _INTERIOR:
+            return x, y, 1
 
 
 def _suite_invariance(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     """The planar maps' images of interior points, classified as triples."""
     rnd = random.Random(seed)
     map_a_xy, map_b_xy = dynamics._map_a_xy, dynamics._map_b_xy
+    outside = Membership.OUTSIDE
     violations_a = 0
     violations_b = 0
     for _ in range(trials):
         p = _random_interior_point(rnd, mode)
         k, q = _rand_parameter(rnd, mode)
-        if _classify(*map_a_xy(k, q, *p), 0).status is Membership.OUTSIDE:
+        if _classify(*map_a_xy(k, q, *p), 0).status is outside:
             violations_a += 1
-        if _classify(*map_b_xy(k, q, *p), 0).status is Membership.OUTSIDE:
+        if _classify(*map_b_xy(k, q, *p), 0).status is outside:
             violations_b += 1
     return [
         CheckResult(

@@ -2,11 +2,10 @@
 
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
-from nilwords import dynamics, lie_core, words
+from nilwords import dynamics, lie_core, verify, words
 from nilwords.dynamics import XYPoint
 from nilwords.region import EpsilonPolicy, Membership, membership
 from nilwords.scalar import Mode, Scalar
@@ -42,32 +41,95 @@ def test_unknown_suite_rejected():
         run_suite("nonsense", trials=1)
 
 
-@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
-def test_interior_points_match_the_membership_loop(mode):
+def test_float_interior_points_match_the_membership_loop():
     # The draw loop that classified every candidate as a point by
-    # `membership`; the integer-triple path must accept the same candidates
+    # `membership`; the float-triple path must accept the same candidates
     # and so leave the generator in the same state.
     def by_membership(rnd):
-        policy = EpsilonPolicy.for_mode(mode)
+        policy = EpsilonPolicy.for_mode(Mode.FLOAT)
         while True:
-            if mode is Mode.EXACT:
-                p = XYPoint(
-                    Scalar.exact(rnd.randint(1, 1023), 1024),
-                    Scalar.exact(rnd.randint(1, 1023), 1024),
-                )
-            else:
-                p = XYPoint.of_floats(rnd.random(), rnd.random())
+            p = XYPoint.of_floats(rnd.random(), rnd.random())
             if membership(p, policy).status is Membership.INTERIOR_MEMBER:
                 return p
 
     new, old = random.Random(11), random.Random(11)
     for _ in range(300):
-        (x, y, d), q = _random_interior_point(new, mode), by_membership(old)
-        assert q.mode is mode
-        point = (Fraction(x, d), Fraction(y, d)) if mode is Mode.EXACT else (x / d, y / d)
+        (x, y, d), q = _random_interior_point(new, Mode.FLOAT), by_membership(old)
+        assert q.mode is Mode.FLOAT
+        point = (x / d, y / d)
         assert point == (q.x.value, q.y.value)
         assert type(point[0]) is type(q.x.value)
     assert new.getstate() == old.getstate()
+
+
+class _Fixed:
+    """A generator whose only method returns u and records its bound."""
+
+    def __init__(self, u):
+        self.u, self.bounds = u, []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return self.u
+
+
+def _every_exact_draw():
+    """The exact draws for u = 0 .. N-1, N the bound the sampler asks for,
+    with the bounds of each draw's `randrange` calls."""
+    probe = _Fixed(0)
+    _random_interior_point(probe, Mode.EXACT)
+    draws, bounds = [], []
+    for u in range(probe.bounds[0]):
+        rnd = _Fixed(u)
+        draws.append(_random_interior_point(rnd, Mode.EXACT))
+        bounds.append(rnd.bounds)
+    return draws, bounds
+
+
+def test_exact_interior_points_are_the_membership_interior_in_row_major_order():
+    # Brute force: classify every point of the grid {1..1023}^2 / 1024 by
+    # `membership`, row by row.
+    policy = EpsilonPolicy.for_mode(Mode.EXACT)
+    grid = [(i, Scalar.exact(i, 1024)) for i in range(1, 1024)]
+    interior = [
+        (px, py, 1024)
+        for py, y in grid
+        for px, x in grid
+        if membership(XYPoint(x, y), policy).status is Membership.INTERIOR_MEMBER
+    ]
+    draws, _ = _every_exact_draw()
+    assert len(interior) == 109_202
+    assert draws == interior
+
+
+def test_exact_draws_are_uniform_over_the_grid_interior():
+    # One randrange(N) call per draw, and u -> point one-to-one from
+    # range(N) onto N points: every interior point has probability 1/N.
+    draws, bounds = _every_exact_draw()
+    n = len(draws)
+    assert bounds == [[n]] * n
+    assert len(set(draws)) == n
+    assert all(0 < x < 1024 and 0 < y < 1024 and d == 1024 for x, y, d in draws)
+
+
+def test_an_exact_invariance_trial_classifies_only_its_two_images(monkeypatch):
+    # Once the table of the grid's interior is built, a trial draws its
+    # point without classifying candidates: only the two images are.
+    _random_interior_point(random.Random(0), Mode.EXACT)
+    classify, calls = verify._classify, 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return classify(*args)
+
+    monkeypatch.setattr(verify, "_classify", counting)
+    counts = []
+    for trials in (10, 60):
+        calls = 0
+        run_suite("invariance", Mode.EXACT, trials, 1)
+        counts.append(calls)
+    assert counts[1] - counts[0] == 100
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
