@@ -6,6 +6,28 @@ polynomial maps below, and after an affine change of coordinates to the
 plane, by even simpler quadratic maps.  The planar maps are transcribed
 independently of the space maps so the commutation identities checked in
 the tests genuinely cross-validate both.
+
+The staircase law gives every image in closed form.  Read a unit-mass
+alternating word as a monotone staircase path in the (A, B) plane from
+(0, 0) to (1, 1), X^a a step right by a and Y^b a step up by b; the
+element is the path's signature truncated at step 3 (Chen 1957).  With
+A_j the X-mass before Y-letter j and B_i the Y-mass before X-letter i:
+
+    x = sum_j b_j A_j^2,   y = sum_i a_i B_i^2,
+    u = sum_j b_j A_j - sum_i a_i B_i   (the Levy area),
+    v = 6x - 3u - 2,       w = 6y + 3u - 2.
+
+The a-map scales every X-mass by 1 - t and appends X^t, so it multiplies x
+by (1 - t)^2 and sends y to (1 - t) y + t: the planar map, line for line.
+With g = A - B along the path, x + y - 2/3 = (1/6) sum |g_end^3 - g_start^3|
+over the letters (per letter the sides differ by the increment of
+-(A + B)(A - B)^2 / 2, which is 0 at both ends).  As |q^3 - p^3| >=
+|q - p|^3 / 4, the first and last letters start or end at g = 0, and the
+|dg| sum to 2, a word of c letters has x + y - 2/3 >= 1/(3(c - 1)^2),
+with equality at the zigzag word, whose first and last letters have mass
+1/(c - 1) and the others 2/(c - 1).  So the image of X + Y, (1/3, 1/3),
+is never reached, and coming within e of it takes
+c >= 1 + (sqrt(2)/(6e))^(1/2) letters.
 """
 
 from __future__ import annotations

@@ -88,7 +88,9 @@ def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerd
     Every condition is homogeneous in (x, y, 1), so an exact point is
     tested as the ints (x L, y L, L) over the lcm L of its denominators
     (`scalar._cleared`); the signs are unchanged because exact mode only
-    admits eps = 0.  Float points are tested as (x, y, 1).
+    admits eps = 0, which is passed as the int 0, as any zero margin is:
+    comparing an int with the `Fraction` 0 costs a `Fraction` comparison.
+    Float points are tested as (x, y, 1).
     """
     if policy is not None and policy.eps.mode is not p.mode:
         raise ModeMismatchError(
@@ -96,7 +98,8 @@ def membership(p: XYPoint, policy: Optional[EpsilonPolicy] = None) -> RegionVerd
             f"{policy.eps.mode.value} margin"
         )
     d, (x, y) = _cleared(p.mode, _raw(p.mode, p.coords()))
-    return _classify(x, y, d, policy.eps.value if policy is not None else 0)
+    eps = policy.eps.value if policy is not None else 0
+    return _classify(x, y, d, eps or 0)
 
 
 # The verdicts `_classify` returns, built once: RegionVerdict is frozen, so

@@ -961,16 +961,50 @@ def _finish(target: XYPoint, seed: Seed, steps: List[Tuple[StepKind, float]], st
     )
 
 
+def _floor_distance(target_xy: Tuple[float, float], cfg: SearchConfig) -> Optional[float]:
+    """The staircase floor's distance to the target when it proves that no
+    sequence of at most L = `cfg.max_synthesis_steps` steps comes within
+    `cfg.synthesis_tolerance` of it; None when it does not.
+
+    An L-step form evaluates a word of at most L + 2 letters, whose exact
+    image has x + y - 2/3 >= 1/(3(L+1)^2) (the staircase law, `dynamics`),
+    so it lies at least (2/3 + 1/(3(L+1)^2) - tx - ty)/sqrt(2) from the
+    target.  That floor falls as L grows: the cap's floor bounds every form
+    up to the cap, so the test is all or nothing.  It is exact, on the
+    target's doubles as integer ratios, comparing squares.  The floor must
+    clear the tolerance by 1e-12 per step.  A cost `_solve` or `_finish`
+    computes is the float fold of at most L steps on values in [0, 1], each
+    step a few roundings that later steps do not amplify, so it is within
+    about 4L ulps of 1 of the exact distance of the same parameters (1e-14
+    at L = 12): with the margin, no float cost of any form passes the
+    tolerance.
+    """
+    (nx, dx), (ny, dy) = (t.as_integer_ratio() for t in target_xy)
+    nt, dt = cfg.synthesis_tolerance.as_integer_ratio()
+    steps = cfg.max_synthesis_steps + 1
+    q = 3 * steps * steps
+    # floor minus target in x + y, over q dx dy; tolerance plus margin, over dt 10^12
+    excess = (2 * steps * steps + 1) * dx * dy - q * (nx * dy + ny * dx)
+    clearance = nt * 10**12 + steps * dt
+    if excess > 0 and (excess * dt * 10**12) ** 2 > 2 * (clearance * q * dx * dy) ** 2:
+        return excess / (q * dx * dy) / math.sqrt(2)
+    return None
+
+
 def _reach(
     target_xy: Tuple[float, float], cfg: SearchConfig
 ) -> Optional[Tuple[Seed, Tuple[StepKind, ...], Tuple[float, ...]]]:
     """Reach a planar point by `_solved_forms` within `cfg.max_synthesis_steps`.
 
     Returns the first (seed, kinds, ts) within `cfg.synthesis_tolerance`,
-    so shorter sequences win; None when the budget ends.  A budget of 0
-    steps leaves only the empty forms, which are not a reach.  A diagonal
-    target solves only the XY forms, as in `nearest_reachable`.
+    so shorter sequences win; None when the budget ends, or at once, with
+    no form solved, when `_floor_distance` proves the budget cannot reach
+    the target.  A budget of 0 steps leaves only the empty forms, which are
+    not a reach.  A diagonal target solves only the XY forms, as in
+    `nearest_reachable`.
     """
+    if _floor_distance(target_xy, cfg) is not None:
+        return None
     tol = cfg.synthesis_tolerance
     tx, ty = target_xy
     solved_forms = _solved_forms(
@@ -991,8 +1025,13 @@ def synthesize_word(
     exact seed-orbit solutions (one step from a seed), and a direct numeric
     reach of the target by `_reach`, the shortest form first.  Every word
     has at most `cfg.max_synthesis_steps` steps.  Exhausting the budget is
-    reported, not raised; that is the expected outcome for targets very
-    near the excluded limit point (1/3, 1/3).
+    reported, not raised, as stage "exhausted"; that is the expected
+    outcome for targets very near the excluded limit point (1/3, 1/3).  It
+    comes two ways.  A proven one: the staircase floor puts every sequence
+    within the budget farther from the target than the tolerance, no form
+    is solved, and the message gives the floor.  A budget-limited one: the
+    solver ran on every form and none came within the tolerance, which
+    does not prove that none can.
     """
     verdict = membership(target)
     if verdict.status is Membership.OUTSIDE:
@@ -1025,13 +1064,18 @@ def synthesize_word(
         if result.residual <= tol:
             return result
 
+    cap = cfg.max_synthesis_steps
+    floor = _floor_distance((x, y), cfg)
+    if floor is not None:
+        message = (
+            f"the staircase floor proves that no sequence of <= {cap} steps "
+            f"comes within {tol}: the floor is {floor:.6g} from the target"
+        )
+    else:
+        message = f"no sequence of <= {cap} steps reached the target within {tol}"
     return SynthesisResult(
         success=False,
         residual=math.inf,
         stage="exhausted",
-        message=(
-            f"no sequence of <= {cfg.max_synthesis_steps} steps reached the "
-            f"target within {tol}; targets near (1/3, 1/3) need unboundedly "
-            "many steps"
-        ),
+        message=f"{message}; targets near (1/3, 1/3) need unboundedly many steps",
     )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import nilwords
-from nilwords.cli import _build_parser, main
+from nilwords.cli import EXIT_DOMAIN, _build_parser, main
 from nilwords.verify import SUITE_NAMES
 
 
@@ -384,6 +384,19 @@ class TestSynth:
         )
         assert code == 1
         assert "not synthesized" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_near_limit_target_is_proven_out_of_reach(self, capsys, fmt):
+        # x + y - 2/3 = 1.0e-3, below the floor 1/(3 * 13^2) of 12 steps
+        code, out, _ = run(
+            capsys, "synth", "0.3338333333", "0.3338333333", "--format", fmt
+        )
+        assert code == EXIT_DOMAIN == 1
+        message = json.loads(out)["message"] if fmt == "json" else out
+        assert "the staircase floor proves that no sequence of <= 12 steps" in message
+        assert "the floor is 0.000687581 from the target" in message
+        if fmt == "json":
+            assert json.loads(out)["stage"] == "exhausted"
 
     def test_csv_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

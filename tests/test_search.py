@@ -717,9 +717,12 @@ class TestMirrorPairs:
         for goal in (target(1 / 3, 1 / 3), target(0.38, 0.38)):
             seeds = self.seeds_posed(monkeypatch, lambda: nearest_reachable(goal, 4, FAST))
             assert seeds == {Seed.XY}
-        near = target(1 / 3 + 1e-3, 1 / 3 + 1e-3)
         short = SearchConfig(max_synthesis_steps=3)
-        assert self.seeds_posed(monkeypatch, lambda: synthesize_word(near, short)) == {Seed.XY}
+        # x + y - 2/3 = 0.022 clears the 3-step floor 1/48, so forms are solved;
+        # at 0.002 the floor proves the target out of reach and none is
+        for offset, posed in ((0.011, {Seed.XY}), (1e-3, set())):
+            near = target(1 / 3 + offset, 1 / 3 + offset)
+            assert self.seeds_posed(monkeypatch, lambda: synthesize_word(near, short)) == posed
 
     def test_off_diagonal_targets_solve_both_seeds(self, monkeypatch):
         for goal in (target(0.38, 0.36), target(1 / 3, math.nextafter(1 / 3, 1))):
@@ -1166,6 +1169,31 @@ class TestDiagonalGap:
             diagonal_gap(0, FAST)
 
 
+class TestStaircaseFloor:
+    """Every form of k steps evaluates a word of at most k + 2 letters, whose
+    image has x + y - 2/3 >= 1/(3(k+1)^2) (the staircase law).  A search row
+    below its floor is a bug in the search or in the proof: this check is
+    never loosened."""
+
+    def test_planar_profile_rows_stay_above_the_floor(self):
+        rows = coarse_length_profile(target(1 / 3, 1 / 3), 64)
+        assert len(rows) == 64
+        for row in rows:
+            assert row.distance * (row.k + 1) ** 2 >= math.sqrt(2) / 6, row
+
+    def test_diagonal_gaps_stay_above_the_floor(self):
+        for k in range(1, 49):
+            assert diagonal_gap(k).to_float() * (k + 1) ** 2 >= 1 / 6, k
+
+    def test_uvw_profile_rows_stay_above_the_floor(self):
+        # v + w = 6(x + y - 2/3), so the (u, v, w) distance to (0, 0, 0),
+        # the image of X + Y, is at least 6/sqrt(2) times the planar excess
+        origin = UVWPoint(*[Scalar.of_float(0.0)] * 3)
+        rows = coarse_length_profile_uvw(origin, 32)
+        for row in rows:
+            assert row.distance * (row.k + 1) ** 2 >= math.sqrt(2), row
+
+
 class TestSynthesis:
     def test_endpoint_target(self):
         result = synthesize_word(target(1.0, 0.0), FAST)
@@ -1289,6 +1317,62 @@ class TestSynthesis:
         assert result.word is None
         assert math.isinf(result.residual)
         assert "3" in result.message
+
+    @pytest.mark.parametrize(
+        "x, y, cfg, floor",
+        [
+            (1 / 3 + 5e-4, 1 / 3 + 5e-4, DEFAULT_CONFIG, "0.000687581"),
+            (1 / 3 + 5e-4, 1 / 3 + 2e-4, DEFAULT_CONFIG, "0.000899713"),
+            (1 / 3 + 1e-6, 1 / 3 + 1e-6, SearchConfig(max_synthesis_steps=3), "0.01473"),
+        ],
+    )
+    def test_the_floor_proves_exhaustion_without_solving(self, monkeypatch, x, y, cfg, floor):
+        solved = TestResumedWalk.forms_solved(monkeypatch)
+        result = synthesize_word(target(x, y), cfg)
+        assert (result.stage, result.success, solved()) == ("exhausted", False, 0)
+        cap = cfg.max_synthesis_steps
+        assert f"the staircase floor proves that no sequence of <= {cap} steps" in result.message
+        assert f"the floor is {floor} from the target" in result.message
+
+    def test_a_diagonal_target_past_the_floor_solves_every_form(self, monkeypatch):
+        # x + y - 2/3 = 0.0022 clears the cap-12 floor 1/(3 * 13^2) = 0.00197
+        t = 1 / 3 + 0.0011
+        assert search._floor_distance((t, t), DEFAULT_CONFIG) is None
+        solved = TestResumedWalk.forms_solved(monkeypatch)
+        result = synthesize_word(target(t, t))
+        assert solved() == DEFAULT_CONFIG.max_synthesis_steps
+        assert (result.stage, result.sequence.pattern()) == ("direct", "AB" * 6)
+
+    def test_a_budget_limited_exhaustion_says_so(self, monkeypatch):
+        # two steps reach this target, and the floor of one step is below it
+        x, y = 0.019420809828158525, 0.865412341496933
+        solved = TestResumedWalk.forms_solved(monkeypatch)
+        result = synthesize_word(target(x, y), SearchConfig(max_synthesis_steps=1))
+        assert (result.stage, solved()) == ("exhausted", 2)
+        assert result.message.startswith("no sequence of <= 1 steps reached the target")
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_the_floor_rules_out_only_what_the_solver_misses(self, monkeypatch, cap):
+        # Region targets with x + y - 2/3 up to 1.5 times the floor of the
+        # cap, 1/(3(cap+1)^2): each the floor proves exhausted is exhausted
+        # with the floor switched off too.
+        cfg = SearchConfig(max_iterations=300, max_synthesis_steps=cap)
+        rnd = random.Random(cap)
+        band = 1.5 / (3 * (cap + 1) ** 2)
+        proven = 0
+        for _ in range(30):
+            while True:
+                x = rnd.uniform(1 / 3, 0.45)
+                y = 2 / 3 - x + rnd.uniform(0.0, band)
+                if membership(target(x, y)).status is Membership.INTERIOR_MEMBER:
+                    break
+            if search._floor_distance((x, y), cfg) is None:
+                continue
+            proven += 1
+            with monkeypatch.context() as unproven:
+                unproven.setattr(search, "_floor_distance", lambda *args: None)
+                assert synthesize_word(target(x, y), cfg).stage == "exhausted", (x, y)
+        assert proven >= 10
 
     def test_deterministic(self):
         a = synthesize_word(target(0.36, 0.36), FAST)
