@@ -23,19 +23,20 @@ the same problem, a k-ladder say, solves only the forms past them.
 
 Swapping X and Y is a symmetry of the group: it swaps x and y, the a- and
 b-maps, and the two seeds, so the form (YX; B A B ...) reaches the mirror
-image of what (XY; A B A ...) reaches.  On a target with x = y, and for
-the diagonal landing, the two forms of a mirror pair pose the same
-problem, with the same parameters, and only the XY forms are solved: half
-the forms, every winner XY-seeded, and none of the twins' evaluations;
-their share varies with the target, as a planar twin's solve rounds its
-own way.  The (u, v, w) searches solve both seeds.
+image of what (XY; A B A ...) reaches, (-u, w, v) for (u, v, w).  On a
+target with x = y, or with u = 0 and v = w, and for the diagonal landing,
+the two forms of a mirror pair pose the same problem, with the same
+parameters, and only the XY forms are solved: half the forms, every winner
+XY-seeded, and none of the twins' evaluations; their share varies with the
+target, as a twin's solve rounds its own way.
 
 Every search, and the numeric reach inside word synthesis, runs one solver:
 `_solve`, a projected Levenberg-Marquardt over the box [0, 1]^n on the 1 to
-3 residuals of a form (the planar fold minus the target, the (u, v, w) fold
-minus the target, or a diagonal landing minus 1/3) with their exact
-Jacobians (More 1978; Kanzow, Yamashita & Fukushima 2004): one forward pass
-per point, the Jacobian is its backward sweep (Griewank & Walther 2008).
+3 residuals of a form (the planar fold, or the (u, v, w) image of the fold
+with the Levy area carried along, minus the target, or a diagonal landing
+minus 1/3) with their exact Jacobians (More 1978; Kanzow, Yamashita &
+Fukushima 2004): one forward pass per point, the Jacobian is its backward
+sweep (Griewank & Walther 2008), a suffix product per state coordinate.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "SynthesisDomainError",
     "SynthesisResult",
     "seed_point",
-    "seed_uvw",
     "seed_sigma_word",
     "apply_sequence",
     "seq_to_word",
@@ -157,9 +157,9 @@ DEFAULT_CONFIG = SearchConfig()
 class SearchReport:
     """The best sequence found.  `evaluations` counts the residual
     evaluations of the walk on every form of at most k steps, k per seed
-    since a first step fixing the seed adds nothing (on a diagonal target
-    only the XY forms), whichever call paid for them.  `converged` is the
-    winning start's `_solve` verdict."""
+    since a first step fixing the seed adds nothing (on a target that is
+    its own mirror only the XY forms), whichever call paid for them.
+    `converged` is the winning start's `_solve` verdict."""
 
     best_sequence: MapSequence
     best_point: XYPoint
@@ -184,10 +184,6 @@ def seed_point(seed: Seed, mode: Mode) -> XYPoint:
     one = Scalar.one(mode)
     zero = Scalar.zero(mode)
     return XYPoint(one, zero) if seed is Seed.XY else XYPoint(zero, one)
-
-
-def seed_uvw(seed: Seed) -> Tuple[float, float, float]:
-    return (1.0, 1.0, 1.0) if seed is Seed.XY else (-1.0, 1.0, 1.0)
 
 
 def seed_sigma_word(seed: Seed, mode: Mode) -> SigmaWord:
@@ -255,54 +251,43 @@ def _sweep_xy(tape: list) -> List[Tuple[float, float]]:
     return columns
 
 
-def _fold_uvw(
+def _fold_xyu(
     point: Tuple[float, float, float], kinds: Sequence[StepKind], ts: Sequence[float]
 ) -> Tuple[Tuple[float, float, float], list]:
-    """The (u, v, w) fold and its tape, as in `_fold_xy` but with t too."""
-    u, v, w = point
+    """`_fold_xy` with the Levy area u carried along, for the (u, v, w)
+    objective: (u, v, w) = (u, 6x - 3u - 2, 6y + 3u - 2) (the staircase
+    law, `dynamics`), and u maps to r u - t under A and r u + t under B, so
+    every step acts on (x, y, u) diagonally.  The planar searches keep
+    `_fold_xy`, as carrying u there slowed them by about 13 %."""
+    x, y, u = point
     tape = []
     step_a = StepKind.A
     for kind, t in zip(kinds, ts):
         r = 1.0 - t
         is_a = kind is step_a
-        tape.append((is_a, t, r, u, v, w))
+        tape.append((is_a, r, x, y, u))
         if is_a:
-            u, v, w = r * u - t, r * r * v - 3 * t * r * u + t * (2 * t - 1), r * w + t
+            x, y, u = r * r * x, r * y + t, r * u - t
         else:
-            u, v, w = r * u + t, r * v + t, r * r * w + 3 * t * r * u + t * (2 * t - 1)
-    return (u, v, w), tape
+            x, y, u = r * x + t, r * r * y, r * u + t
+    return (x, y, u), tape
 
 
-def _sweep_uvw(tape: list) -> List[Tuple[float, float, float]]:
-    """The columns of the 3 x n Jacobian of `_fold_uvw` in the parameters.
-
-    A step is not diagonal in the state: with r = 1 - t its state Jacobian
-    is [[r,0,0],[-3tr,r^2,0],[0,0,r]] for A and [[r,0,0],[0,r,0],[3tr,0,r^2]]
-    for B, since u feeds v (A) or w (B).  The sweep keeps the rows (a, b, c)
-    of the product of the later steps' state Jacobians, and column i is that
-    product times step i's derivative in t.
-    """
+def _sweep_xyu(tape: list) -> List[Tuple[float, float, float]]:
+    """The columns of the 3 x n Jacobian of (u, v, w) = (u, 6x - 3u - 2,
+    6y + 3u - 2) at the end of `_fold_xyu`, in the parameters: the suffix
+    products of `_sweep_xy` with a third, r per step, for u."""
     columns = []
-    a0, a1, a2, b0, b1, b2, c0, c1, c2 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    for is_a, t, r, u, v, w in reversed(tape):
-        mix = 3 * t * r
-        feed = 3.0 * u * (1.0 - 2.0 * t)  # d(3tru)/dt
-        bend = 4.0 * t - 1.0  # d(t(2t - 1))/dt
+    sx = sy = su = 1.0
+    for is_a, r, x, y, u in reversed(tape):
         if is_a:
-            du, dv, dw = -u - 1.0, -2.0 * r * v - feed + bend, 1.0 - w
+            dx, dy, du = -2.0 * r * x * sx, (1.0 - y) * sy, (-1.0 - u) * su
+            sx, sy = sx * (r * r), sy * r
         else:
-            du, dv, dw = 1.0 - u, 1.0 - v, -2.0 * r * w + feed + bend
-        columns.append(
-            (a0 * du + a1 * dv + a2 * dw, b0 * du + b1 * dv + b2 * dw, c0 * du + c1 * dv + c2 * dw)
-        )
-        if is_a:
-            a0, a1, a2 = a0 * r - a1 * mix, a1 * r * r, a2 * r
-            b0, b1, b2 = b0 * r - b1 * mix, b1 * r * r, b2 * r
-            c0, c1, c2 = c0 * r - c1 * mix, c1 * r * r, c2 * r
-        else:
-            a0, a1, a2 = a0 * r + a2 * mix, a1 * r, a2 * r * r
-            b0, b1, b2 = b0 * r + b2 * mix, b1 * r, b2 * r * r
-            c0, c1, c2 = c0 * r + c2 * mix, c1 * r, c2 * r * r
+            dx, dy, du = (1.0 - x) * sx, -2.0 * r * y * sy, (1.0 - u) * su
+            sx, sy = sx * r, sy * (r * r)
+        su *= r
+        columns.append((du, 6.0 * dx - 3.0 * du, 6.0 * dy + 3.0 * du))
     columns.reverse()
     return columns
 
@@ -536,6 +521,10 @@ def _origin(seed: Seed) -> Tuple[float, float]:
     return (1.0, 0.0) if seed is Seed.XY else (0.0, 1.0)
 
 
+def _origin_xyu(seed: Seed) -> Tuple[float, float, float]:
+    return (1.0, 0.0, 1.0) if seed is Seed.XY else (0.0, 1.0, -1.0)
+
+
 @functools.lru_cache(maxsize=128)
 def _start_vectors(master_seed: int, dim: int) -> Tuple[Tuple[float, ...], ...]:
     """Four deterministic Latin-hypercube start points in [0,1]^dim, which
@@ -595,11 +584,12 @@ def _solved_forms(
     the form's best `_Solved`, the residual evaluations of its starts).
 
     Pass `symmetric` only for a problem the X <-> Y swap maps to itself
-    (a planar target with x = y, or the diagonal landing): a YX form and its
-    XY mirror then have the same starts and pose the same problem, so the YX
-    forms are skipped.  A planar twin's cost agrees with its XY twin's up
-    to the rounding of sums taken in mirrored order; a landing twin's is
-    the same bit for bit.
+    (a planar target with x = y, a (u, v, w) target with u = 0 and v = w,
+    or the diagonal landing): a YX form and its XY mirror then have the
+    same starts and pose the same problem, so the YX forms are skipped.  A
+    planar or (u, v, w) twin's cost agrees with its XY twin's up to the
+    rounding of sums taken in mirrored order; a landing twin's is the same
+    bit for bit.
 
     With a `key` (`_key`; `enough` must be 0) the walk resumes this
     thread's slot when it holds (key, cfg), solving only the forms past
@@ -658,7 +648,7 @@ def _padded(
 
 
 def _walk(
-    key: tuple, k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+    k_max: int, cfg: SearchConfig, key: tuple, problem_of: _Problem, symmetric: bool = False
 ) -> List[_Winner]:
     """Keep a running best over `_solved_forms(k_max, symmetric=symmetric)`,
     resuming this thread's walk of the problem `key`.
@@ -717,20 +707,34 @@ def _xy_problem(target: Tuple[float, float]) -> _Problem:
     return problem_of
 
 
-def _uvw_problem(target: UVWPoint) -> _Problem:
-    """Reach a (u, v, w) target with the full fold: residual fold - target."""
-    tu, tv, tw = _finite_target("uvw", [c.to_float() for c in target.coords()])
+def _uvw_problem(target: Tuple[float, float, float]) -> _Problem:
+    """Reach (tu, tv, tw) with `_fold_xyu`: residual (u, 6x - 3u - 2,
+    6y + 3u - 2) - target."""
+    tu, tv, tw = _finite_target("uvw", target)
 
     def problem_of(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
-        origin = seed_uvw(seed)
+        origin = _origin_xyu(seed)
 
         def residual(ts: Sequence[float]) -> Tuple[Tuple[float, float, float], list]:
-            (u, v, w), tape = _fold_uvw(origin, kinds, ts)
-            return (u - tu, v - tv, w - tw), tape
+            (x, y, u), tape = _fold_xyu(origin, kinds, ts)
+            return (u - tu, 6.0 * x - 3.0 * u - 2.0 - tv, 6.0 * y + 3.0 * u - 2.0 - tw), tape
 
-        return residual, _sweep_uvw, len(kinds)
+        return residual, _sweep_xyu, len(kinds)
 
     return problem_of
+
+
+def _xy_search(target: XYPoint) -> Tuple[tuple, _Problem, bool]:
+    """A planar target's key, problem, and symmetry: x == y as floats."""
+    tx, ty = target.to_floats()
+    return _key("xy", (tx, ty)), _xy_problem((tx, ty)), tx == ty
+
+
+def _uvw_search(target: UVWPoint) -> Tuple[tuple, _Problem, bool]:
+    """A (u, v, w) target's key, problem, and symmetry: u == 0 and v == w
+    as floats, since the X <-> Y swap sends (u, v, w) to (-u, w, v)."""
+    tu, tv, tw = (c.to_float() for c in target.coords())
+    return _key("uvw", (tu, tv, tw)), _uvw_problem((tu, tv, tw)), tu == 0.0 and tv == tw
 
 
 def _report(winner: _Winner, point) -> SearchReport:
@@ -768,9 +772,7 @@ def nearest_reachable(
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    tx, ty = target.to_floats()
-    key = _key("xy", (tx, ty))
-    winner = _walk(key, k, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)[-1]
+    winner = _walk(k, cfg, *_xy_search(target))[-1]
     (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
     return _report(winner, XYPoint.of_floats(x, y))
 
@@ -782,18 +784,19 @@ def nearest_reachable_uvw(
 
     The planar distance only lower-bounds the difficulty of reaching a
     group element; this variant scores sequences against (u, v, w) itself.
-    The report's best_point is the reached UVWPoint.
+    The report's best_point is the reached UVWPoint.  A target with u == 0
+    and v == w (as floats) is its own mirror: only its XY forms are solved.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    key = _key("uvw", (c.to_float() for c in target.coords()))
-    winner = _walk(key, k, _uvw_problem(target), cfg)[-1]
-    (u, v, w), _ = _fold_uvw(seed_uvw(winner.seed), winner.kinds, winner.ts)
-    return _report(winner, UVWPoint(Scalar.of_float(u), Scalar.of_float(v), Scalar.of_float(w)))
+    winner = _walk(k, cfg, *_uvw_search(target))[-1]
+    (x, y, u), _ = _fold_xyu(_origin_xyu(winner.seed), winner.kinds, winner.ts)
+    point = (u, 6.0 * x - 3.0 * u - 2.0, 6.0 * y + 3.0 * u - 2.0)
+    return _report(winner, UVWPoint(*map(Scalar.of_float, point)))
 
 
 def _profile(
-    key: tuple, k_max: int, problem_of: _Problem, cfg: SearchConfig, symmetric: bool = False
+    k_max: int, cfg: SearchConfig, key: tuple, problem_of: _Problem, symmetric: bool = False
 ) -> List[ProfileRow]:
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -805,7 +808,7 @@ def _profile(
             t_values=winner.ts,
             converged=winner.converged,
         )
-        for k, winner in enumerate(_walk(key, k_max, problem_of, cfg, symmetric), start=1)
+        for k, winner in enumerate(_walk(k_max, cfg, key, problem_of, symmetric), start=1)
     ]
 
 
@@ -817,9 +820,7 @@ def coarse_length_profile(
     One walk over the forms serves every k, and row k equals
     `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
     """
-    tx, ty = target.to_floats()
-    key = _key("xy", (tx, ty))
-    return _profile(key, k_max, _xy_problem((tx, ty)), cfg, symmetric=tx == ty)
+    return _profile(k_max, cfg, *_xy_search(target))
 
 
 def coarse_length_profile_uvw(
@@ -830,8 +831,7 @@ def coarse_length_profile_uvw(
     Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
     experiments targeting a group element rather than its planar shadow.
     """
-    key = _key("uvw", (c.to_float() for c in target.coords()))
-    return _profile(key, k_max, _uvw_problem(target), cfg)
+    return _profile(k_max, cfg, *_uvw_search(target))
 
 
 def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
@@ -997,14 +997,10 @@ def _reach(
     """Reach a planar point by `_solved_forms` within `cfg.max_synthesis_steps`.
 
     Returns the first (seed, kinds, ts) within `cfg.synthesis_tolerance`,
-    so shorter sequences win; None when the budget ends, or at once, with
-    no form solved, when `_floor_distance` proves the budget cannot reach
-    the target.  A budget of 0 steps leaves only the empty forms, which are
-    not a reach.  A diagonal target solves only the XY forms, as in
-    `nearest_reachable`.
+    so shorter sequences win; None when the budget ends.  A budget of 0
+    steps leaves only the empty forms, which are not a reach.  A diagonal
+    target solves only the XY forms, as in `nearest_reachable`.
     """
-    if _floor_distance(target_xy, cfg) is not None:
-        return None
     tol = cfg.synthesis_tolerance
     tx, ty = target_xy
     solved_forms = _solved_forms(
@@ -1056,8 +1052,10 @@ def synthesize_word(
         if 0.0 <= x < 1.0 and abs(y - (1.0 - x) ** 2) <= tol:
             return _finish(target, Seed.YX, [(StepKind.B, x)], "seed-orbit")
 
-    # Stage: direct.  Numeric reach of the target itself.
-    found = _reach((x, y), cfg)
+    # Stage: direct.  Numeric reach of the target itself, unless the floor
+    # proves it out of reach.
+    floor = _floor_distance((x, y), cfg)
+    found = _reach((x, y), cfg) if floor is None else None
     if found is not None:
         seed, kinds, ts = found
         result = _finish(target, seed, list(zip(kinds, ts)), "direct")
@@ -1065,7 +1063,6 @@ def synthesize_word(
             return result
 
     cap = cfg.max_synthesis_steps
-    floor = _floor_distance((x, y), cfg)
     if floor is not None:
         message = (
             f"the staircase floor proves that no sequence of <= {cap} steps "

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,22 +41,22 @@ from nilwords.search import (
     profile_to_csv,
     seed_point,
     seed_sigma_word,
-    seed_uvw,
     seq_to_word,
     synthesize_word,
     _alternating,
-    _fold_uvw,
     _fold_xy,
+    _fold_xyu,
     _forms,
     _landing_problem,
     _lowest_landing,
     _origin,
+    _origin_xyu,
     _padded,
     _solve,
     _solved_forms,
     _start_vectors,
-    _sweep_uvw,
     _sweep_xy,
+    _sweep_xyu,
 )
 from nilwords.words import (
     balanced_word,
@@ -83,6 +84,13 @@ def target(x, y):
     return XYPoint.of_floats(x, y)
 
 
+def fold_uvw(origin, kinds, ts):
+    """(u, v, w) = (u, 6x - 3u - 2, 6y + 3u - 2) at the end of `_fold_xyu`,
+    and the fold's tape."""
+    (x, y, u), tape = _fold_xyu(origin, kinds, ts)
+    return (u, 6 * x - 3 * u - 2, 6 * y + 3 * u - 2), tape
+
+
 def sequence(seed, *steps):
     return MapSequence(
         seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps), Mode.FLOAT
@@ -93,8 +101,11 @@ class TestSequences:
     def test_seed_values(self):
         assert seed_point(Seed.XY, Mode.FLOAT).to_floats() == (1.0, 0.0)
         assert seed_point(Seed.YX, Mode.FLOAT).to_floats() == (0.0, 1.0)
-        assert seed_uvw(Seed.XY) == (1.0, 1.0, 1.0)
-        assert seed_uvw(Seed.YX) == (-1.0, 1.0, 1.0)
+        assert _origin_xyu(Seed.XY) == (1.0, 0.0, 1.0)
+        assert _origin_xyu(Seed.YX) == (0.0, 1.0, -1.0)
+        for seed in Seed:
+            uvw = eval_uvw(seed_sigma_word(seed, Mode.EXACT)).coords()
+            assert fold_uvw(_origin_xyu(seed), (), ())[0] == tuple(c.value for c in uvw)
 
     def test_seed_words_evaluate_to_seed_points(self):
         for seed in Seed:
@@ -193,25 +204,41 @@ class TestFoldJacobian:
         rnd = random.Random(100 + length)
         h = 1e-6
         for seed in Seed:
-            origin = seed_uvw(seed)
+            origin = _origin_xyu(seed)
             for start in (StepKind.A, StepKind.B):
                 kinds = _alternating(start, length)
                 ts = [rnd.uniform(0.05, 0.95) for _ in range(length)]
-                jac = _sweep_uvw(_fold_uvw(origin, kinds, ts)[1])
+                jac = _sweep_xyu(_fold_xyu(origin, kinds, ts)[1])
                 assert [len(column) for column in jac] == [3] * length
                 for i in range(length):
                     up, down = list(ts), list(ts)
                     up[i] += h
                     down[i] -= h
-                    high, _ = _fold_uvw(origin, kinds, up)
-                    low, _ = _fold_uvw(origin, kinds, down)
+                    high, _ = fold_uvw(origin, kinds, up)
+                    low, _ = fold_uvw(origin, kinds, down)
                     for row in range(3):
                         assert jac[i][row] == pytest.approx(
                             (high[row] - low[row]) / (2 * h), abs=1e-7
                         )
 
     def test_uvw_empty_pattern(self):
-        assert _sweep_uvw(_fold_uvw((1.0, 1.0, 1.0), (), ())[1]) == []
+        assert _sweep_xyu(_fold_xyu((1.0, 0.0, 1.0), (), ())[1]) == []
+
+    def test_uvw_fold_is_the_exact_maps_composed(self):
+        # The kernel's (u, v, w) against map_a_uvw / map_b_uvw composed in
+        # exact arithmetic on the parameters' Fractions, from the exact seeds.
+        rnd = random.Random(27)
+        for case in range(240):
+            seed = list(Seed)[case % 2]
+            kinds = [rnd.choice(list(StepKind)) for _ in range(rnd.randint(0, 12))]
+            ts = [rnd.random() for _ in kinds]
+            point = eval_uvw(seed_sigma_word(seed, Mode.EXACT))
+            for kind, t in zip(kinds, ts):
+                exact_t = Scalar.exact(Fraction(t))
+                point = (map_a_uvw if kind is StepKind.A else map_b_uvw)(exact_t, point)
+            got, _ = fold_uvw(_origin_xyu(seed), kinds, ts)
+            want = [c.value for c in point.coords()]
+            assert all(abs(a - b) <= 1e-14 for a, b in zip(got, want)), (seed, kinds, ts)
 
 
 class TestLowestLanding:
@@ -528,18 +555,18 @@ class TestSolveOneAndThreeResiduals:
     def test_three_residuals_reach_uvw_images_of_known_parameters(self, length):
         rnd = random.Random(length)
         for seed in Seed:
-            origin = seed_uvw(seed)
+            origin = _origin_xyu(seed)
             for start in StepKind:
                 kinds = _alternating(start, length)
-                goal, _ = _fold_uvw(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])
+                goal, _ = fold_uvw(origin, kinds, [rnd.uniform(0.1, 0.9) for _ in kinds])
 
                 def residual(ts):
-                    end, tape = _fold_uvw(origin, kinds, ts)
+                    end, tape = fold_uvw(origin, kinds, ts)
                     return tuple(a - b for a, b in zip(end, goal)), tape
 
                 solved = _solve(
                     residual,
-                    _sweep_uvw,
+                    _sweep_xyu,
                     [0.5] * length,
                     500,
                 )
@@ -615,7 +642,7 @@ class TestFixedSeedForms:
 
     def test_maps_fix_their_seeds_exactly(self):
         xy, yx = (seed_point(seed, Mode.EXACT) for seed in Seed)
-        uvw_xy, uvw_yx = (UVWPoint(*map(Scalar.exact, map(int, seed_uvw(seed)))) for seed in Seed)
+        uvw_xy, uvw_yx = (eval_uvw(seed_sigma_word(seed, Mode.EXACT)) for seed in Seed)
         for t in exact_parameters(40, 3):
             assert map_b_xy(t, xy) == xy
             assert map_a_xy(t, yx) == yx
@@ -633,7 +660,9 @@ class TestFixedSeedForms:
         "problem_of",
         [
             search._xy_problem((0.38, 0.36)),
-            search._uvw_problem(eval_uvw(balanced_word(8, Mode.FLOAT))),
+            search._uvw_problem(
+                [c.to_float() for c in eval_uvw(balanced_word(8, Mode.FLOAT)).coords()]
+            ),
             _landing_problem,
         ],
         ids=["xy", "uvw", "landing"],
@@ -695,13 +724,13 @@ class TestMirrorPairs:
     the XY forms are solved."""
 
     @staticmethod
-    def seeds_posed(monkeypatch, run):
-        """The seeds of the planar forms `run()` poses to the solver."""
+    def seeds_posed(monkeypatch, run, problem="_xy_problem"):
+        """The seeds of the forms of `problem` that `run()` poses to the solver."""
         seeds = set()
-        xy_problem = search._xy_problem
+        make_problem = getattr(search, problem)
 
-        def recording(target_xy):
-            problem_of = xy_problem(target_xy)
+        def recording(goal):
+            problem_of = make_problem(goal)
 
             def posed(seed, kinds):
                 seeds.add(seed)
@@ -709,7 +738,7 @@ class TestMirrorPairs:
 
             return posed
 
-        monkeypatch.setattr(search, "_xy_problem", recording)
+        monkeypatch.setattr(search, problem, recording)
         run()
         return seeds
 
@@ -753,6 +782,29 @@ class TestMirrorPairs:
         pairs = self.twin_costs(search._landing_problem, 8)
         assert len(pairs) == 8
         assert all(xy == yx for xy, yx in pairs)
+
+    def test_mirror_symmetric_uvw_targets_solve_only_xy_forms(self, monkeypatch):
+        # (u, v, w) -> (-u, w, v) fixes a target with u = 0 and v = w
+        for goal, posed in (
+            ((0.0, 0.0, 0.0), {Seed.XY}),
+            ((0.0, 0.1, 0.1), {Seed.XY}),
+            ((0.0, 0.1, 0.2), {Seed.XY, Seed.YX}),
+            ((0.1, 0.1, 0.1), {Seed.XY, Seed.YX}),
+        ):
+            point = UVWPoint(*map(Scalar.of_float, goal))
+            run = lambda: nearest_reachable_uvw(point, 3, FAST)  # noqa: E731
+            assert self.seeds_posed(monkeypatch, run, "_uvw_problem") == posed, goal
+
+    def test_uvw_mirror_walk_matches_the_both_seeds_walk(self):
+        # Each row of the (0, 0, 0) profile, XY forms only, against the walk
+        # that solves both seeds: the winner is the XY twin of the same cost.
+        origin = UVWPoint(*[Scalar.of_float(0.0)] * 3)
+        rows = coarse_length_profile_uvw(origin, 16)
+        both = search._walk(16, DEFAULT_CONFIG, ("uvw-both",), search._uvw_problem((0.0,) * 3))
+        assert len(rows) == len(both) == 16
+        for row, winner in zip(rows, both):
+            assert row.pattern.startswith("A"), row
+            assert abs(row.distance - winner.distance) <= 1e-12 * winner.distance, row.k
 
     def test_limit_point_reports_the_xy_seed(self):
         for k in range(1, 6):
@@ -1419,9 +1471,21 @@ class TestOneForwardPass:
         assert len(folds) == report.evaluations + 1
 
     def test_uvw_search_folds_once_per_evaluation(self, monkeypatch):
-        folds = self.counting(monkeypatch, "_fold_uvw")
+        folds = self.counting(monkeypatch, "_fold_xyu")
         report = nearest_reachable_uvw(eval_uvw(balanced_word(8, Mode.FLOAT)), 3, FAST)
         assert len(folds) == report.evaluations + 1
+
+    def test_each_objective_folds_with_its_own_kernel(self, monkeypatch):
+        planar = self.counting(monkeypatch, "_fold_xy")
+        area = self.counting(monkeypatch, "_fold_xyu")
+        coarse_length_profile_uvw(eval_uvw(balanced_word(8, Mode.FLOAT)), 3, FAST)
+        assert (len(planar), len(area) > 0) == (0, True)
+        area.clear()
+        coarse_length_profile(target(0.38, 0.36), 3, FAST)
+        nearest_reachable(target(1 / 3, 1 / 3), 3, FAST)
+        diagonal_gap(3, FAST)
+        synthesize_word(target(0.36, 0.36), FAST)
+        assert (len(area), len(planar) > 0) == (0, True)
 
     def test_diagonal_gap_lands_once_per_evaluation(self, monkeypatch):
         landings = self.counting(monkeypatch, "_lowest_landing")
@@ -1470,23 +1534,25 @@ class TestPinnedAnswers:
             assert [t.hex() for t in row.t_values] == [a] + ["0x0.0p+0"] * (row.k - 2) + [b]
 
     @pytest.mark.parametrize(
-        "k, distance, evaluations, pattern, ts",
+        "k, distance, evaluations, seed, pattern, ts",
         [
-            (1, "0x1.0ec7589a55419p+0", 202, "A", ["0x1.2337ef0000000p-2"]),
+            # The forms (XY; A) and (YX; B) tie but for rounding at k = 1.
+            (1, "0x1.0ec7589a55417p+0", 278, Seed.YX, "B", ["0x1.6e640874162bep-1"]),
             (
                 2,
-                "0x1.14ea0d4e8cd0fp-3",
-                479,
+                "0x1.14ea0d4e8ccfdp-3",
+                596,
+                Seed.XY,
                 "AB",
-                ["0x1.5350033400001p-1", "0x1.595ff993fffffp-2"],
+                ["0x1.5350033893df8p-1", "0x1.595ff98eae413p-2"],
             ),
         ],
     )
-    def test_uvw_search_at_a_balanced_word(self, k, distance, evaluations, pattern, ts):
+    def test_uvw_search_at_a_balanced_word(self, k, distance, evaluations, seed, pattern, ts):
         report = nearest_reachable_uvw(eval_uvw(balanced_word(8, Mode.FLOAT)), k)
         assert report.distance.to_float().hex() == distance
         assert report.evaluations == evaluations
-        assert report.best_sequence.seed is Seed.XY
+        assert report.best_sequence.seed is seed
         assert report.best_sequence.pattern() == pattern
         assert [t.to_float().hex() for _, t in report.best_sequence.steps] == ts
 
