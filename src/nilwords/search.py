@@ -845,64 +845,44 @@ def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
 # diagonal analysis ------------------------------------------------------
 
 
-def _quadratic_roots(a: float, b: float, c: float) -> List[float]:
-    """Real roots of a t^2 + b t + c, stable against cancellation."""
-    if abs(a) < 1e-300:
-        return [] if abs(b) < 1e-300 else [-c / b]
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    root = math.sqrt(disc)
-    q = -(b + root) / 2 if b >= 0 else -(b - root) / 2
-    roots = [q / a]
-    if q != 0:
-        roots.append(c / q)
-    return roots
+def _landing(kind: StepKind, x0: float, y0: float) -> Optional[Tuple[float, float, float]]:
+    """The diagonal point (d, d) one step from (x0, y0) reaches with t in
+    [0, 1), as (d, dd/dx0, dd/dy0); None when no step lands.
 
-
-def _lowest_landing(
-    kind: StepKind, x0: float, y0: float
-) -> Optional[Tuple[float, float, float]]:
-    """The lowest diagonal point (d, d) one step from (x0, y0) reaches with
-    t in [0, 1), as (d, dd/dx0, dd/dy0); None when no such step lands.
-
-    With (base, other) = (x0, y0) for A and (y0, x0) for B, the step lands
-    at the roots t of F = base t^2 + (other - 2 base - 1) t + base - other,
-    at d = (1 - t)^2 base.  Implicit differentiation of F = 0, whose
-    partials are F_base = (1 - t)^2 and F_other = -(1 - t), gives the
-    gradient; at a double root (F_t = 0) it is infinite and reported as 0.
+    With (base, other) = (x0, y0) for A and (y0, x0) for B and r = 1 - t,
+    the step lands where G(r) = base r^2 + (1 - other) r - 1 = 0, at
+    d = r^2 base.  G(0) = -1, so exactly one root is positive, and it lies
+    in (0, 1] iff G(1) = base - other >= 0.  With b = 1 - other, the root
+    is r = 2 / (b + sqrt(b^2 + 4 base)), free of cancellation, and
+    G_r = 2 base r + b = sqrt(b^2 + 4 base) > 0.  Implicit differentiation
+    (G_base = r^2, G_other = -r) gives dd/dother = 2d / G_r and
+    dd/dbase = r^2 - r dd/dother.
     """
     is_a = kind is StepKind.A
     base, other = (x0, y0) if is_a else (y0, x0)
-    slope = other - 2 * base - 1
-    lowest: Optional[Tuple[float, float]] = None
-    for t in _quadratic_roots(base, slope, base - other):
-        if 0.0 <= t < 1.0:
-            d = (1.0 - t) ** 2 * base
-            if lowest is None or d < lowest[0]:
-                lowest = (d, t)
-    if lowest is None:
+    if base < other:
         return None
-    d, t = lowest
-    r = 1.0 - t
-    f_t = 2.0 * base * t + slope
-    if f_t == 0.0:
-        return d, 0.0, 0.0
-    d_base = r * r + 2.0 * r * r * r * base / f_t
-    d_other = -2.0 * r * r * base / f_t
+    b = 1.0 - other
+    root = math.sqrt(b * b + 4.0 * base)
+    r = 2.0 / (b + root)
+    d = r * r * base
+    d_other = 2.0 * d / root
+    d_base = r * r - r * d_other
     return (d, d_base, d_other) if is_a else (d, d_other, d_base)
 
 
 def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
-    """Residual d - 1/3 of the form's lowest diagonal landing, over the
-    parameters of every step but the last, which lands exactly.  A point
-    with no landing scores 2 - 1/3 with a zero gradient."""
+    """Residual d - 1/3 of the form's diagonal landing, over the parameters
+    of every step but the last, which lands exactly.  An A step lands iff
+    it starts on or below the diagonal (x0 >= y0), a B step iff it starts
+    on or above it; a point with no landing scores 2 - 1/3 with a zero
+    gradient."""
     origin = _origin(seed)
     prefix, last = kinds[:-1], kinds[-1]
 
     def residual(ts: Sequence[float]) -> Tuple[Tuple[float], tuple]:
         start, tape = _fold_xy(origin, prefix, ts)
-        d, d_x0, d_y0 = _lowest_landing(last, *start) or (2.0, 0.0, 0.0)
+        d, d_x0, d_y0 = _landing(last, *start) or (2.0, 0.0, 0.0)
         return (d - 1 / 3,), (d_x0, d_y0, tape)
 
     def jacobian(landing: tuple) -> List[Tuple[float]]:
@@ -915,12 +895,12 @@ def _landing_problem(seed: Seed, kinds: Tuple[StepKind, ...]) -> _Posed:
 def diagonal_gap(k: int, cfg: SearchConfig = DEFAULT_CONFIG) -> Scalar:
     """How far above 1/3 the diagonal points reachable in <= k steps stay.
 
-    The final step is solved exactly (a quadratic decides which parameters
-    land on the diagonal, and the lowest landing d counts), the earlier
-    steps by `_solve` on the residual d - 1/3, over the k alternating forms
-    per seed (runs of one kind fuse, and a first step fixing the seed adds
-    nothing).  The diagonal is its own mirror, so only the XY forms are
-    solved.  Returns min(d) - 1/3, which is positive for every finite k.
+    The final step lands exactly, at the one positive root of its landing
+    equation (`_landing`), and the earlier steps are found by `_solve` on
+    the residual d - 1/3, over the k alternating forms per seed (runs of
+    one kind fuse, and a first step fixing the seed adds nothing).  The
+    diagonal is its own mirror, so only the XY forms are solved.  Returns
+    min(d) - 1/3, which the staircase law bounds below by 1/6 (k+1)^-2.
     """
     if k < 1:
         raise ValueError("need at least one step to reach the diagonal")

@@ -233,7 +233,6 @@ def validate_sigma(w: RWord) -> SigmaWord:
     trailing X run an empty Y part).  Raises SigmaValidationError on a
     negative or NaN exponent or when either generator's mass differs from 1.
     """
-    mode = w.mode
     for letter in w.letters:
         if not letter.exponent >= 0:
             raise SigmaValidationError(
@@ -245,22 +244,16 @@ def validate_sigma(w: RWord) -> SigmaWord:
             runs[-1] = (letter.generator, runs[-1][1] + letter.exponent)
         else:
             runs.append((letter.generator, letter.exponent))
-    blocks: list[tuple[Scalar, Scalar]] = []
-    zero = Scalar.zero(mode)
-    pending_x: Scalar | None = None
-    for generator, total in runs:
-        if generator is Generator.X:
-            if pending_x is not None:
-                blocks.append((pending_x, zero))
-            pending_x = total
-        else:
-            blocks.append((pending_x if pending_x is not None else zero, total))
-            pending_x = None
-    if pending_x is not None:
-        blocks.append((pending_x, zero))
-    if not blocks:
+    if not runs:
         raise SigmaValidationError("empty word is not a Sigma word")
-    return SigmaWord(tuple(blocks))
+    # The runs alternate; pad them to start with X and end with Y, then pair.
+    zero = Scalar.zero(w.mode)
+    if runs[0][0] is Generator.Y:
+        runs.insert(0, (Generator.X, zero))
+    if runs[-1][0] is Generator.X:
+        runs.append((Generator.Y, zero))
+    totals = [total for _, total in runs]
+    return SigmaWord(tuple(zip(totals[::2], totals[1::2])))
 
 
 # the one-parameter rewriting maps ---------------------------------------

@@ -47,8 +47,8 @@ from nilwords.search import (
     _fold_xy,
     _fold_xyu,
     _forms,
+    _landing,
     _landing_problem,
-    _lowest_landing,
     _origin,
     _origin_xyu,
     _padded,
@@ -241,7 +241,7 @@ class TestFoldJacobian:
             assert all(abs(a - b) <= 1e-14 for a, b in zip(got, want)), (seed, kinds, ts)
 
 
-class TestLowestLanding:
+class TestLanding:
     @staticmethod
     def reachable_points(rnd, count):
         """Points a short random sequence reaches: what diagonal_gap feeds
@@ -251,20 +251,33 @@ class TestLowestLanding:
             origin = _origin(rnd.choice(list(Seed)))
             yield _fold_xy(origin, kinds, [rnd.uniform(0.05, 0.95) for _ in kinds])[0]
 
+    @staticmethod
+    def prefix_end(rnd):
+        """The end of a 0..6-step fold whose parameters include the
+        endpoints 0 and 1, so that some ends sit on an edge of the square."""
+        kinds = _alternating(rnd.choice(list(StepKind)), rnd.randint(0, 6))
+        origin = _origin(rnd.choice(list(Seed)))
+        ts = [rnd.choice((0.0, 1.0)) if rnd.random() < 0.1 else rnd.random() for _ in kinds]
+        return _fold_xy(origin, kinds, ts)[0]
+
+    @staticmethod
+    def base_other(kind, x0, y0):
+        return (x0, y0) if kind is StepKind.A else (y0, x0)
+
     @pytest.mark.parametrize("kind", list(StepKind))
     def test_gradient_matches_central_differences(self, kind):
         rnd = random.Random(31 if kind is StepKind.A else 32)
         h = 1e-7
         checked = 0
         for x0, y0 in self.reachable_points(rnd, 200):
-            found = _lowest_landing(kind, x0, y0)
+            found = _landing(kind, x0, y0)
             if found is None:
                 continue
             d, d_x0, d_y0 = found
             assert d > 1 / 3
             for (dx, dy), slope in (((h, 0.0), d_x0), ((0.0, h), d_y0)):
-                high = _lowest_landing(kind, x0 + dx, y0 + dy)
-                low = _lowest_landing(kind, x0 - dx, y0 - dy)
+                high = _landing(kind, x0 + dx, y0 + dy)
+                low = _landing(kind, x0 - dx, y0 - dy)
                 assert slope == pytest.approx((high[0] - low[0]) / (2 * h), abs=1e-6)
             checked += 1
         assert checked > 50
@@ -298,11 +311,50 @@ class TestLowestLanding:
     def test_lands_on_the_diagonal(self):
         # from the XY seed, A(t) gives ((1-t)^2, t): on the diagonal at the
         # fixed point t = s, where (1-s)^2 = s
-        d, _, _ = _lowest_landing(StepKind.A, 1.0, 0.0)
+        d, _, _ = _landing(StepKind.A, 1.0, 0.0)
         assert d == pytest.approx(S, abs=1e-15)
         # B only raises x and lowers y, so from below the diagonal it never
         # lands
-        assert _lowest_landing(StepKind.B, 0.9, 0.1) is None
+        assert _landing(StepKind.B, 0.9, 0.1) is None
+
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_landing_brackets_the_exact_root(self, kind):
+        # d lands where Phi(d) = base (1 - d)^2 - (1 - other)^2 d = 0, in
+        # exact arithmetic on the doubles given; Phi changes sign between
+        # d (1 - m 2^-53) and d (1 + m 2^-53) with m = 8
+        rnd = random.Random(41 if kind is StepKind.A else 42)
+        eps = Fraction(8, 2**53)
+        # no fold ends at the one landing point with base = 0, the origin
+        landings = [((0.0, 0.0), _landing(kind, 0.0, 0.0))]
+        while len(landings) <= 2000:
+            start = self.prefix_end(rnd)
+            found = _landing(kind, *start)
+            if found is not None:
+                landings.append((start, found))
+        for (x0, y0), (d, _, _) in landings:
+            base, other = map(Fraction, self.base_other(kind, x0, y0))
+            if base == 0:
+                assert d == 0.0, (x0, y0)
+                continue
+            low, high = (Fraction(d) * (1 + sign * eps) for sign in (-1, 1))
+            phi = [base * (1 - z) ** 2 - (1 - other) ** 2 * z for z in (low, high)]
+            assert phi[0] * phi[1] <= 0, (x0, y0)
+
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_lands_iff_base_is_at_least_other(self, kind):
+        rnd = random.Random(43 if kind is StepKind.A else 44)
+        points = [(rnd.random(), rnd.random()) for _ in range(2000)]
+        points += [self.prefix_end(rnd) for _ in range(2000)]
+        # dyadic points on the diagonal and one dyadic step to either side
+        for j in range(17):
+            a = j / 16
+            points += [(a, a), (a, a + 2**-10), (a, a - 2**-10), (a + 2**-52, a), (a, a + 2**-52)]
+        points += [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        for x0, y0 in points:
+            base, other = self.base_other(kind, x0, y0)
+            assert (_landing(kind, x0, y0) is None) == (base < other), (x0, y0)
+        # b = 3/4 and sqrt(b^2 + 4 base) = 5/4 are exact: r = 1 and d = base
+        assert _landing(kind, 0.25, 0.25)[0] == 0.25
 
 
 class TestStartVectors:
@@ -1488,7 +1540,7 @@ class TestOneForwardPass:
         assert (len(area), len(planar) > 0) == (0, True)
 
     def test_diagonal_gap_lands_once_per_evaluation(self, monkeypatch):
-        landings = self.counting(monkeypatch, "_lowest_landing")
+        landings = self.counting(monkeypatch, "_landing")
         folds = self.counting(monkeypatch, "_fold_xy")
         evaluations = []
         solve = search._solve
@@ -1510,14 +1562,14 @@ class TestPinnedAnswers:
 
     def test_diagonal_gaps(self):
         assert [diagonal_gap(k).to_float().hex() for k in range(1, 9)] == [
-            "0x1.8e661e256c068p-5",
-            "0x1.43cbb5b0e43d0p-6",
+            "0x1.8e661e256c058p-5",
+            "0x1.43cbb5b0e43c0p-6",
             "0x1.61d2afdd09080p-7",
-            "0x1.befd5e9bf1680p-8",
-            "0x1.343b6720de300p-8",
-            "0x1.c301d7a9c5a00p-9",
+            "0x1.befd5e9bf1600p-8",
+            "0x1.343b6720de2c0p-8",
+            "0x1.c301d7a9c5980p-9",
             "0x1.585cea0196080p-9",
-            "0x1.0f953b0ed3d80p-9",
+            "0x1.0f953b0ed3e00p-9",
         ]
 
     def test_planar_profile_off_the_diagonal(self):

@@ -460,6 +460,15 @@ def lifted(mode, bs):
     return SigmaWord(tuple((Scalar.lift(s, mode, sx), Scalar.lift(t, mode, sy)) for s, t in bs))
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@given(bs=int_blocks)
+def test_validate_sigma_inverts_sigma_to_rword(mode, bs):
+    # zero blocks stay as zero letters, so the letters alternate X, Y, ...
+    # and every run is one letter
+    w = lifted(mode, bs)
+    assert validate_sigma(sigma_to_rword(w)) == w
+
+
 class TestOneLawTwoDoors:
     """`word_map_a` and `word_map_b` are their raw kernels on the blocks'
     values, bit for bit.  Exact words also map through the ints over one
