@@ -148,21 +148,23 @@ def _evaluate(is_x: Sequence[bool], ts: Sequence, mode: Mode) -> GroupElement:
     L^2, L^3, L^3).
     """
     den, ts = _cleared(mode, ts)
-    state = _restored(mode, den, _letters(is_x, ts, 0), _WEIGHTS)
+    state = _restored(mode, den, _letters(is_x, ts, (0, 0, 0, 0, 0)), _WEIGHTS)
     return AlgebraVector(*(Scalar(mode, v) for v in state))
 
 
-def _letters(is_x: Sequence[bool], ts: Sequence, zero) -> tuple:
-    """The letter-by-letter group law behind `evaluate_word`, `eval_uvw` and
-    the commutation suite: the raw state (c1, ..., c5) of the product of X^t
-    (where is_x) and Y^t, starting from the identity (zero, ..., zero).
+def _letters(is_x: Sequence[bool], ts: Sequence, state: tuple) -> tuple:
+    """The letter-by-letter group law behind `evaluate_word`, `eval_uvw`, the
+    balanced words and the commutation suite: the raw state (c1, ..., c5) of
+    the product of `state` by X^t (where is_x) and Y^t.  A fresh word starts
+    from the identity (0, 0, 0, 0, 0); a word that extends another starts
+    from that word's state, since the product is associative.
 
     Each letter applies the group law specialised to X^t = (t, 0, 0, 0, 0)
     or Y^t = (0, t, 0, 0, 0).  The law is weighted-homogeneous, so exponents
-    given as integers over a common denominator L give the state scaled by
-    (L, L, L^2, L^3, L^3).
+    given as integers over a common denominator L, from a state scaled by
+    (L, L, L^2, L^3, L^3), give the state scaled the same way.
     """
-    c1 = c2 = c3 = c4 = c5 = zero
+    c1, c2, c3, c4, c5 = state
     for x, t in zip(is_x, ts):
         if x:
             c1, c3, c4, c5 = (

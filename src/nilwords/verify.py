@@ -13,20 +13,24 @@ public functions wrap, so each law has one copy: `lie_core._product` and
 (`word_map_a`, `word_map_b`, `SigmaWord`), `dynamics._map_a_uvw`,
 `_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy` (the point maps and
 `project`), and `region._classify` (`membership`).  The convergence suite's
-kernels are `_letters`, `_check_sigma` and `_project`: it evaluates each
-balanced word through `dynamics._balanced_state`, the state of
-`balanced_word(n)`.  Exact trials run the kernels on ints scaled by a
-common denominator, so every exact check compares ints; float trials run
-them on the doubles the public functions would see.  Only the samplers,
-which draw different inputs per mode, and the float division of the
-commutation suite test the mode; every check is one computation for both
-modes.  The invariance suite draws an exact point with one `randrange`
-call, an index into a table of the interior run of each row of the grid
-{1..1023}^2 / 1024, built on the first exact draw and cached; float points,
-which have no finite table, are still drawn by rejection from the unit
-square.  Each suite looks up the laws and maps it checks in their modules
-when it starts (and `_balanced_state` reads `_letters` and `_check_sigma`
-at each call), so a test can replace one.
+kernels are `_letters`, `_check_sigma` and `_project`: it walks the states
+of `balanced_word(n)` for n = 1 .. n_max through `dynamics._balanced_states`.
+An exact word n is word n - 1 and one more unit block, so the exact suite
+extends one integer state by two letters a word and is O(n_max); a float
+word has its own block 1/n and is evaluated afresh, O(n_max^2) in all.
+Exact trials run the kernels on ints scaled by a common denominator, so
+every exact check compares ints; float trials run them on the doubles the
+public functions would see.  Only the samplers, which draw different inputs
+per mode, and the float division of the commutation suite test the mode;
+every check is one computation for both modes.  An exact algebra
+coordinate is one `choice` from a table of its 200 scaled values, and an
+exact invariance point one `randrange` call, an index into a table of the
+interior run of each row of the grid {1..1023}^2 / 1024, built on the first
+exact draw and cached; float points, which have no finite table, are still
+drawn by rejection from the unit square.  Each suite looks up the laws and
+maps it checks in their modules when it starts (and `_balanced_states`
+reads `_letters` and `_check_sigma` at each word), so a test can replace
+one.
 """
 
 from __future__ import annotations
@@ -71,16 +75,22 @@ def _tuples_close(mode: Mode, tol: float) -> Callable[[tuple, tuple], bool]:
     return lambda a, b: all(_close(mode, x, y, tol) for x, y in zip(a, b))
 
 
-# Exact algebra draws are p/q with q <= 8, and 840 = lcm(1..8), so scaling a
-# draw of weight w by 840**w gives an int.
-_ALGEBRA_SCALES = (840, 840, 840**2, 840**3, 840**3)
+# Exact algebra draws are p/q with p in -12..12 and q in 1..8, and 840 =
+# lcm(1..8), so scaling a draw of weight w by s = 840**w gives the int
+# p * (s // q).  Each weight's table holds that int for all 200 pairs (p, q),
+# duplicates kept, so a uniform choice from it is a uniform pair.
+_ALGEBRA_TABLES = tuple(
+    tuple(p * (s // q) for p in range(-12, 13) for q in range(1, 9))
+    for s in (840, 840, 840**2, 840**3, 840**3)
+)
 
 
 def _rand_vector(rnd: random.Random, mode: Mode) -> tuple:
     """Five raw coordinates: p/q with p in -12..12 and q in 1..8, scaled by
-    (L, L, L^2, L^3, L^3) with L = 840, or five doubles from [-1, 1]."""
+    (L, L, L^2, L^3, L^3) with L = 840 and drawn with one `choice` each from
+    `_ALGEBRA_TABLES`, or five doubles from [-1, 1]."""
     if mode is Mode.EXACT:
-        return tuple(rnd.randint(-12, 12) * (s // rnd.randint(1, 8)) for s in _ALGEBRA_SCALES)
+        return tuple(rnd.choice(table) for table in _ALGEBRA_TABLES)
     return tuple(rnd.uniform(-1.0, 1.0) for _ in range(5))
 
 
@@ -167,7 +177,8 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
     def uvw(xs, ys, d):
         check_sigma(xs, ys, d, mode)
-        return letters((True, False) * len(xs), [v for pair in zip(xs, ys) for v in pair], 0)[2:]
+        pairs = [v for pair in zip(xs, ys) for v in pair]
+        return letters((True, False) * len(xs), pairs, (0, 0, 0, 0, 0))[2:]
 
     def plane(p, scale):
         x, y, d = to_plane(*p, scale)
@@ -271,22 +282,31 @@ def _suite_invariance(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
 def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     """Balanced words against the limit element (1, 1, 0, 0, 0) and its
-    planar image (1/3, 1/3).  `dynamics._balanced_state` gives word n's
-    state through `_check_sigma` and `_letters`, scaled by (s, s, s^2, s^3,
-    s^3) with s = n in exact mode and s = 1 in float mode, and `_project`
-    its planar triple (x, y, d).  One computation serves both modes: the gap
-    to the limit times s^6 is G = ((c1 - s)^2 + (c2 - s)^2) s^4 + c3^2 s^2 +
-    c4^2 + c5^2, the rate check fails when G n^2 > 9 s^6, the monotone check
-    when G s_prev^6 > G_prev s^6, and the planar one when ((3x - d)^2 +
-    (3y - d)^2) n^2 > 81 d^2.  Exact checks compare ints; float checks run
-    on the doubles of the public path."""
+    planar image (1/3, 1/3).  `dynamics._balanced_states` walks the states
+    of words 1 .. max(n_max, 3), scaled by (s, s, s^2, s^3, s^3) with s = n
+    in exact mode and s = 1 in float mode: it extends one exact state by two
+    letters a word, and evaluates each float word afresh through
+    `_check_sigma` and `_letters`.  `_project` gives each state's planar
+    triple (x, y, d).  One computation serves both modes: the gap to the
+    limit times s^6 is G = ((c1 - s)^2 + (c2 - s)^2) s^4 + c3^2 s^2 + c4^2 +
+    c5^2, the rate check fails when G n^2 > 9 s^6, the monotone check when
+    G s_prev^6 > G_prev s^6, and the planar one when ((3x - d)^2 +
+    (3y - d)^2) n^2 > 81 d^2, each for n <= n_max.  Words 2 and 3 are the
+    checkpoints.  Exact checks compare ints; float checks run on the doubles
+    of the public path."""
     del seed  # deterministic suite
-    balanced_state, to_plane = dynamics._balanced_state, dynamics._project
+    to_plane = dynamics._project
     rate_ok = monotone_ok = xy_rate_ok = True
     previous = None
-    for n in range(1, n_max + 1):
-        (c1, c2, c3, c4, c5), s = balanced_state(n, mode)
+    checkpoints = {}
+    for n, ((c1, c2, c3, c4, c5), s) in enumerate(
+        dynamics._balanced_states(max(n_max, 3), mode), start=1
+    ):
         x, y, d = to_plane(c3, c4, c5, s)
+        if n in (2, 3):
+            checkpoints[n] = (_lift(mode, x, d), _lift(mode, y, d))
+        if n > n_max:
+            continue
         s2 = s * s
         s6 = s2 * s2 * s2
         e1, e2 = c1 - s, c2 - s
@@ -301,15 +321,10 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
         xy_rate_ok = xy_rate_ok and not off
 
     # The balanced words for n = 2, 3 land at (5, 1)/8 and (14, 5)/27.
-    def point(n):
-        (_, _, u, v, w), s = balanced_state(n, mode)
-        x, y, d = to_plane(u, v, w, s)
-        return _lift(mode, x, d), _lift(mode, y, d)
-
     checkpoint_ok = all(
         _close(mode, c, _lift(mode, v, n**3), 1e-12)
         for n, x, y in ((2, 5, 1), (3, 14, 5))
-        for c, v in zip(point(n), (x, y))
+        for c, v in zip(checkpoints[n], (x, y))
     )
     return [
         CheckResult("rate-3-over-n", rate_ok, f"n up to {n_max}"),

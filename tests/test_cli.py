@@ -453,6 +453,22 @@ class TestVerify:
         assert payload["trials"] == 16
         assert payload["checks"]
 
+    def test_long_exact_convergence_json(self, capsys):
+        # Exact words extend one state by two letters each, so 20 000 words
+        # run in a fraction of a second; re-evaluating every word would
+        # take about a minute.
+        code, out, _ = run(
+            capsys, "verify", "convergence", "--arith", "exact", "--trials", "20000",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mode"] == "exact"
+        assert payload["trials"] == 20000
+        assert payload["passed"] is True
+        assert len(payload["checks"]) == 4
+        assert all(check["passed"] for check in payload["checks"])
+
     @pytest.mark.parametrize("trials", ["-5", "0"])
     def test_bad_trials(self, capsys, trials):
         with pytest.raises(SystemExit) as excinfo:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilwords import lie_core
 from nilwords.dynamics import (
-    _balanced_state,
+    _balanced_states,
     _map_a_uvw,
     _map_a_xy,
     _map_b_uvw,
@@ -295,22 +296,20 @@ class TestBalancedTrajectory:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_rows_match_the_word_route(self, mode):
-        # `_project` of `_balanced_state`, the route of the convergence
+        # `_project` of `_balanced_states`, the route of the convergence
         # suite, against the point `eval_xy(balanced_word(n))`.
-        for n in range(1, 65):
-            (_, _, u, v, w), scale = _balanced_state(n, mode)
+        for n, ((_, _, u, v, w), scale) in enumerate(_balanced_states(64, mode), start=1):
             x, y, d = _project(u, v, w, scale)
             point = XYPoint(Scalar.lift(x, mode, d), Scalar.lift(y, mode, d))
             assert bits(point) == bits(eval_xy(balanced_word(n, mode)))
 
 
-class TestBalancedState:
+class TestBalancedStates:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_is_the_state_of_the_word(self, mode):
         # Exact: ints scaled by (n, n, n^2, n^3, n^3).  Float: the doubles
         # `_sigma_element` gives, bit for bit.
-        for n in range(1, 61):
-            state, scale = _balanced_state(n, mode)
+        for n, (state, scale) in enumerate(_balanced_states(512, mode), start=1):
             want = tuple(c.value for c in _sigma_element(balanced_word(n, mode)).coords())
             if mode is Mode.EXACT:
                 assert scale == n and all(type(c) is int for c in state)
@@ -318,6 +317,36 @@ class TestBalancedState:
             else:
                 assert scale == 1
                 assert hexes(state) == hexes(want)
+
+    def test_exact_rows_are_the_staircase_closed_form(self):
+        # The staircase law for (X^{1/n} Y^{1/n})^n: x_n - 1/3 =
+        # (3n + 1)/(6n^2) and y_n - 1/3 = -(3n - 1)/(6n^2), exactly.
+        states = list(_balanced_states(512, Mode.EXACT))
+        assert len(states) == 512
+        third = Fraction(1, 3)
+        for n, ((c1, c2, u, v, w), scale) in enumerate(states, start=1):
+            assert (c1, c2, scale) == (n, n, n)
+            x, y, d = _project(u, v, w, scale)
+            assert Fraction(x, d) - third == Fraction(3 * n + 1, 6 * n * n)
+            assert Fraction(y, d) - third == -Fraction(3 * n - 1, 6 * n * n)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_word_that_misses_unit_mass_stops_the_walk(self, monkeypatch, mode):
+        # The unit-mass check runs on every state, extended (exact) or
+        # fresh (float): an X-letter lost at word 3 is caught there.
+        letters, calls = lie_core._letters, 0
+
+        def lossy(is_x, ts, state):
+            nonlocal calls
+            calls += 1
+            c1, c2, c3, c4, c5 = letters(is_x, ts, state)
+            return (c1 - ts[0] if calls == 3 else c1, c2, c3, c4, c5)
+
+        monkeypatch.setattr(lie_core, "_letters", lossy)
+        walk = _balanced_states(5, mode)
+        next(walk), next(walk)
+        with pytest.raises(UnitMassError, match="generator masses"):
+            next(walk)
 
 
 float_parameters = st.floats(min_value=0, max_value=1)
@@ -376,14 +405,15 @@ class TestOneLawTwoDoors:
     @given(double_sigma_words)
     def test_block_values_float(self, w):
         values = [part.value for block in w.blocks for part in block]
-        state = _letters((True, False) * len(w.blocks), values, 0)
+        state = _letters((True, False) * len(w.blocks), values, (0, 0, 0, 0, 0))
         assert hexes(vals(eval_uvw(w))) == hexes(state[2:])
 
     @given(sigma_words)
     def test_block_values_over_one_denominator(self, w):
         values = [part.value for block in w.blocks for part in block]
         d = math.lcm(*(v.denominator for v in values))
-        state = _letters((True, False) * len(w.blocks), [int(v * d) for v in values], 0)
+        scaled = [int(v * d) for v in values]
+        state = _letters((True, False) * len(w.blocks), scaled, (0, 0, 0, 0, 0))
         assert state[:2] == (d, d)
         assert vals(eval_uvw(w)) == (
             Fraction(state[2], d**2), Fraction(state[3], d**3), Fraction(state[4], d**3)

@@ -17,17 +17,37 @@ def test_suite_names():
     assert SUITE_NAMES == ("algebra", "commutation", "invariance", "convergence")
 
 
+CHECK_NAMES = {
+    "algebra": ("associativity", "jacobi", "step3", "abelianization", "identity-inverse"),
+    "commutation": ("word-vs-space-a", "word-vs-space-b", "projection-a", "projection-b"),
+    "invariance": ("invariance-a", "invariance-b"),
+    "convergence": ("rate-3-over-n", "monotone-norm", "planar-rate", "checkpoints-n2-n3"),
+}
+DETAILS = {
+    "algebra": "0 violations in 40 trials",
+    "commutation": "0 violations in 40 trials",
+    "invariance": "0 Outside verdicts in 40 trials",
+}
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
-def test_small_runs_pass(suite, mode):
-    result = run_suite(suite, mode=mode, trials=40, seed=7)
+@pytest.mark.parametrize("seed", (1, 7, 1729))
+def test_small_runs_pass(suite, mode, seed):
+    # The check results are pinned: every check passes with no violation,
+    # whatever inputs the samplers draw from the seed.
+    result = run_suite(suite, mode=mode, trials=40, seed=seed)
     assert result.passed, [c for c in result.checks if not c.passed]
     assert result.suite == suite
     assert result.mode is mode
     assert result.trials == 40
-    assert result.checks
     assert result.seconds >= 0.0
-    assert all(c.detail for c in result.checks)
+    details = [DETAILS.get(suite, "n up to 40")] * len(CHECK_NAMES[suite])
+    if suite == "convergence":
+        details[-1] = "exact small cases"
+    assert [(c.name, c.passed, c.detail) for c in result.checks] == list(
+        zip(CHECK_NAMES[suite], [True] * len(details), details)
+    )
 
 
 def test_deterministic_given_seed():
@@ -192,10 +212,13 @@ def _project_mutant(to_plane):
 
 
 def _letters_mutant(letters):
-    # Adds 1 to w = c5 of every unit-mass state, as c1^2 c2 of weight 3.
-    def mutant(is_x, ts, zero):
-        c1, c2, c3, c4, c5 = letters(is_x, ts, zero)
-        return (c1, c2, c3, c4, c5 + c1 * c1 * c2)
+    # Adds 1 to w = c5 of every unit-mass state, as c1^2 c2 of weight 3.  The
+    # term added to the start state (s1, s2, ...) is taken back, so a state
+    # extended from a mutant state is off by c1^2 c2 too, not by a sum.
+    def mutant(is_x, ts, state):
+        c1, c2, c3, c4, c5 = letters(is_x, ts, state)
+        s1, s2 = state[:2]
+        return (c1, c2, c3, c4, c5 + c1 * c1 * c2 - s1 * s1 * s2)
     return mutant
 
 
@@ -245,8 +268,8 @@ def test_commutation_checks_the_sigma_rules_of_mapped_words(monkeypatch, mode):
 def test_convergence_checks_the_unit_mass_of_the_states(monkeypatch, mode):
     letters = lie_core._letters
 
-    def heavy(is_x, ts, zero):
-        c1, c2, c3, c4, c5 = letters(is_x, ts, zero)
+    def heavy(is_x, ts, state):
+        c1, c2, c3, c4, c5 = letters(is_x, ts, state)
         return (2 * c1, c2, c3, c4, c5)
 
     monkeypatch.setattr(lie_core, "_letters", heavy)
@@ -272,3 +295,67 @@ def test_no_scalar_is_made_per_trial(monkeypatch, suite, mode):
         run_suite(suite, mode, trials, 3)
         counts.append(made)
     assert counts[0] == counts[1]
+
+
+def _counting_kernels(monkeypatch):
+    """Wrap `_letters` and `_check_sigma`, and count the letters and calls."""
+    letters, check_sigma = lie_core._letters, words._check_sigma
+    counts = {"letters": 0, "check_sigma": 0}
+
+    def counting_letters(is_x, ts, state):
+        counts["letters"] += len(ts)
+        return letters(is_x, ts, state)
+
+    def counting_check_sigma(*args):
+        counts["check_sigma"] += 1
+        return check_sigma(*args)
+
+    monkeypatch.setattr(lie_core, "_letters", counting_letters)
+    monkeypatch.setattr(words, "_check_sigma", counting_check_sigma)
+    return counts
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+@pytest.mark.parametrize("n_max", (1, 2, 3, 512))
+def test_convergence_letter_and_sigma_counts(monkeypatch, mode, n_max):
+    # A count, not a timing, over words 1 .. n = max(n_max, 3); words 2 and 3
+    # are the checkpoints.  An exact word is the one before it and one unit
+    # block: two letters each, and the Sigma rules of word 1 only.  A float
+    # word has its own block 1/n: 2n letters and one Sigma check each.
+    counts = _counting_kernels(monkeypatch)
+    assert run_suite("convergence", mode, n_max, 1).passed
+    n = max(n_max, 3)
+    if mode is Mode.EXACT:
+        assert counts == {"letters": 2 * n, "check_sigma": 1}
+    else:
+        assert counts == {"letters": n * (n + 1), "check_sigma": n}
+
+
+def test_each_algebra_table_is_every_scaled_draw_with_duplicates():
+    # A uniform choice from a table is a uniform pair (p, q) only if every
+    # pair keeps its entry: 0 appears 8 times, 840 as 1 * 840 and 2 * 420.
+    scales = (840, 840, 840**2, 840**3, 840**3)
+    assert len(verify._ALGEBRA_TABLES) == 5
+    for table, s in zip(verify._ALGEBRA_TABLES, scales):
+        assert len(table) == 200
+        assert sorted(table) == sorted(p * (s // q) for p in range(-12, 13) for q in range(1, 9))
+        assert table.count(0) == 8
+        assert len(set(table)) < 200
+
+
+class _Recording:
+    """A generator whose `choice` records the sequences it draws from."""
+
+    def __init__(self):
+        self.drawn_from = []
+
+    def choice(self, table):
+        self.drawn_from.append(table)
+        return table[-1]
+
+
+def test_an_exact_algebra_coordinate_is_one_choice_from_its_table():
+    rnd = _Recording()
+    vector = verify._rand_vector(rnd, Mode.EXACT)
+    assert rnd.drawn_from == list(verify._ALGEBRA_TABLES)
+    assert vector == (12 * 105, 12 * 105, 12 * 840**2 // 8, 12 * 840**3 // 8, 12 * 840**3 // 8)
