@@ -25,12 +25,18 @@ per mode, and the float division of the commutation suite test the mode;
 every check is one computation for both modes.  An exact algebra
 coordinate is one `choice` from a table of its 200 scaled values, and an
 exact invariance point one `randrange` call, an index into a table of the
-interior run of each row of the grid {1..1023}^2 / 1024, built on the first
-exact draw and cached; float points, which have no finite table, are still
-drawn by rejection from the unit square.  Each suite looks up the laws and
-maps it checks in their modules when it starts (and `_balanced_states`
-reads `_letters` and `_check_sigma` at each word), so a test can replace
-one.
+interior run of each row of the grid {1..1023}^2 / 1024.  A float point is
+drawn by rejection from a cover of the region: the cells [i, i+1) x
+[j, j+1) / 1024 that can hold an interior double, one run of columns per
+strip, read off the same grid rows with one column of margin on each side.
+That margin is about 10^12 times the ulp-level disagreement between float
+and exact `_classify` near a curve.  A candidate is one `randrange` call
+for the cell and two `random` calls inside it, and `_classify` accepts
+about 1 in 1.04 of them (1 in 9.6 from the unit square).  Both tables are
+built from one pass over the rows on the first draw and cached.  Each
+suite looks up the laws and maps it checks in their modules when it
+starts (and `_balanced_states` reads `_letters` and `_check_sigma` at each
+word), so a test can replace one.
 """
 
 from __future__ import annotations
@@ -88,10 +94,14 @@ _ALGEBRA_TABLES = tuple(
 def _rand_vector(rnd: random.Random, mode: Mode) -> tuple:
     """Five raw coordinates: p/q with p in -12..12 and q in 1..8, scaled by
     (L, L, L^2, L^3, L^3) with L = 840 and drawn with one `choice` each from
-    `_ALGEBRA_TABLES`, or five doubles from [-1, 1]."""
+    `_ALGEBRA_TABLES`, or five doubles from [-1, 1]: 2 random() - 1, the
+    doubles and generator state of `rnd.uniform(-1.0, 1.0)`, which computes
+    -1 + 2 random(), without its call."""
     if mode is Mode.EXACT:
         return tuple(rnd.choice(table) for table in _ALGEBRA_TABLES)
-    return tuple(rnd.uniform(-1.0, 1.0) for _ in range(5))
+    r = rnd.random
+    return (2.0 * r() - 1.0, 2.0 * r() - 1.0, 2.0 * r() - 1.0, 2.0 * r() - 1.0,
+            2.0 * r() - 1.0)
 
 
 def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
@@ -210,28 +220,75 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     ]
 
 
-# Exact invariance points are drawn from the grid {1..1023}^2 / 1024.
+# Exact invariance points are drawn from the grid {1..1023}^2 / 1024, and
+# float points from the cells [i, i+1) x [j, j+1) / 1024 that cover the
+# region.
 _GRID = 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _interior_grid() -> tuple:
-    """The interior points of the exact grid, counted in row-major order, as
-    (firsts, shifts): point u lies in the row j = bisect_right(firsts, u) - 1,
-    whose first point is number firsts[j], and is (u + shifts[j], j + 1) /
-    1024.  Each row's interior points are one run (`region._interior_run`),
-    so the table holds two ints per row and never the points themselves.
-    Built on the first exact draw, not at import."""
+def _grid_runs() -> tuple:
+    """The interior of each row y = 1..1023 of the grid {1..1023}^2 / 1024,
+    as the range of the numerators x of its interior points (x/1024,
+    y/1024): one run per row (`region._interior_run`), found by two
+    bisections on exact ints.  Both sampler tables are read off these rows,
+    built once, on the first draw of either mode, not at import."""
     columns = range(1, _GRID)
+    return tuple(
+        range(run.start + 1, run.stop + 1)  # column i is x = i + 1
+        for run in (_interior_run(columns, y, _GRID, 0) for y in columns)
+    )
+
+
+def _row_table(rows) -> tuple:
+    """Ranges of ints, one per row, counted in row-major order, as (firsts,
+    shifts): the u-th int lies in the row j = bisect_right(firsts, u) - 1,
+    whose first int is number firsts[j], and is u + shifts[j].  The table
+    holds two ints per row and never the ints themselves."""
     firsts, shifts = [], []
     count = 0
-    for y in columns:
-        run = _interior_run(columns, y, _GRID, 0)
+    for row in rows:
         firsts.append(count)
-        shifts.append(run.start + 1 - count)  # column i is x = i + 1
-        count += len(run)
-    firsts.append(count)  # the number of points, past the last row
+        shifts.append(row.start - count)
+        count += len(row)
+    firsts.append(count)  # the number of ints, past the last row
     return tuple(firsts), tuple(shifts)
+
+
+@functools.lru_cache(maxsize=None)
+def _interior_grid() -> tuple:
+    """The interior points of the exact grid as a `_row_table` of the
+    `_grid_runs`: point u is (u + shifts[j], j + 1) / 1024."""
+    return _row_table(_grid_runs())
+
+
+@functools.lru_cache(maxsize=None)
+def _float_cover() -> tuple:
+    """The cells [i, i+1) x [j, j+1) / 1024 that can hold an interior point,
+    as a `_row_table` of one range of columns i per strip j = 0..1023:
+    cell u is column u + shifts[j] of strip j.
+
+    Both boundary abscissae fall as y rises: the left one is
+    max(3/4 (1-y)^2, 1 - sqrt(4y/3)) and the right one max((1-y)^2,
+    1 - sqrt(y)).  So an interior point of strip j lies right of the last
+    outside point (a - 1)/1024 before grid row j + 1's run range(a, b), and
+    left of the first outside point b'/1024 after grid row j's run
+    range(a', b'): in the columns a - 1 .. b' - 1.  The strip takes one
+    more column on each side, clipped to 0..1023; the bottom strip has no
+    row below it and runs to column 1023, the top one no row above it and
+    starts at column 0.  That margin is 2^-10 wide, about 10^12 times the
+    ulp-level disagreements between float and exact `_classify` near a
+    curve, so every double that float `_classify` calls interior lies in a
+    cell of the cover."""
+    runs = _grid_runs()  # runs[j] is grid row j + 1
+    last = _GRID - 1
+    return _row_table(
+        range(
+            max(0, runs[j].start - 2) if j < last else 0,
+            min(_GRID, runs[j - 1].stop + 1) if j > 0 else _GRID,
+        )
+        for j in range(_GRID)
+    )
 
 
 def _random_interior_point(rnd: random.Random, mode: Mode) -> tuple:
@@ -241,15 +298,28 @@ def _random_interior_point(rnd: random.Random, mode: Mode) -> tuple:
 
     An exact draw is one `randrange` call u, and the point is the u-th
     interior point of the grid {1..1023}^2 / 1024 in row-major order,
-    looked up in `_interior_grid`.  Float draws have no finite table: they
-    draw candidates from the unit square until one is an interior member."""
+    looked up in `_interior_grid`.  A float draw picks a cell of
+    `_float_cover` with one `randrange` call, and a point in it with two
+    `random` calls r and s: ((i + r)/1024, (j + s)/1024).  r and s are
+    multiples of 2^-53, so each coordinate is a point of the grid of step
+    2^-63 rounded once to the nearest double: one of at least 2^-10 can be
+    any double, and a smaller one is a multiple of 2^-63, where a
+    unit-square draw is a multiple of 2^-53.  It draws again until
+    `_classify` calls the point interior; the cover holds every interior
+    double, so the accepted points are uniform over the float interior, at
+    about 1.04 candidates each."""
     if mode is Mode.EXACT:
         firsts, shifts = _interior_grid()
         u = rnd.randrange(firsts[-1])
         row = bisect.bisect_right(firsts, u) - 1
         return u + shifts[row], row + 1, _GRID
+    firsts, shifts = _float_cover()
+    cells, random_ = firsts[-1], rnd.random
     while True:
-        x, y = rnd.random(), rnd.random()
+        u = rnd.randrange(cells)
+        row = bisect.bisect_right(firsts, u) - 1
+        x = (u + shifts[row] + random_()) / _GRID
+        y = (row + random_()) / _GRID
         if _classify(x, y, 1, 0) is _INTERIOR:
             return x, y, 1
 

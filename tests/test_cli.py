@@ -469,6 +469,19 @@ class TestVerify:
         assert len(payload["checks"]) == 4
         assert all(check["passed"] for check in payload["checks"])
 
+    @pytest.mark.parametrize("arith", [(), ("--arith", "exact")], ids=["float", "exact"])
+    def test_invariance_json(self, capsys, arith):
+        code, out, _ = run(
+            capsys, "verify", "invariance", *arith, "--trials", "20000", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["mode"] == ("exact" if arith else "float")
+        assert payload["trials"] == 20000
+        assert payload["passed"] is True
+        assert [check["name"] for check in payload["checks"]] == ["invariance-a", "invariance-b"]
+        assert all(check["passed"] for check in payload["checks"])
+
     @pytest.mark.parametrize("trials", ["-5", "0"])
     def test_bad_trials(self, capsys, trials):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,6 @@
 """The randomized verification suites at reduced trial counts."""
 
+import math
 import random
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from nilwords import dynamics, lie_core, verify, words
 from nilwords.dynamics import XYPoint
-from nilwords.region import EpsilonPolicy, Membership, membership
+from nilwords.region import _INTERIOR, EpsilonPolicy, Membership, _classify, membership
 from nilwords.scalar import Mode, Scalar
 from nilwords.verify import SUITE_NAMES, _random_interior_point, run_suite
 from nilwords.words import SigmaValidationError
@@ -61,24 +62,130 @@ def test_unknown_suite_rejected():
         run_suite("nonsense", trials=1)
 
 
-def test_float_interior_points_match_the_membership_loop():
-    # The draw loop that classified every candidate as a point by
-    # `membership`; the float-triple path must accept the same candidates
-    # and so leave the generator in the same state.
-    def by_membership(rnd):
-        policy = EpsilonPolicy.for_mode(Mode.FLOAT)
-        while True:
-            p = XYPoint.of_floats(rnd.random(), rnd.random())
-            if membership(p, policy).status is Membership.INTERIOR_MEMBER:
-                return p
+def _unit_square_point(rnd):
+    """The reference float draw: candidates from the unit square, classified
+    as points by `membership`, until one is an interior member."""
+    policy = EpsilonPolicy.for_mode(Mode.FLOAT)
+    while True:
+        x, y = rnd.random(), rnd.random()
+        if membership(XYPoint.of_floats(x, y), policy).status is Membership.INTERIOR_MEMBER:
+            return x, y
 
-    new, old = random.Random(11), random.Random(11)
-    for _ in range(300):
-        (x, y, d), q = _random_interior_point(new, Mode.FLOAT), by_membership(old)
-        assert q.mode is Mode.FLOAT
-        point = (x / d, y / d)
-        assert point == (q.x.value, q.y.value)
-        assert type(point[0]) is type(q.x.value)
+
+def _in_float_cover(x, y):
+    """Whether the double (x, y) of the unit square lies in a cell of the
+    float sampler's cover: cell u of strip j is column u + shifts[j]."""
+    firsts, shifts = verify._float_cover()
+    i, j = int(x * 1024), int(y * 1024)  # exact: 1024 is a power of 2
+    return firsts[j] <= i - shifts[j] < firsts[j + 1]
+
+
+def _ulp_walk(v, steps):
+    """The doubles within `steps` ulps of v, v included."""
+    below, above = [v], [v]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# The four curves that bound the interior, each as a function of its free
+# coordinate t, with the coordinate it gives: 0 for x, 1 for y.
+CURVES = (
+    (lambda t: (0.75 * (1 - t) ** 2, t), 0),
+    (lambda t: (t, 0.75 * (1 - t) ** 2), 1),
+    (lambda t: ((1 - t) ** 2, t), 0),
+    (lambda t: (t, (1 - t) ** 2), 1),
+)
+
+
+def test_every_float_interior_double_lies_in_the_cover():
+    # Uniform doubles, then every double within 4 ulps of each curve, in
+    # the coordinate the curve gives, at seeded values of the free one:
+    # there float and exact `_classify` can disagree.
+    rnd = random.Random(2024)
+    uniform = [(rnd.random(), rnd.random()) for _ in range(200_000)]
+    near = []
+    for curve, given in CURVES:
+        for _ in range(5_000):
+            point = list(curve(rnd.random()))
+            for v in _ulp_walk(point[given], 4):
+                point[given] = v
+                near.append(tuple(point))
+    for points, at_least in ((uniform, 20_000), (near, 90_000)):
+        interior = [p for p in points if _classify(*p, 1, 0) is _INTERIOR]
+        assert len(interior) >= at_least
+        assert [p for p in interior if not _in_float_cover(*p)] == []
+
+
+def test_float_draws_are_interior_members():
+    rnd = random.Random(31)
+    policy = EpsilonPolicy.for_mode(Mode.FLOAT)
+    for _ in range(5_000):
+        x, y, d = _random_interior_point(rnd, Mode.FLOAT)
+        assert d == 1 and type(x) is float and type(y) is float
+        verdict = membership(XYPoint.of_floats(x, y), policy)
+        assert verdict.status is Membership.INTERIOR_MEMBER
+
+
+def test_float_draws_are_distributed_as_unit_square_draws():
+    # A two-sample chi-square on a 32 x 32 grid: equal sample sizes give
+    # sum (a - b)^2 / (a + b) over the cells either sample hits, with one
+    # degree of freedom fewer than cells.  It has mean df and standard
+    # deviation sqrt(2 df), about 18 here; the bound is 4 of those above.
+    n = 20_000
+    new, old = random.Random(5), random.Random(6)
+    counts = {}
+    for sample, draw in ((0, lambda: _random_interior_point(new, Mode.FLOAT)[:2]),
+                         (1, lambda: _unit_square_point(old))):
+        for _ in range(n):
+            x, y = draw()
+            cell = counts.setdefault((int(32 * x), int(32 * y)), [0, 0])
+            cell[sample] += 1
+    df = len(counts) - 1
+    chi2 = sum((a - b) ** 2 / (a + b) for a, b in counts.values())
+    assert df > 150
+    assert chi2 < df + 4 * math.sqrt(2 * df)
+
+
+def test_a_float_draw_classifies_few_candidates(monkeypatch):
+    # A count, not a timing: the cover holds 113 259 cells and the interior
+    # about 0.96 of their area, so a draw classifies about 1.04 candidates;
+    # the unit square took about 9.6.
+    _random_interior_point(random.Random(0), Mode.FLOAT)
+    count = _counting_classify(monkeypatch)
+    rnd = random.Random(17)
+    for _ in range(10_000):
+        _random_interior_point(rnd, Mode.FLOAT)
+    assert count[0] <= 11_000
+
+
+def test_both_tables_bisect_each_grid_row_once(monkeypatch):
+    tables = (verify._grid_runs, verify._interior_grid, verify._float_cover)
+    for table in tables:
+        table.cache_clear()
+    interior_run, rows = verify._interior_run, []
+
+    def counting(columns, y, d, eps):
+        rows.append(y)
+        return interior_run(columns, y, d, eps)
+
+    monkeypatch.setattr(verify, "_interior_run", counting)
+    try:
+        for mode in (Mode.FLOAT, Mode.EXACT, Mode.FLOAT):
+            _random_interior_point(random.Random(1), mode)
+        assert rows == list(range(1, 1024))
+        assert verify._float_cover()[0][-1] == 113_259
+    finally:
+        for table in tables:
+            table.cache_clear()
+
+
+def test_float_algebra_draws_are_uniform_draws_bit_for_bit():
+    new, old = random.Random(1729), random.Random(1729)
+    for _ in range(2_000):
+        vector = verify._rand_vector(new, Mode.FLOAT)
+        assert [v.hex() for v in vector] == [old.uniform(-1.0, 1.0).hex() for _ in range(5)]
     assert new.getstate() == old.getstate()
 
 
@@ -132,23 +239,28 @@ def test_exact_draws_are_uniform_over_the_grid_interior():
     assert all(0 < x < 1024 and 0 < y < 1024 and d == 1024 for x, y, d in draws)
 
 
+def _counting_classify(monkeypatch):
+    """Replace the `_classify` the sampler calls by one that counts."""
+    classify, count = verify._classify, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return classify(*args)
+
+    monkeypatch.setattr(verify, "_classify", counting)
+    return count
+
+
 def test_an_exact_invariance_trial_classifies_only_its_two_images(monkeypatch):
     # Once the table of the grid's interior is built, a trial draws its
     # point without classifying candidates: only the two images are.
     _random_interior_point(random.Random(0), Mode.EXACT)
-    classify, calls = verify._classify, 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return classify(*args)
-
-    monkeypatch.setattr(verify, "_classify", counting)
+    count = _counting_classify(monkeypatch)
     counts = []
     for trials in (10, 60):
-        calls = 0
+        count[0] = 0
         run_suite("invariance", Mode.EXACT, trials, 1)
-        counts.append(calls)
+        counts.append(count[0])
     assert counts[1] - counts[0] == 100
 
 
