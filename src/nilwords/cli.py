@@ -13,7 +13,7 @@ import json
 import math
 import re
 import sys
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from .dynamics import UVWPoint, UnitMassError, XYPoint, extract_uvw, project
 from .lie_core import (
@@ -25,10 +25,10 @@ from .region import EpsilonPolicy, membership, render_region
 from .scalar import Mode, Scalar
 from .search import (
     SearchConfig,
+    SearchReport,
     SynthesisDomainError,
     coarse_length_profile,
     coarse_length_profile_uvw,
-    profile_to_csv,
     synthesize_word,
 )
 from .verify import SUITE_NAMES, run_suite
@@ -198,6 +198,28 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _profile_rows(reports: Sequence[SearchReport]) -> List[dict]:
+    """Row k of a profile, k = 1, 2, ...: the fields its CSV and JSON show."""
+    return [
+        {
+            "k": k,
+            "distance": report.distance.to_float(),
+            "pattern": report.best_sequence.pattern(),
+            "t_vector": [t.to_float() for _, t in report.best_sequence.steps],
+            "converged": report.converged,
+        }
+        for k, report in enumerate(reports, start=1)
+    ]
+
+
+def _profile_to_csv(rows: Sequence[dict]) -> str:
+    lines = ["k,distance,pattern,t_vector"]
+    for row in rows:
+        ts = ";".join(map(repr, row["t_vector"]))
+        lines.append(f"{row['k']},{row['distance']!r},{row['pattern']},{ts}")
+    return "\n".join(lines)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     cfg = SearchConfig(master_seed=args.seed)
     values = [_parse_scalar(v, Mode.FLOAT, "coordinate").value for v in args.values]
@@ -205,13 +227,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         if len(values) != 2:
             raise _UsageError("planar profile takes: profile X Y K_MAX")
         target = XYPoint.of_floats(values[0], values[1])
-        rows = coarse_length_profile(target, args.k_max, cfg)
+        reports = coarse_length_profile(target, args.k_max, cfg)
     else:
         if len(values) != 3:
             raise _UsageError("uvw profile takes: profile --objective uvw U V W K_MAX")
         target = UVWPoint(*(Scalar.of_float(v) for v in values))
-        rows = coarse_length_profile_uvw(target, args.k_max, cfg)
-    if not all(math.isfinite(row.distance) for row in rows):
+        reports = coarse_length_profile_uvw(target, args.k_max, cfg)
+    rows = _profile_rows(reports)
+    if not all(math.isfinite(row["distance"]) for row in rows):
         raise _UsageError(
             f"target {values} is too large: its distance overflows float arithmetic"
         )
@@ -223,20 +246,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "distances are optimizer upper bounds; the planar objective "
                 "lower-bounds full-element difficulty"
             ),
-            "rows": [
-                {
-                    "k": row.k,
-                    "distance": row.distance,
-                    "pattern": row.pattern,
-                    "t_vector": list(row.t_values),
-                    "converged": row.converged,
-                }
-                for row in rows
-            ],
+            "rows": rows,
         }
         _emit(args, json.dumps(payload, indent=2))
     else:
-        _emit(args, profile_to_csv(rows).rstrip("\n"))
+        _emit(args, _profile_to_csv(rows))
     return EXIT_OK
 
 
@@ -263,7 +277,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         payload = {
             "success": result.success,
             "stage": result.stage,
-            "residual": result.residual,
+            # null for a failed synthesis, whose residual is inf: not JSON
+            "residual": result.residual if result.success else None,
             "message": result.message,
             "word_text": word_text,
             "word": word_to_json(sigma_to_rword(result.word)) if result.word else None,

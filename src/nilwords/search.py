@@ -48,7 +48,7 @@ import random
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .dynamics import UVWPoint, XYPoint, map_a_xy, map_b_xy, xy_distance
 from .region import Membership, membership
@@ -62,7 +62,6 @@ __all__ = [
     "SearchConfig",
     "DEFAULT_CONFIG",
     "SearchReport",
-    "ProfileRow",
     "SynthesisDomainError",
     "SynthesisResult",
     "seed_point",
@@ -73,7 +72,6 @@ __all__ = [
     "nearest_reachable_uvw",
     "coarse_length_profile",
     "coarse_length_profile_uvw",
-    "profile_to_csv",
     "diagonal_gap",
     "synthesize_word",
 ]
@@ -155,25 +153,21 @@ DEFAULT_CONFIG = SearchConfig()
 
 @dataclass(frozen=True)
 class SearchReport:
-    """The best sequence found.  `evaluations` counts the residual
-    evaluations of the walk on every form of at most k steps, k per seed
-    since a first step fixing the seed adds nothing (on a target that is
-    its own mirror only the XY forms), whichever call paid for them.
-    `converged` is the winning start's `_solve` verdict."""
+    """The best sequence within a budget of k steps, padded to k steps: the
+    answer of one search and a row of a profile, whose row k is the report
+    of `nearest_reachable(target, k)` (or `nearest_reachable_uvw`).
+    `best_point` is the point the sequence reaches, an `XYPoint` or, for
+    the (u, v, w) objective, a `UVWPoint`; `distance` is a float-mode
+    `Scalar`.  `evaluations` counts the residual evaluations of the walk on
+    every form of at most k steps, k per seed since a first step fixing the
+    seed adds nothing (on a target that is its own mirror only the XY
+    forms), whichever call paid for them.  `converged` is the winning
+    start's `_solve` verdict."""
 
     best_sequence: MapSequence
-    best_point: XYPoint
+    best_point: Union[XYPoint, UVWPoint]
     distance: Scalar
     evaluations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    k: int
-    distance: float
-    pattern: str
-    t_values: Tuple[float, ...]
     converged: bool
 
 
@@ -548,6 +542,10 @@ _Posed = Tuple[_Residual, _Jacobian, int]
 _Problem = Callable[[Seed, Tuple[StepKind, ...]], _Posed]
 
 
+# A solved form: (seed, kinds, its best `_Solved`, residual evaluations).
+_Form = Tuple[Seed, Tuple[StepKind, ...], _Solved, int]
+
+
 # This thread's last walk, (key, its forms solved so far); see `_solved_forms`.
 _last_walk = threading.local()
 
@@ -567,7 +565,7 @@ def _solved_forms(
     enough: float = 0.0,
     symmetric: bool = False,
     key: Optional[tuple] = None,
-) -> Iterator[Tuple[Seed, Tuple[StepKind, ...], _Solved, int]]:
+) -> Iterator[_Form]:
     """Solve each form of `_forms(k_max, symmetric)` once, continuing along
     its family.
 
@@ -622,18 +620,6 @@ def _solved_forms(
 # the search walk ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Winner:
-    """The best sequence within a budget of k steps, padded to k."""
-
-    seed: Seed
-    kinds: Tuple[StepKind, ...]
-    ts: Tuple[float, ...]
-    distance: float
-    converged: bool
-    evaluations: int
-
-
 def _padded(
     kinds: Tuple[StepKind, ...], ts: Tuple[float, ...], k: int
 ) -> Tuple[Tuple[StepKind, ...], Tuple[float, ...]]:
@@ -649,34 +635,28 @@ def _padded(
 
 def _walk(
     k_max: int, cfg: SearchConfig, key: tuple, problem_of: _Problem, symmetric: bool = False
-) -> List[_Winner]:
+) -> List[_Form]:
     """Keep a running best over `_solved_forms(k_max, symmetric=symmetric)`,
     resuming this thread's walk of the problem `key`.
 
-    Returns one winner per budget k (k = 0 alone for k_max = 0, else
-    k = 1..k_max), counting the residual evaluations spent on all forms of
-    at most k steps.  A form's starts depend only on the forms before it,
-    not on the budget, so each winner is what a walk stopped at its own
-    budget finds.
+    Returns one form per budget k (k = 0 alone for k_max = 0, else
+    k = 1..k_max): the best of at most k steps, unpadded, with the residual
+    evaluations spent on all forms of at most k steps.  A form's starts
+    depend only on the forms before it, not on the budget, so each is what
+    a walk stopped at its own budget finds.
     """
-    winners: List[_Winner] = []
-    best: Optional[Tuple[_Solved, Seed, Tuple[StepKind, ...]]] = None
+    bests: List[_Form] = []
+    best: Optional[Tuple[Seed, Tuple[StepKind, ...], _Solved]] = None
     evaluations = 0
     solved_forms = _solved_forms(k_max, problem_of, cfg, symmetric=symmetric, key=key)
-    for length, forms in itertools.groupby(solved_forms, key=lambda form: len(form[1])):
+    for _, forms in itertools.groupby(solved_forms, key=lambda form: len(form[1])):
         for seed, kinds, solved, spent in forms:
             evaluations += spent
-            if best is None or solved.cost < best[0].cost:
-                best = (solved, seed, kinds)
+            if best is None or solved.cost < best[2].cost:
+                best = (seed, kinds, solved)
         assert best is not None
-        solved, best_seed, best_kinds = best
-        padded_kinds, padded_ts = _padded(best_kinds, solved.point, length)
-        winners.append(
-            _Winner(
-                best_seed, padded_kinds, padded_ts, solved.cost, solved.converged, evaluations
-            )
-        )
-    return winners
+        bests.append((*best, evaluations))
+    return bests
 
 
 def _finite_target(names: str, target: Sequence[float]) -> Sequence[float]:
@@ -724,28 +704,63 @@ def _uvw_problem(target: Tuple[float, float, float]) -> _Problem:
     return problem_of
 
 
-def _xy_search(target: XYPoint) -> Tuple[tuple, _Problem, bool]:
-    """A planar target's key, problem, and symmetry: x == y as floats."""
+# The point a sequence (seed, kinds, ts) reaches, in its objective's coordinates.
+_PointOf = Callable[[Seed, Tuple[StepKind, ...], Sequence[float]], Union[XYPoint, UVWPoint]]
+# A target's walk key, problem, symmetry and point map.
+_Search = Tuple[tuple, _Problem, bool, _PointOf]
+
+
+def _xy_point(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> XYPoint:
+    (x, y), _ = _fold_xy(_origin(seed), kinds, ts)
+    return XYPoint.of_floats(x, y)
+
+
+def _uvw_point(seed: Seed, kinds: Tuple[StepKind, ...], ts: Sequence[float]) -> UVWPoint:
+    (x, y, u), _ = _fold_xyu(_origin_xyu(seed), kinds, ts)
+    return UVWPoint(*map(Scalar.of_float, (u, 6.0 * x - 3.0 * u - 2.0, 6.0 * y + 3.0 * u - 2.0)))
+
+
+def _xy_search(target: XYPoint) -> _Search:
+    """A planar target's key, problem, symmetry (x == y as floats), point."""
     tx, ty = target.to_floats()
-    return _key("xy", (tx, ty)), _xy_problem((tx, ty)), tx == ty
+    return _key("xy", (tx, ty)), _xy_problem((tx, ty)), tx == ty, _xy_point
 
 
-def _uvw_search(target: UVWPoint) -> Tuple[tuple, _Problem, bool]:
-    """A (u, v, w) target's key, problem, and symmetry: u == 0 and v == w
-    as floats, since the X <-> Y swap sends (u, v, w) to (-u, w, v)."""
-    tu, tv, tw = (c.to_float() for c in target.coords())
-    return _key("uvw", (tu, tv, tw)), _uvw_problem((tu, tv, tw)), tu == 0.0 and tv == tw
+def _uvw_search(target: UVWPoint) -> _Search:
+    """A (u, v, w) target's key, problem, symmetry (u == 0 and v == w as
+    floats: the X <-> Y swap sends (u, v, w) to (-u, w, v)), point."""
+    tu, tv, tw = goal = tuple(c.to_float() for c in target.coords())
+    return _key("uvw", goal), _uvw_problem(goal), tu == 0.0 and tv == tw, _uvw_point
 
 
-def _report(winner: _Winner, point) -> SearchReport:
-    steps = tuple((kind, Scalar.of_float(t)) for kind, t in zip(winner.kinds, winner.ts))
+def _report(k: int, form: _Form, point_of: _PointOf) -> SearchReport:
+    """The record of a budget's best form, padded to k steps."""
+    seed, kinds, solved, evaluations = form
+    kinds, ts = _padded(kinds, solved.point, k)
     return SearchReport(
-        best_sequence=MapSequence(winner.seed, steps, Mode.FLOAT),
-        best_point=point,
-        distance=Scalar.of_float(winner.distance),
-        evaluations=winner.evaluations,
-        converged=winner.converged,
+        best_sequence=MapSequence(
+            seed, tuple((kind, Scalar.of_float(t)) for kind, t in zip(kinds, ts)), Mode.FLOAT
+        ),
+        best_point=point_of(seed, kinds, ts),
+        distance=Scalar.of_float(solved.cost),
+        evaluations=evaluations,
+        converged=solved.converged,
     )
+
+
+def _nearest(k: int, cfg: SearchConfig, search: _Search) -> SearchReport:
+    if k < 0:
+        raise ValueError("step count must be nonnegative")
+    key, problem_of, symmetric, point_of = search
+    return _report(k, _walk(k, cfg, key, problem_of, symmetric)[-1], point_of)
+
+
+def _profile(k_max: int, cfg: SearchConfig, search: _Search) -> List[SearchReport]:
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    key, problem_of, symmetric, point_of = search
+    walk = _walk(k_max, cfg, key, problem_of, symmetric)
+    return [_report(k, form, point_of) for k, form in enumerate(walk, start=1)]
 
 
 def nearest_reachable(
@@ -770,11 +785,7 @@ def nearest_reachable(
     (1/3, 1/3) profile to k = 32, the square by up to 8.7e-13 relative).
     Calls on one target and `cfg` in a thread extend one walk.
     """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    winner = _walk(k, cfg, *_xy_search(target))[-1]
-    (x, y), _ = _fold_xy(_origin(winner.seed), winner.kinds, winner.ts)
-    return _report(winner, XYPoint.of_floats(x, y))
+    return _nearest(k, cfg, _xy_search(target))
 
 
 def nearest_reachable_uvw(
@@ -787,59 +798,31 @@ def nearest_reachable_uvw(
     The report's best_point is the reached UVWPoint.  A target with u == 0
     and v == w (as floats) is its own mirror: only its XY forms are solved.
     """
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    winner = _walk(k, cfg, *_uvw_search(target))[-1]
-    (x, y, u), _ = _fold_xyu(_origin_xyu(winner.seed), winner.kinds, winner.ts)
-    point = (u, 6.0 * x - 3.0 * u - 2.0, 6.0 * y + 3.0 * u - 2.0)
-    return _report(winner, UVWPoint(*map(Scalar.of_float, point)))
-
-
-def _profile(
-    k_max: int, cfg: SearchConfig, key: tuple, problem_of: _Problem, symmetric: bool = False
-) -> List[ProfileRow]:
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return [
-        ProfileRow(
-            k=k,
-            distance=winner.distance,
-            pattern="".join(kind.value for kind in winner.kinds),
-            t_values=winner.ts,
-            converged=winner.converged,
-        )
-        for k, winner in enumerate(_walk(k_max, cfg, key, problem_of, symmetric), start=1)
-    ]
+    return _nearest(k, cfg, _uvw_search(target))
 
 
 def coarse_length_profile(
     target: XYPoint, k_max: int, cfg: SearchConfig = DEFAULT_CONFIG
-) -> List[ProfileRow]:
+) -> List[SearchReport]:
     """Distance to the target as a function of the step budget k = 1..k_max.
 
-    One walk over the forms serves every k, and row k equals
-    `nearest_reachable(target, k, cfg)`.  Nonincreasing by construction.
+    One walk over the forms serves every k, and row k is the report
+    `nearest_reachable(target, k, cfg)` returns.  Nonincreasing by
+    construction.
     """
-    return _profile(k_max, cfg, *_xy_search(target))
+    return _profile(k_max, cfg, _xy_search(target))
 
 
 def coarse_length_profile_uvw(
     target: UVWPoint, k_max: int, cfg: SearchConfig = DEFAULT_CONFIG
-) -> List[ProfileRow]:
+) -> List[SearchReport]:
     """Profile against the full three-coordinate objective.
 
-    Row k equals `nearest_reachable_uvw(target, k, cfg)`; used for
-    experiments targeting a group element rather than its planar shadow.
+    Row k is the report `nearest_reachable_uvw(target, k, cfg)` returns;
+    used for experiments targeting a group element rather than its planar
+    shadow.
     """
-    return _profile(k_max, cfg, *_uvw_search(target))
-
-
-def profile_to_csv(rows: Sequence[ProfileRow]) -> str:
-    lines = ["k,distance,pattern,t_vector"]
-    for row in rows:
-        ts = ";".join(repr(t) for t in row.t_values)
-        lines.append(f"{row.k},{row.distance!r},{row.pattern},{ts}")
-    return "\n".join(lines) + "\n"
+    return _profile(k_max, cfg, _uvw_search(target))
 
 
 # diagonal analysis ------------------------------------------------------

@@ -133,7 +133,7 @@ def test_acceptance_07_unbounded_coarse_length():
     # limit, but larger budgets keep getting closer.  (<3 min)
     with timed(180.0):
         rows = coarse_length_profile(XYPoint.of_floats(1 / 3, 1 / 3), 8)
-        distances = [row.distance for row in rows]
+        distances = [row.distance.to_float() for row in rows]
         assert all(d > 0 for d in distances)
         assert all(a >= b for a, b in zip(distances, distances[1:]))
         assert distances[-1] < distances[0]
@@ -155,25 +155,24 @@ def _grid_fold(x, y, kinds, ts):
     return x, y
 
 
-def _grid_oracle(tx, ty, k):
-    """Dense-grid minimum of the distance over every seed and pattern."""
+def _grid_oracle(targets, k):
+    """Dense-grid minimum of the distance over every seed and pattern, for
+    each target: each (seed, pattern, chunk) is folded once for all."""
     t = np.linspace(0.0, 1.0, GRID_POINTS)
-    best = math.inf
+    best = [math.inf] * len(targets)
     patterns = [
         tuple("AB"[(p >> i) & 1] for i in range(k)) for p in range(2**k)
     ]
+    chunks = [(t,)] if k == 1 else [
+        (t[i : i + 250][:, None], t[None, :]) for i in range(0, GRID_POINTS, 250)
+    ]
     for x0, y0 in ((1.0, 0.0), (0.0, 1.0)):
         for kinds in patterns:
-            if k == 1:
-                x, y = _grid_fold(x0, y0, kinds, (t,))
-                best = min(best, float(np.min((x - tx) ** 2 + (y - ty) ** 2)))
-            else:
-                for i in range(0, GRID_POINTS, 250):
-                    t1 = t[i : i + 250][:, None]
-                    x, y = _grid_fold(x0, y0, kinds, (t1, t[None, :]))
-                    d2 = (x - tx) ** 2 + (y - ty) ** 2
-                    best = min(best, float(np.min(d2)))
-    return math.sqrt(best)
+            for ts in chunks:
+                x, y = _grid_fold(x0, y0, kinds, ts)
+                for n, (tx, ty) in enumerate(targets):
+                    best[n] = min(best[n], float(np.min((x - tx) ** 2 + (y - ty) ** 2)))
+    return [math.sqrt(d2) for d2 in best]
 
 
 def test_acceptance_08_optimizer_grid_sanity():
@@ -184,16 +183,18 @@ def test_acceptance_08_optimizer_grid_sanity():
     # below ~1e-5 and only the optimizer-not-worse direction is meaningful.
     # (<60 s)
     with timed(60.0):
-        for tx, ty in ((1 / 3, 1 / 3), (0.36, 0.34)):
+        targets = ((1 / 3, 1 / 3), (0.36, 0.34), (0.6, 0.2))
+        grids = {k: _grid_oracle(targets, k) for k in (1, 2)}
+        for n, (tx, ty) in enumerate(targets[:2]):
             target = XYPoint.of_floats(tx, ty)
             for k in (1, 2):
                 opt = nearest_reachable(target, k).distance.to_float()
-                grid = _grid_oracle(tx, ty, k)
+                grid = grids[k][n]
                 assert abs(opt - grid) <= 1e-6, (tx, ty, k, opt, grid)
         reachable = XYPoint.of_floats(0.6, 0.2)
         for k in (1, 2):
             opt = nearest_reachable(reachable, k).distance.to_float()
-            grid = _grid_oracle(0.6, 0.2, k)
+            grid = grids[k][2]
             assert opt <= grid + 1e-6, (k, opt, grid)
         assert opt <= 1e-9 and grid <= 2e-4
 

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import nilwords
-from nilwords.cli import EXIT_DOMAIN, _build_parser, main
+from nilwords.cli import EXIT_DOMAIN, _build_parser, _profile_rows, _profile_to_csv, main
+from nilwords.dynamics import XYPoint
+from nilwords.search import SearchConfig, coarse_length_profile
 from nilwords.verify import SUITE_NAMES
 
 
@@ -21,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """`json.loads` that rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def subcommands():
@@ -333,6 +344,68 @@ class TestProfile:
         assert out == ""
         assert "overflows" in err
 
+    def test_csv_form(self):
+        fast = SearchConfig(max_iterations=300)
+        rows = coarse_length_profile(XYPoint.of_floats(0.38, 0.36), 2, fast)
+        lines = _profile_to_csv(_profile_rows(rows)).splitlines()
+        assert lines[0] == "k,distance,pattern,t_vector"
+        assert len(lines) == 3
+        k, distance, pattern, ts = lines[2].split(",")
+        assert k == "2"
+        float(distance)
+        assert set(pattern) <= {"A", "B"}
+        assert len(ts.split(";")) == 2
+
+    # The CSV of two default profiles, bit for bit; the JSON output holds the
+    # same rows, every one converged.
+    PINNED = {
+        "xy": (
+            ("0.38", "0.36"),
+            "k,distance,pattern,t_vector\n"
+            "1,0.015406757038321155,B,0.3919005038324476\n"
+            "2,0.0,AB,0.9264078583440909;0.3766239177481818\n"
+            "3,0.0,AAB,0.9264078583440909;0.0;0.3766239177481818\n",
+        ),
+        "uvw": (
+            ("--objective", "uvw", "0", "0", "0"),
+            "k,distance,pattern,t_vector\n"
+            "1,1.1055415967851334,A,0.3333333432674408\n"
+            "2,0.16757378670365314,AB,0.6961098686227647;0.30389013140531856\n"
+            "3,0.10261422683771369,ABA,"
+            "0.7605610618761585;0.49999999934747774;0.19318332771495944\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("objective", sorted(PINNED))
+    def test_pinned_csv(self, capsys, objective):
+        values, csv = self.PINNED[objective]
+        assert run(capsys, "profile", *values, "3") == (0, csv, "")
+
+    @pytest.mark.parametrize("objective", sorted(PINNED))
+    def test_pinned_json(self, capsys, objective):
+        values, csv = self.PINNED[objective]
+        target = values[2:] if objective == "uvw" else values
+        payload = {
+            "objective": objective,
+            "target": [float(v) for v in target],
+            "note": (
+                "distances are optimizer upper bounds; the planar objective "
+                "lower-bounds full-element difficulty"
+            ),
+            "rows": [
+                {
+                    "k": int(k),
+                    "distance": float(distance),
+                    "pattern": pattern,
+                    "t_vector": [float(t) for t in ts.split(";")],
+                    "converged": True,
+                }
+                for k, distance, pattern, ts in (line.split(",") for line in csv.splitlines()[1:])
+            ],
+        }
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, "profile", *values, "3", "--format", "json") == (0, expected, "")
+
     @pytest.mark.parametrize("value", ["-1e-3", "-1/1000"])
     def test_negative_coordinate_reads_as_a_number(self, capsys, value):
         plain = run(capsys, "profile", "--objective", "uvw", value, "1", "1", "1")
@@ -397,6 +470,20 @@ class TestSynth:
         assert "the floor is 0.000687581 from the target" in message
         if fmt == "json":
             assert json.loads(out)["stage"] == "exhausted"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("0.3338333333", "0.3338333333"), ("0.6", "0.2", "--pattern-cap", "1")],
+        ids=["proven", "budget-limited"],
+    )
+    def test_exhausted_json_is_strict_json(self, capsys, argv):
+        # a failed synthesis has residual inf, which JSON cannot hold: null
+        code, out, _ = run(capsys, "synth", *argv, "--format", "json")
+        assert code == EXIT_DOMAIN
+        payload = strict_json(out)
+        assert (payload["stage"], payload["success"], payload["residual"]) == (
+            "exhausted", False, None,
+        )
 
     def test_csv_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -729,6 +816,7 @@ def command_lines(draw):
 @settings(max_examples=150, deadline=None)
 def test_any_command_line_exits_with_a_documented_code(argv, tmp_path_factory):
     out = tmp_path_factory.getbasetemp() / "argv-out"
+    out.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv + ["--out", str(out)])
@@ -736,3 +824,6 @@ def test_any_command_line_exits_with_a_documented_code(argv, tmp_path_factory):
             code = exc.code
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3), argv
+    # the command line parsed if it wrote its output
+    if out.exists() and _build_parser().parse_args(argv).format == "json":
+        strict_json(out.read_text(encoding="utf-8"))

@@ -38,7 +38,6 @@ from nilwords.search import (
     diagonal_gap,
     nearest_reachable,
     nearest_reachable_uvw,
-    profile_to_csv,
     seed_point,
     seed_sigma_word,
     seq_to_word,
@@ -95,6 +94,14 @@ def sequence(seed, *steps):
     return MapSequence(
         seed, tuple((kind, Scalar.of_float(t)) for kind, t in steps), Mode.FLOAT
     )
+
+
+def distances(reports):
+    return [report.distance.to_float() for report in reports]
+
+
+def t_values(report):
+    return [t.to_float() for _, t in report.best_sequence.steps]
 
 
 class TestSequences:
@@ -854,9 +861,9 @@ class TestMirrorPairs:
         rows = coarse_length_profile_uvw(origin, 16)
         both = search._walk(16, DEFAULT_CONFIG, ("uvw-both",), search._uvw_problem((0.0,) * 3))
         assert len(rows) == len(both) == 16
-        for row, winner in zip(rows, both):
-            assert row.pattern.startswith("A"), row
-            assert abs(row.distance - winner.distance) <= 1e-12 * winner.distance, row.k
+        for k, (row, (_, _, solved, _)) in enumerate(zip(rows, both), start=1):
+            assert row.best_sequence.pattern().startswith("A"), row
+            assert abs(row.distance.to_float() - solved.cost) <= 1e-12 * solved.cost, k
 
     def test_limit_point_reports_the_xy_seed(self):
         for k in range(1, 6):
@@ -917,10 +924,10 @@ class TestNearestReachable:
         report = nearest_reachable(target(0.4, 0.4), 40, quick)
         assert len(report.best_sequence.steps) == 40
         rows = coarse_length_profile(target(0.4, 0.4), 40, quick)
-        assert len(rows) == 40 and rows[-1].k == 40
-        assert len(rows[-1].pattern) == 40
-        distances = [row.distance for row in rows]
-        assert all(a >= b for a, b in zip(distances, distances[1:]))
+        assert len(rows) == 40
+        assert len(rows[-1].best_sequence.pattern()) == 40
+        ds = distances(rows)
+        assert all(a >= b for a, b in zip(ds, ds[1:]))
 
     def test_negative_budget(self):
         with pytest.raises(ValueError):
@@ -956,24 +963,26 @@ class TestNearestReachable:
 class TestProfiles:
     def test_profile_rows(self):
         rows = coarse_length_profile(target(0.38, 0.36), 3, FAST)
-        assert [row.k for row in rows] == [1, 2, 3]
-        for row in rows:
-            assert len(row.pattern) == row.k
-            assert len(row.t_values) == row.k
-        distances = [row.distance for row in rows]
-        assert all(a >= b for a, b in zip(distances, distances[1:]))
+        assert len(rows) == 3
+        for k, row in enumerate(rows, start=1):
+            assert len(row.best_sequence.pattern()) == k
+            assert len(t_values(row)) == k
+            assert xy_distance(apply_sequence(row.best_sequence), row.best_point) < 1e-12
+        ds = distances(rows)
+        assert all(a >= b for a, b in zip(ds, ds[1:]))
 
     def test_profile_on_reachable_target(self):
         rows = coarse_length_profile(target(S, S), 2, FAST)
-        assert rows[0].distance < 1e-9
-        assert rows[1].distance <= rows[0].distance
+        assert rows[0].distance.to_float() < 1e-9
+        assert rows[1].distance.to_float() <= rows[0].distance.to_float()
 
     def test_uvw_profile(self):
         goal = eval_uvw(balanced_word(2, Mode.FLOAT))
         rows = coarse_length_profile_uvw(goal, 2, FAST)
-        distances = [row.distance for row in rows]
-        assert all(a >= b for a, b in zip(distances, distances[1:]))
-        assert distances[-1] < 1e-6
+        assert all(isinstance(row.best_point, UVWPoint) for row in rows)
+        ds = distances(rows)
+        assert all(a >= b for a, b in zip(ds, ds[1:]))
+        assert ds[-1] < 1e-6
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -984,9 +993,9 @@ class TestProfiles:
         # 0.0029302, the balanced prefix's distances.  A search stuck at the
         # 6-step optimum padded with identity steps reports 0.004866 at
         # k = 7.
-        rows = coarse_length_profile(target(1 / 3, 1 / 3), 8)
-        assert rows[6].distance <= 0.0037155 + 1e-9
-        assert rows[7].distance <= 0.0029303
+        ds = distances(coarse_length_profile(target(1 / 3, 1 / 3), 8))
+        assert ds[6] <= 0.0037155 + 1e-9
+        assert ds[7] <= 0.0029303
 
     def test_profile_at_the_limit_follows_the_balanced_prefix(self):
         # The balanced prefix: seed YX, kinds B A B A ..., t_i = 2/(i + 2)
@@ -997,22 +1006,10 @@ class TestProfiles:
         # distance.  Up to k = 24 the profile matches it, and every winner
         # converged.
         rows = coarse_length_profile(target(1 / 3, 1 / 3), 24)
-        for row in rows:
-            expected = balanced_prefix_distance(row.k)
-            assert abs(row.distance - expected) <= 1e-10 * expected, row.k
-            assert row.converged, row.k
-
-    def test_csv_form(self):
-        rows = coarse_length_profile(target(0.38, 0.36), 2, FAST)
-        text = profile_to_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "k,distance,pattern,t_vector"
-        assert len(lines) == 3
-        k, distance, pattern, ts = lines[2].split(",")
-        assert k == "2"
-        float(distance)
-        assert set(pattern) <= {"A", "B"}
-        assert len(ts.split(";")) == 2
+        for k, row in enumerate(rows, start=1):
+            expected = balanced_prefix_distance(k)
+            assert abs(row.distance.to_float() - expected) <= 1e-10 * expected, k
+            assert row.converged, k
 
 
 def balanced_prefix_distance(k):
@@ -1034,28 +1031,18 @@ def balanced_prefix_distance(k):
 
 
 class TestSharedWalk:
-    """Profiles and single searches run the same walk over the forms."""
-
-    @staticmethod
-    def row_of(report):
-        seq = report.best_sequence
-        return report.distance.to_float(), seq.pattern(), tuple(t.to_float() for _, t in seq.steps)
+    """Profiles and single searches run the same walk over the forms: row k
+    of a profile is the whole record a search with budget k returns."""
 
     def test_planar_profile_rows_are_single_searches(self):
         goal = target(0.38, 0.36)
         rows = coarse_length_profile(goal, 4, FAST)
-        assert [row.k for row in rows] == [1, 2, 3, 4]
-        for row in rows:
-            single = self.row_of(nearest_reachable(goal, row.k, FAST))
-            assert (row.distance, row.pattern, row.t_values) == single
+        assert rows == [nearest_reachable(goal, k, FAST) for k in (1, 2, 3, 4)]
 
     def test_uvw_profile_rows_are_single_searches(self):
         goal = eval_uvw(balanced_word(2, Mode.FLOAT))
         rows = coarse_length_profile_uvw(goal, 4, FAST)
-        assert [row.k for row in rows] == [1, 2, 3, 4]
-        for row in rows:
-            single = self.row_of(nearest_reachable_uvw(goal, row.k, FAST))
-            assert (row.distance, row.pattern, row.t_values) == single
+        assert rows == [nearest_reachable_uvw(goal, k, FAST) for k in (1, 2, 3, 4)]
 
     def test_exact_tie_goes_to_the_shortest_form(self, monkeypatch):
         # A stub problem whose residual is constant on each form, so the
@@ -1090,10 +1077,7 @@ def fingerprint(result):
     if isinstance(result, Scalar):
         return result.to_float().hex()
     if isinstance(result, list):
-        return [
-            (row.k, row.distance.hex(), row.pattern, [t.hex() for t in row.t_values], row.converged)
-            for row in result
-        ]
+        return [fingerprint(report) for report in result]
     seq = result.best_sequence
     return (
         seq.seed,
@@ -1282,8 +1266,8 @@ class TestStaircaseFloor:
     def test_planar_profile_rows_stay_above_the_floor(self):
         rows = coarse_length_profile(target(1 / 3, 1 / 3), 64)
         assert len(rows) == 64
-        for row in rows:
-            assert row.distance * (row.k + 1) ** 2 >= math.sqrt(2) / 6, row
+        for k, row in enumerate(rows, start=1):
+            assert row.distance.to_float() * (k + 1) ** 2 >= math.sqrt(2) / 6, row
 
     def test_diagonal_gaps_stay_above_the_floor(self):
         for k in range(1, 49):
@@ -1294,8 +1278,8 @@ class TestStaircaseFloor:
         # the image of X + Y, is at least 6/sqrt(2) times the planar excess
         origin = UVWPoint(*[Scalar.of_float(0.0)] * 3)
         rows = coarse_length_profile_uvw(origin, 32)
-        for row in rows:
-            assert row.distance * (row.k + 1) ** 2 >= math.sqrt(2), row
+        for k, row in enumerate(rows, start=1):
+            assert row.distance.to_float() * (k + 1) ** 2 >= math.sqrt(2), row
 
 
 class TestSynthesis:
@@ -1577,13 +1561,13 @@ class TestPinnedAnswers:
         # the target and is padded after its A step.
         rows = coarse_length_profile(target(0.38, 0.36), 6)
         a, b = "0x1.da52217cb0c76p-1", "0x1.81a9b3467ab60p-2"
-        assert [(row.distance.hex(), row.pattern) for row in rows] == [
+        assert [(row.distance.to_float().hex(), row.best_sequence.pattern()) for row in rows] == [
             ("0x1.f8d93ecefa176p-7", "B"),
             *(("0x0.0p+0", "A" * (k - 1) + "B") for k in range(2, 7)),
         ]
-        assert [t.hex() for t in rows[0].t_values] == ["0x1.914e5d9cfc323p-2"]
-        for row in rows[1:]:
-            assert [t.hex() for t in row.t_values] == [a] + ["0x0.0p+0"] * (row.k - 2) + [b]
+        assert [t.hex() for t in t_values(rows[0])] == ["0x1.914e5d9cfc323p-2"]
+        for k, row in enumerate(rows[1:], start=2):
+            assert [t.hex() for t in t_values(row)] == [a] + ["0x0.0p+0"] * (k - 2) + [b]
 
     @pytest.mark.parametrize(
         "k, distance, evaluations, seed, pattern, ts",
