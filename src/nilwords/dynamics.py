@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from . import lie_core, words
-from .lie_core import GroupElement, _evaluate
-from .scalar import Mode, Scalar, _cleared, _close, _lift, _raw
+from . import lie_core
+from .lie_core import _WEIGHTS, GroupElement, _evaluate
+from .scalar import Mode, Scalar, _close, _dilated, _raw
 from .words import SigmaWord, _check_parameter
 
 __all__ = [
@@ -211,30 +211,21 @@ def xy_distance(p: XYPoint, q: XYPoint) -> float:
 def _balanced_states(n_max: int, mode: Mode) -> Iterator[Tuple[tuple, object]]:
     """The raw state (c1, ..., c5) of `balanced_word(n, mode)` and its scale
     s, for n = 1 .. n_max, the state being scaled by (s, s, s^2, s^3, s^3):
-    ints and s = n in exact mode, where every block is 1 over n, and in float
-    mode the doubles `_sigma_element` gives, with s = 1.
+    ints and s = n in exact mode, and in float mode those ints over
+    (n, n, n^2, n^3, n^3), correctly rounded, with s = 1.
 
-    Word n is n blocks of its cleared share.  When that share equals word
-    n - 1's, word n is word n - 1 followed by one more block, so its state
-    is the previous state extended by two letters (Chen 1957).  Exact shares
-    are always the int 1, so the exact words cost two letters each.  A word
-    whose share differs, every float word, is evaluated afresh, and its
-    blocks pass `_check_sigma` as `SigmaWord` checks them.  Every state must
-    have the unit masses `extract_uvw` checks; for an extended word, whose
-    X-mass and Y-mass are the sums of its blocks, that check is the Sigma
-    sum rule.  `_check_sigma` and `_letters` are read from their modules at
-    each word, so a test can replace them."""
-    state = previous = None
+    Word n is the dilation by 1/n of the unit word (XY)^n, whose integer
+    state is that of (XY)^(n - 1) extended by the two unit letters (Chen
+    1957), so both modes walk one integer state, two letters a word, and
+    `_dilated` makes the float states.  Every state must have the unit
+    masses `extract_uvw` checks; as the X-mass and Y-mass are the sums of
+    the blocks, that check is the Sigma sum rule.  `_letters` is read from
+    its module at each word, so a test can replace it."""
+    state = (0, 0, 0, 0, 0)
     for n in range(1, n_max + 1):
-        scale, (share,) = _cleared(mode, [_lift(mode, 1, n)])
-        if share == previous:
-            state = lie_core._letters((True, False), (share, share), state)
-        else:
-            blocks = [share] * n
-            words._check_sigma(blocks, blocks, scale, mode)
-            state = lie_core._letters((True, False) * n, blocks * 2, (0, 0, 0, 0, 0))
-        if not all(_close(mode, c, scale, ABELIANIZATION_TOLERANCE) for c in state[:2]):
-            masses = ", ".join(str(Scalar.lift(c, mode, scale)) for c in state[:2])
+        state = lie_core._letters((True, False), (1, 1), state)
+        scale, scaled = _dilated(mode, n, state, _WEIGHTS)
+        if not all(_close(mode, c, scale, ABELIANIZATION_TOLERANCE) for c in scaled[:2]):
+            masses = ", ".join(str(Scalar.lift(c, mode, scale)) for c in scaled[:2])
             raise UnitMassError(f"generator masses ({masses}) are not (1, 1)")
-        previous = share
-        yield state, scale
+        yield scaled, scale

@@ -251,6 +251,14 @@ def _restored(mode: Mode, den, values, weights) -> tuple:
     return tuple(_lift(mode, v, den**w) for v, w in zip(values, weights))
 
 
+def _dilated(mode: Mode, den, ints, weights) -> tuple:
+    """(den, ints) in exact mode; in float mode (1, `_restored` ints), each
+    int over den**w by int/int division, so correctly rounded."""
+    if mode is Mode.EXACT:
+        return den, ints
+    return 1, _restored(mode, den, ints, weights)
+
+
 def _mode_of(scalars, mode: Optional[Mode], what: str) -> Mode:
     """The mode of a container of scalars: the given mode, else its first
     scalar's.  An empty container must be given a mode; every scalar must be

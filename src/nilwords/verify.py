@@ -13,11 +13,11 @@ public functions wrap, so each law has one copy: `lie_core._product` and
 (`word_map_a`, `word_map_b`, `SigmaWord`), `dynamics._map_a_uvw`,
 `_map_b_uvw`, `_project`, `_map_a_xy` and `_map_b_xy` (the point maps and
 `project`), and `region._classify` (`membership`).  The convergence suite's
-kernels are `_letters`, `_check_sigma` and `_project`: it walks the states
-of `balanced_word(n)` for n = 1 .. n_max through `dynamics._balanced_states`.
-An exact word n is word n - 1 and one more unit block, so the exact suite
-extends one integer state by two letters a word and is O(n_max); a float
-word has its own block 1/n and is evaluated afresh, O(n_max^2) in all.
+kernels are `_letters` and `_project`: it walks the states of
+`balanced_word(n)` for n = 1 .. n_max through `dynamics._balanced_states`.
+Word n is the dilation by 1/n of the unit word (XY)^n, so both modes extend
+one integer state by two letters a word, O(n_max) in all; a float state is
+the exact one dilated by 1/n and correctly rounded.
 Exact trials run the kernels on ints scaled by a common denominator, so
 every exact check compares ints; float trials run them on the doubles the
 public functions would see.  Only the samplers, which draw different inputs
@@ -35,8 +35,8 @@ for the cell and two `random` calls inside it, and `_classify` accepts
 about 1 in 1.04 of them (1 in 9.6 from the unit square).  Both tables are
 built from one pass over the rows on the first draw and cached.  Each
 suite looks up the laws and maps it checks in their modules when it
-starts (and `_balanced_states` reads `_letters` and `_check_sigma` at each
-word), so a test can replace one.
+starts (and `_balanced_states` reads `_letters` at each word), so a test
+can replace one.
 """
 
 from __future__ import annotations
@@ -354,16 +354,15 @@ def _suite_convergence(mode: Mode, n_max: int, seed: int) -> List[CheckResult]:
     """Balanced words against the limit element (1, 1, 0, 0, 0) and its
     planar image (1/3, 1/3).  `dynamics._balanced_states` walks the states
     of words 1 .. max(n_max, 3), scaled by (s, s, s^2, s^3, s^3) with s = n
-    in exact mode and s = 1 in float mode: it extends one exact state by two
-    letters a word, and evaluates each float word afresh through
-    `_check_sigma` and `_letters`.  `_project` gives each state's planar
-    triple (x, y, d).  One computation serves both modes: the gap to the
-    limit times s^6 is G = ((c1 - s)^2 + (c2 - s)^2) s^4 + c3^2 s^2 + c4^2 +
+    in exact mode and s = 1 in float mode: it extends one integer state by
+    two letters a word, and a float state is that state dilated by 1/n and
+    correctly rounded.  `_project` gives each state's planar triple
+    (x, y, d).  One computation serves both modes: the gap to the limit
+    times s^6 is G = ((c1 - s)^2 + (c2 - s)^2) s^4 + c3^2 s^2 + c4^2 +
     c5^2, the rate check fails when G n^2 > 9 s^6, the monotone check when
     G s_prev^6 > G_prev s^6, and the planar one when ((3x - d)^2 +
     (3y - d)^2) n^2 > 81 d^2, each for n <= n_max.  Words 2 and 3 are the
-    checkpoints.  Exact checks compare ints; float checks run on the doubles
-    of the public path."""
+    checkpoints.  Exact checks compare ints; float checks run on doubles."""
     del seed  # deterministic suite
     to_plane = dynamics._project
     rate_ok = monotone_ok = xy_rate_ok = True

@@ -20,7 +20,6 @@ from nilwords.lie_core import evaluate_word
 from nilwords.region import EpsilonPolicy, Membership, membership, render_region
 from nilwords.scalar import DIAGONAL_FIXED_POINT, Mode, Scalar
 from nilwords.search import (
-    DEFAULT_CONFIG,
     coarse_length_profile,
     diagonal_gap,
     nearest_reachable,

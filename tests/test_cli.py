@@ -540,17 +540,17 @@ class TestVerify:
         assert payload["trials"] == 16
         assert payload["checks"]
 
-    def test_long_exact_convergence_json(self, capsys):
-        # Exact words extend one state by two letters each, so 20 000 words
-        # run in a fraction of a second; re-evaluating every word would
-        # take about a minute.
+    @pytest.mark.parametrize("arith", [(), ("--arith", "exact")], ids=["float", "exact"])
+    def test_long_exact_convergence_json(self, capsys, arith):
+        # Both modes extend one integer state by two letters a word, so
+        # 20 000 words run in a fraction of a second, the CLI's default
+        # float mode included.
         code, out, _ = run(
-            capsys, "verify", "convergence", "--arith", "exact", "--trials", "20000",
-            "--format", "json",
+            capsys, "verify", "convergence", *arith, "--trials", "20000", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["mode"] == "exact"
+        assert payload["mode"] == ("exact" if arith else "float")
         assert payload["trials"] == 20000
         assert payload["passed"] is True
         assert len(payload["checks"]) == 4

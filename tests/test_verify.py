@@ -428,19 +428,14 @@ def _counting_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
-@pytest.mark.parametrize("n_max", (1, 2, 3, 512))
+@pytest.mark.parametrize("n_max", (1, 2, 3, 512, 20_000))
 def test_convergence_letter_and_sigma_counts(monkeypatch, mode, n_max):
     # A count, not a timing, over words 1 .. n = max(n_max, 3); words 2 and 3
-    # are the checkpoints.  An exact word is the one before it and one unit
-    # block: two letters each, and the Sigma rules of word 1 only.  A float
-    # word has its own block 1/n: 2n letters and one Sigma check each.
+    # are the checkpoints.  In both modes a word is the integer state of the
+    # one before it and one unit block: two letters each, and no Sigma check.
     counts = _counting_kernels(monkeypatch)
     assert run_suite("convergence", mode, n_max, 1).passed
-    n = max(n_max, 3)
-    if mode is Mode.EXACT:
-        assert counts == {"letters": 2 * n, "check_sigma": 1}
-    else:
-        assert counts == {"letters": n * (n + 1), "check_sigma": n}
+    assert counts == {"letters": 2 * max(n_max, 3), "check_sigma": 0}
 
 
 def test_each_algebra_table_is_every_scaled_draw_with_duplicates():
