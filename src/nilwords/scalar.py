@@ -10,9 +10,10 @@ a silent coercion.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 __all__ = [
     "Mode",
@@ -277,6 +278,15 @@ def _close(mode: Mode, a, b, tol: float) -> bool:
     if mode is Mode.EXACT:
         return a == b
     return abs(a - b) <= tol
+
+
+def _tuples_close(mode: Mode, tol: float) -> Callable[[tuple, tuple], bool]:
+    """`_close` of each coordinate of two raw tuples of one length, as one
+    function: whole-tuple equality in exact mode, where tol is ignored;
+    every |x - y| <= tol in float mode, which never holds for NaN."""
+    if mode is Mode.EXACT:
+        return operator.eq
+    return lambda a, b: all(abs(x - y) <= tol for x, y in zip(a, b))
 
 
 # The largest diagonal coordinate of the admissible planar region: the root

@@ -19,13 +19,18 @@ Word n is the dilation by 1/n of the unit word (XY)^n, so both modes extend
 one integer state by two letters a word, O(n_max) in all; a float state is
 the exact one dilated by 1/n and correctly rounded.
 Exact trials run the kernels on ints scaled by a common denominator, so
-every exact check compares ints; float trials run them on the doubles the
-public functions would see.  Only the samplers, which draw different inputs
-per mode, and the float division of the commutation suite test the mode;
-every check is one computation for both modes.  An exact algebra
-coordinate is one `choice` from a table of its 200 scaled values, and an
-exact invariance point one `randrange` call, an index into a table of the
-interior run of each row of the grid {1..1023}^2 / 1024.  A float point is
+every exact check compares ints, whole tuples at once
+(`scalar._tuples_close`); float trials run them on the doubles the public
+functions would see, each coordinate within the suite's tolerance.  Only
+the samplers, which draw different inputs per mode, and the float division
+of the commutation suite test the mode; every check is one computation for
+both modes.  An exact algebra vector is one `randrange(200**5)` call whose
+five base-200 digits index tables of each coordinate's 200 scaled values.
+A Sigma word draws each generator's block weights with one `choices`
+call, and the Sigma rules sum its ints over their denominator as they
+are, with no clearing per check.  An exact invariance point is one
+`randrange` call, an index into a table of the interior run of each row
+of the grid {1..1023}^2 / 1024.  A float point is
 drawn by rejection from a cover of the region: the cells [i, i+1) x
 [j, j+1) / 1024 that can hold an interior double, one run of columns per
 strip, read off the same grid rows with one column of margin on each side.
@@ -51,7 +56,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import dynamics, lie_core, words
 from .region import _INTERIOR, Membership, _classify, _interior_run
-from .scalar import Mode, _close, _lift
+from .scalar import Mode, _close, _lift, _tuples_close
 
 __all__ = ["CheckResult", "SuiteResult", "SUITE_NAMES", "run_suite"]
 
@@ -76,15 +81,10 @@ class SuiteResult:
     seconds: float
 
 
-def _tuples_close(mode: Mode, tol: float) -> Callable[[tuple, tuple], bool]:
-    """Coordinatewise `Scalar.close_to` of two raw tuples."""
-    return lambda a, b: all(_close(mode, x, y, tol) for x, y in zip(a, b))
-
-
 # Exact algebra draws are p/q with p in -12..12 and q in 1..8, and 840 =
 # lcm(1..8), so scaling a draw of weight w by s = 840**w gives the int
 # p * (s // q).  Each weight's table holds that int for all 200 pairs (p, q),
-# duplicates kept, so a uniform choice from it is a uniform pair.
+# duplicates kept, so a uniform index into it is a uniform pair.
 _ALGEBRA_TABLES = tuple(
     tuple(p * (s // q) for p in range(-12, 13) for q in range(1, 9))
     for s in (840, 840, 840**2, 840**3, 840**3)
@@ -93,12 +93,20 @@ _ALGEBRA_TABLES = tuple(
 
 def _rand_vector(rnd: random.Random, mode: Mode) -> tuple:
     """Five raw coordinates: p/q with p in -12..12 and q in 1..8, scaled by
-    (L, L, L^2, L^3, L^3) with L = 840 and drawn with one `choice` each from
-    `_ALGEBRA_TABLES`, or five doubles from [-1, 1]: 2 random() - 1, the
-    doubles and generator state of `rnd.uniform(-1.0, 1.0)`, which computes
+    (L, L, L^2, L^3, L^3) with L = 840, or five doubles from [-1, 1].
+
+    An exact vector is one `randrange(200**5)` call u, read as five base-200
+    digits, most significant first: digit i indexes the table of coordinate
+    i in `_ALGEBRA_TABLES`.  u -> digits is one-to-one onto the 200^5 index
+    tuples, so the five pairs (p, q) are independent and uniform, as five
+    `choice` calls made them.  A float coordinate is 2 random() - 1, the
+    double and generator state of `rnd.uniform(-1.0, 1.0)`, which computes
     -1 + 2 random(), without its call."""
     if mode is Mode.EXACT:
-        return tuple(rnd.choice(table) for table in _ALGEBRA_TABLES)
+        u = rnd.randrange(200**5)
+        t1, t2, t3, t4, t5 = _ALGEBRA_TABLES
+        return (t1[u // 200**4], t2[u // 200**3 % 200], t3[u // 200**2 % 200],
+                t4[u // 200 % 200], t5[u % 200])
     r = rnd.random
     return (2.0 * r() - 1.0, 2.0 * r() - 1.0, 2.0 * r() - 1.0, 2.0 * r() - 1.0,
             2.0 * r() - 1.0)
@@ -146,10 +154,16 @@ def _suite_algebra(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
 def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> tuple:
     """Block exponents (xs, ys, d) of a random Sigma word, each exponent over
-    d: ints over the lcm of the two sums in exact mode, doubles over 1."""
-    n = rnd.randint(1, max_blocks)
-    xs = [rnd.randint(0, 9) for _ in range(n)]
-    ys = [rnd.randint(0, 9) for _ in range(n)]
+    d: ints over the lcm of the two sums in exact mode, doubles over 1.
+
+    The block count n is drawn from 1..max_blocks, then each generator's n
+    weights with one `choices` call: floor(10 random()) each, which is every
+    int of 0..9 with a probability within 2^-52 of 1/10.  A generator whose
+    weights are all 0 gets a 1 in a random block.  The exponents are the
+    weights over their generator's sum."""
+    n = 1 + rnd.randrange(max_blocks)
+    xs = rnd.choices(range(10), k=n)
+    ys = rnd.choices(range(10), k=n)
     if sum(xs) == 0:
         xs[rnd.randrange(n)] = 1
     if sum(ys) == 0:
@@ -163,18 +177,21 @@ def _random_sigma_word(rnd: random.Random, mode: Mode, max_blocks: int = 20) -> 
 
 def _rand_parameter(rnd: random.Random, mode: Mode) -> tuple:
     """A map parameter t = k/97, k in 0..96, as (k, 97) in exact mode and as
-    (t, 1) in float mode."""
-    k = rnd.randint(0, 96)
+    (t, 1) in float mode.  `randrange(97)` draws the values and leaves the
+    generator state of `randint(0, 96)`, without its call."""
+    k = rnd.randrange(97)
     return (k, 97) if mode is Mode.EXACT else (k / 97, 1)
 
 
 def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
     """Word maps against the (u, v, w) maps, and those against the planar
     maps under `project`.  A word (xs, ys, d) and its images are checked by
-    the Sigma rules, as `SigmaWord` checks them, and evaluated by `_letters`
-    to their (u, v, w) scaled by d; the unit masses that `extract_uvw`
-    checks on the element follow from those rules.  Exact images of scale d under t = k/q
-    have scale q d on both routes, so they compare as ints; planar triples
+    the Sigma rules on their exponents over d, ints in exact mode, as
+    `SigmaWord` checks its cleared exponents, and evaluated by one
+    `_letters` call each on the interleaved blocks to their (u, v, w)
+    scaled by d; the unit masses that `extract_uvw` checks on the element
+    follow from those rules.  Exact images of scale d under t = k/q have
+    scale q d on both routes, so they compare as ints; planar triples
     compare by cross-multiplying.  Float triples are divided out first, as
     `project` does, so each float check sees the public functions' doubles."""
     rnd = random.Random(seed)
@@ -187,7 +204,8 @@ def _suite_commutation(mode: Mode, trials: int, seed: int) -> List[CheckResult]:
 
     def uvw(xs, ys, d):
         check_sigma(xs, ys, d, mode)
-        pairs = [v for pair in zip(xs, ys) for v in pair]
+        pairs = xs + ys
+        pairs[::2], pairs[1::2] = xs, ys
         return letters((True, False) * len(xs), pairs, (0, 0, 0, 0, 0))[2:]
 
     def plane(p, scale):

@@ -178,9 +178,9 @@ class SigmaWord:
         mode = self.blocks[0][0].mode
         if not all(s.mode is mode and t.mode is mode for s, t in self.blocks):
             raise SigmaValidationError("all block exponents must share one mode")
-        _check_sigma(
-            [s.value for s, _ in self.blocks], [t.value for _, t in self.blocks], 1, mode
-        )
+        # One common denominator for both generators' exponents.
+        den, ints = _cleared(mode, [v.value for block in self.blocks for v in block])
+        _check_sigma(ints[::2], ints[1::2], den, mode)
 
     @property
     def mode(self) -> Mode:
@@ -191,23 +191,22 @@ def _check_sigma(xs: Sequence, ys: Sequence, den, mode: Mode) -> None:
     """The Sigma rules on raw block exponents x/den and y/den, for every
     `SigmaWord` and for the words the commutation suite maps: raise
     SigmaValidationError unless all are nonnegative and each generator's
-    sum to 1.  Exact exponents are rationals, or ints over an int den, and
-    are summed as ints over their common denominator; float exponents come
-    over den = 1 and their sum may miss 1 by SUM_TOLERANCE.  A Scalar is
-    made only for a failure message."""
+    sum to 1.  Exact exponents come as ints over an int den, cleared once
+    by the caller, so each sum is one pass of int additions compared with
+    den; float exponents come over den = 1 and their sum may miss 1 by
+    SUM_TOLERANCE.  A Scalar is made only for a failure message."""
     # Written so that a NaN exponent fails the test.
     if not all(s >= 0 and t >= 0 for s, t in zip(xs, ys)):
         raise SigmaValidationError("negative or NaN block exponent")
     for label, values in (("X", xs), ("Y", ys)):
-        lcm, ints = _cleared(mode, values)
         # A left-to-right loop, because sum() of doubles is compensated on
         # Python 3.12 and later.
         total = 0
-        for v in ints:
+        for v in values:
             total += v
-        if not _close(mode, total, den * lcm, SUM_TOLERANCE):
+        if not _close(mode, total, den, SUM_TOLERANCE):
             raise SigmaValidationError(
-                f"{label}-exponents sum to {Scalar.lift(total, mode, den * lcm)}, expected 1"
+                f"{label}-exponents sum to {Scalar.lift(total, mode, den)}, expected 1"
             )
 
 

@@ -12,6 +12,7 @@ from nilwords.scalar import (
     Mode,
     ModeMismatchError,
     Scalar,
+    _tuples_close,
 )
 
 rationals = st.fractions(
@@ -145,6 +146,41 @@ class TestCloseTo:
             Scalar.exact(1, 2).close_to(Scalar.of_float(0.5), 1.0)
         with pytest.raises(ModeMismatchError):
             Scalar.of_float(0.5).close_to(Scalar.exact(1, 2), 1.0)
+
+
+class TestTuplesClose:
+    """`_close` of every coordinate of two raw tuples, as one function."""
+
+    def test_exact_mode_is_whole_tuple_equality(self):
+        close = _tuples_close(Mode.EXACT, 1.0)
+        a = (3, -7, 2**70, 0, 5)
+        assert close(a, (3, -7, 2**70, 0, 5))
+        for i in range(5):
+            b = list(a)
+            b[i] += 1
+            assert not close(a, tuple(b))
+        assert close((Fraction(1, 3),), (Fraction(2, 6),))
+        assert not close((Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 10**30),))
+
+    def test_float_mode_within_tolerance_and_just_beyond(self):
+        close = _tuples_close(Mode.FLOAT, 1e-12)
+        a = (0.5, -0.25, 0.0)
+        assert close(a, a)
+        assert close(a, (0.5 + 1e-13, -0.25 - 1e-13, 1e-12))
+        for i in range(3):
+            b = list(a)
+            b[i] += 2e-12
+            assert not close(a, tuple(b))
+            assert not close(tuple(b), a)
+        assert not close((0.0,), (math.nextafter(1e-12, 1.0),))
+
+    def test_float_mode_never_passes_nan(self):
+        nan = math.nan
+        for tol in (0.0, 1.0, math.inf):
+            close = _tuples_close(Mode.FLOAT, tol)
+            assert not close((0.0, nan), (0.0, nan))
+            assert not close((nan, 0.0), (0.0, 0.0))
+            assert not close((0.0, 0.0), (0.0, nan))
 
 
 class TestIsFinite:

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import types
 
 import pytest
 
@@ -410,12 +411,14 @@ def test_no_scalar_is_made_per_trial(monkeypatch, suite, mode):
 
 
 def _counting_kernels(monkeypatch):
-    """Wrap `_letters` and `_check_sigma`, and count the letters and calls."""
+    """Wrap `_letters` and `_check_sigma`, and count the letters and the
+    calls of each."""
     letters, check_sigma = lie_core._letters, words._check_sigma
-    counts = {"letters": 0, "check_sigma": 0}
+    counts = {"letters": 0, "letters_calls": 0, "check_sigma": 0}
 
     def counting_letters(is_x, ts, state):
         counts["letters"] += len(ts)
+        counts["letters_calls"] += 1
         return letters(is_x, ts, state)
 
     def counting_check_sigma(*args):
@@ -432,10 +435,12 @@ def _counting_kernels(monkeypatch):
 def test_convergence_letter_and_sigma_counts(monkeypatch, mode, n_max):
     # A count, not a timing, over words 1 .. n = max(n_max, 3); words 2 and 3
     # are the checkpoints.  In both modes a word is the integer state of the
-    # one before it and one unit block: two letters each, and no Sigma check.
+    # one before it and one unit block: two letters in one call each, and no
+    # Sigma check.
     counts = _counting_kernels(monkeypatch)
     assert run_suite("convergence", mode, n_max, 1).passed
-    assert counts == {"letters": 2 * max(n_max, 3), "check_sigma": 0}
+    n = max(n_max, 3)
+    assert counts == {"letters": 2 * n, "letters_calls": n, "check_sigma": 0}
 
 
 def test_each_algebra_table_is_every_scaled_draw_with_duplicates():
@@ -450,19 +455,59 @@ def test_each_algebra_table_is_every_scaled_draw_with_duplicates():
         assert len(set(table)) < 200
 
 
-class _Recording:
-    """A generator whose `choice` records the sequences it draws from."""
+@pytest.mark.parametrize("u, vector", [
+    # every digit 0: (p, q) = (-12, 1) in each table
+    (0, (-12 * 840, -12 * 840, -12 * 840**2, -12 * 840**3, -12 * 840**3)),
+    # every digit 199: (p, q) = (12, 8)
+    (200**5 - 1, (12 * 105, 12 * 105, 12 * 840**2 // 8, 12 * 840**3 // 8, 12 * 840**3 // 8)),
+    # digits 3, 199, 8, 57, 150, most significant first: (p, q) = (-12, 4),
+    # (12, 8), (-11, 1), (-5, 2) and (6, 7)
+    (
+        3 * 200**4 + 199 * 200**3 + 8 * 200**2 + 57 * 200 + 150,
+        (-12 * 210, 12 * 105, -11 * 840**2, -5 * 840**3 // 2, 6 * 840**3 // 7),
+    ),
+], ids=("zero", "last", "mixed"))
+def test_an_exact_algebra_vector_is_one_randrange_read_as_table_digits(u, vector):
+    rnd = _Fixed(u)
+    assert verify._rand_vector(rnd, Mode.EXACT) == vector
+    assert rnd.bounds == [200**5]
 
-    def __init__(self):
-        self.drawn_from = []
 
-    def choice(self, table):
-        self.drawn_from.append(table)
-        return table[-1]
+def test_parameters_are_randint_draws_bit_for_bit():
+    for mode in (Mode.EXACT, Mode.FLOAT):
+        new, old = random.Random(1729), random.Random(1729)
+        for _ in range(10_000):
+            k = old.randint(0, 96)
+            expected = (k, 97) if mode is Mode.EXACT else (k / 97, 1)
+            assert verify._rand_parameter(new, mode) == expected
+        assert new.getstate() == old.getstate()
 
 
-def test_an_exact_algebra_coordinate_is_one_choice_from_its_table():
-    rnd = _Recording()
-    vector = verify._rand_vector(rnd, Mode.EXACT)
-    assert rnd.drawn_from == list(verify._ALGEBRA_TABLES)
-    assert vector == (12 * 105, 12 * 105, 12 * 840**2 // 8, 12 * 840**3 // 8, 12 * 840**3 // 8)
+class _CountingRandom(random.Random):
+    """A generator that counts its `randrange` calls."""
+
+    randranges = 0
+
+    def randrange(self, *args):
+        _CountingRandom.randranges += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("trials", (1, 7))
+def test_an_exact_algebra_trial_draws_one_randrange_per_vector(monkeypatch, trials):
+    # A count, not a timing: four vectors a trial, one call each.
+    monkeypatch.setattr(verify, "random", types.SimpleNamespace(Random=_CountingRandom))
+    monkeypatch.setattr(_CountingRandom, "randranges", 0)
+    assert run_suite("algebra", Mode.EXACT, trials, 1).passed
+    assert _CountingRandom.randranges == 4 * trials
+
+
+@pytest.mark.parametrize("mode", (Mode.EXACT, Mode.FLOAT))
+@pytest.mark.parametrize("trials", (1, 7))
+def test_a_commutation_trial_checks_and_evaluates_three_words(monkeypatch, mode, trials):
+    # A count, not a timing: the drawn word and its two images are each
+    # checked by the Sigma rules once and evaluated by one `_letters` call.
+    counts = _counting_kernels(monkeypatch)
+    assert run_suite("commutation", mode, trials, 1).passed
+    assert counts["check_sigma"] == 3 * trials
+    assert counts["letters_calls"] == 3 * trials

@@ -1,11 +1,13 @@
 """Word grammar, length bookkeeping, Sigma constraints, rewriting maps."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from nilwords import words
 from nilwords.lie_core import evaluate_word
 from nilwords.scalar import Mode, ModeMismatchError, Scalar
 from nilwords.words import (
@@ -393,9 +395,41 @@ class TestSigmaConstructorChecks:
         (((F(math.inf), F(1.0)),), "X-exponents sum to inf, expected 1"),
         # X is checked before Y
         (((E(2), E(2)),), "X-exponents sum to 2, expected 1"),
+        # Both generators share one denominator, here 6; each sum is printed
+        # in lowest terms.
+        (((E(1, 2), E(1, 3)), (E(1), E(2, 3))), "X-exponents sum to 3/2, expected 1"),
+        (((E(1, 5), E(1, 2)), (E(4, 5), E(1, 3))), "Y-exponents sum to 5/6, expected 1"),
+        (((F(0.5), F(0.25)), (F(1.0), F(0.75))), "X-exponents sum to 1.5, expected 1"),
     ], ids=str)
     def test_mass_off(self, blocks_, message):
         assert rejection(blocks_) == message
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_exponents_reach_the_rules_cleared_once(self, monkeypatch, mode):
+        # Both generators' exponents are cleared by one `_cleared` call, to
+        # ints over their common denominator in exact mode, and the rules
+        # sum what they are given.
+        cleared, check_sigma = words._cleared, words._check_sigma
+        calls, checked = [], []
+
+        def counting_cleared(*args):
+            calls.append(args)
+            return cleared(*args)
+
+        def recording_check(xs, ys, den, mode_):
+            checked.append((list(xs), list(ys), den))
+            return check_sigma(xs, ys, den, mode_)
+
+        monkeypatch.setattr(words, "_cleared", counting_cleared)
+        monkeypatch.setattr(words, "_check_sigma", recording_check)
+        lift = functools.partial(Scalar.lift, mode=mode)
+        SigmaWord(((lift(1, den=4), lift(1, den=3)), (lift(3, den=4), lift(2, den=3))))
+        assert len(calls) == 1
+        if mode is Mode.EXACT:
+            assert checked == [([3, 9], [4, 8], 12)]
+            assert all(type(v) is int for v in checked[0][0] + checked[0][1])
+        else:
+            assert checked == [([0.25, 0.75], [1 / 3, 2 / 3], 1)]
 
     @pytest.mark.parametrize("offset", [0.9e-12, -0.9e-12])
     def test_float_mass_just_inside_tolerance(self, offset):
